@@ -35,9 +35,15 @@ type Exec interface {
 	ExecWork(cycles uint64)
 	// ExecComplete publishes a task's result into its record.
 	ExecComplete(rec Handle, result uint64)
-	// ExecSpawn runs the child-first spawn protocol for e; see
-	// Env.Spawn for the contract.
-	ExecSpawn(e *Env, resumeRP, handleSlot int, fid FuncID, localsLen uint32, init func(*Env)) bool
+	// ExecSpawnBegin and ExecSpawnRun are the spawn protocol cut where
+	// the child's init runs: Env.Spawn calls init between them, so the
+	// closure never crosses this interface. Begin publishes e's
+	// continuation and builds the child frame; the returned Env is the
+	// child's, valid until Run. hasInit: help-first must stage args.
+	ExecSpawnBegin(e *Env, resumeRP, handleSlot int, fid FuncID, localsLen uint32, hasInit bool) *Env
+	// ExecSpawnRun runs the child and pops the continuation; false
+	// means e was stolen (see Env.Spawn).
+	ExecSpawnRun(e, child *Env) bool
 	// ExecJoin runs the join protocol for e; see Env.Join.
 	ExecJoin(e *Env, resumeRP int, h Handle) (uint64, bool)
 	// Gas operations (§5.1 global references). Backends without a

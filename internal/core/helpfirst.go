@@ -52,26 +52,36 @@ func descEntry(va mem.VA, total uint64) Entry {
 
 func descLen(e Entry) uint64 { return e.FrameSize &^ descEntryFlag }
 
-// spawnHelpFirst queues the child instead of running it (the help-first
-// side of Env.Spawn). It always returns true: the parent continues and
-// is never stolen, because its continuation is never published.
-func (w *Worker) spawnHelpFirst(e *Env, handleSlot int, fid FuncID, localsLen uint32, init func(child *Env)) bool {
+// spawnHelpFirstBegin is the help-first side of Env.Spawn up to the
+// child's init: the child is queued, not run, so init writes its
+// arguments into a staging buffer that spawnHelpFirstRun packs into a
+// descriptor. Without an init there is nothing to stage.
+func (w *Worker) spawnHelpFirstBegin(e *Env, handleSlot int, fid FuncID, localsLen uint32, hasInit bool) *Env {
 	w.stats.Spawns++
 	w.adv(w.costs.SaveContext + w.costs.DequePush)
 	rec := w.newRecord()
 	e.SetHandle(handleSlot, rec)
-	// Stage the child's initial locals in a scratch buffer, then trim
-	// trailing zeros: the descriptor carries only "fn + args", as in
-	// real tied-task systems, not the whole (mostly empty) frame.
-	args := make([]byte, localsLen)
-	if init != nil {
+	w.hfFid, w.hfLocalsLen, w.hfRec, w.hfStaged = fid, localsLen, rec, hasInit
+	if hasInit {
 		staging := w.helpFirstStaging(localsLen)
-		init(&Env{x: w, base: staging - frameHdrSize, size: frameHdrSize + uint64(localsLen)})
-		sb, err := w.space.Slice(staging, uint64(localsLen))
-		if err != nil {
+		w.spawnEnv = Env{x: w, base: staging - frameHdrSize, size: frameHdrSize + uint64(localsLen)}
+	}
+	return &w.spawnEnv
+}
+
+// spawnHelpFirstRun queues the staged child. It always returns true:
+// the parent continues and is never stolen, because its continuation is
+// never published.
+func (w *Worker) spawnHelpFirstRun() bool {
+	// Trim trailing zeros off the staged locals: the descriptor carries
+	// only "fn + args", as in real tied-task systems, not the whole
+	// (mostly empty) frame.
+	var args []byte
+	if w.hfStaged {
+		var err error
+		if args, err = w.space.Slice(w.hfStaging, uint64(w.hfLocalsLen)); err != nil {
 			panic(err)
 		}
-		copy(args, sb)
 	}
 	used := uint32(len(args))
 	for used > 0 && args[used-1] == 0 {
@@ -83,9 +93,9 @@ func (w *Worker) spawnHelpFirst(e *Env, handleSlot int, fid FuncID, localsLen ui
 	if err != nil {
 		panic(err)
 	}
-	binary.LittleEndian.PutUint32(b[0:], uint32(fid))
-	binary.LittleEndian.PutUint32(b[4:], localsLen)
-	binary.LittleEndian.PutUint64(b[8:], uint64(rec))
+	binary.LittleEndian.PutUint32(b[0:], uint32(w.hfFid))
+	binary.LittleEndian.PutUint32(b[4:], w.hfLocalsLen)
+	binary.LittleEndian.PutUint64(b[8:], uint64(w.hfRec))
 	binary.LittleEndian.PutUint32(b[16:], used)
 	binary.LittleEndian.PutUint32(b[20:], 0)
 	copy(b[descHdrSize:], args[:used])

@@ -88,9 +88,18 @@ type Worker struct {
 	victimFails       map[int]int
 	victimBannedUntil map[int]uint64
 
-	// help-first staging buffer (see helpFirstStaging)
+	// spawnEnv is the child Env lent to init between ExecSpawnBegin and
+	// ExecSpawnRun; one suffices because init cannot nest a spawn.
+	spawnEnv Env
+
+	// help-first staging buffer (see helpFirstStaging) and the child
+	// being spawned, carried from spawnHelpFirstBegin to ...Run
 	hfStaging    mem.VA
 	hfStagingLen uint64
+	hfFid        FuncID
+	hfLocalsLen  uint32
+	hfRec        Handle
+	hfStaged     bool
 
 	// lifeline state (Config.Lifelines)
 	llOut          []int // hypercube out-links (-1 = unused axis)
@@ -246,14 +255,25 @@ func (w *Worker) invoke(base mem.VA, size uint64) Status {
 // The child's handle is stored into parent local slot handleSlot
 // *before* the continuation is published, so a migrated parent finds it
 // in its stack.
+//
+// init, if non-nil, fills the child's locals. It runs after the
+// continuation is published, so it may only write child, and read
+// captured values or e's frame. It is only ever called here — never
+// stored or handed to the Exec interface — so a literal at the call
+// site does not escape: a spawn allocates nothing on the Go heap.
 func (e *Env) Spawn(resumeRP, handleSlot int, fid FuncID, localsLen uint32, init func(child *Env)) bool {
-	return e.x.ExecSpawn(e, resumeRP, handleSlot, fid, localsLen, init)
+	child := e.x.ExecSpawnBegin(e, resumeRP, handleSlot, fid, localsLen, init != nil)
+	if init != nil {
+		init(child)
+	}
+	return e.x.ExecSpawnRun(e, child)
 }
 
-// ExecSpawn is the simulator's child-first spawn (Fig. 4).
-func (w *Worker) ExecSpawn(e *Env, resumeRP, handleSlot int, fid FuncID, localsLen uint32, init func(child *Env)) bool {
+// ExecSpawnBegin is the first half of the simulator's child-first spawn
+// (Fig. 4): publish the continuation, build the child frame.
+func (w *Worker) ExecSpawnBegin(e *Env, resumeRP, handleSlot int, fid FuncID, localsLen uint32, hasInit bool) *Env {
 	if w.m.cfg.HelpFirst {
-		return w.spawnHelpFirst(e, handleSlot, fid, localsLen, init)
+		return w.spawnHelpFirstBegin(e, handleSlot, fid, localsLen, hasInit)
 	}
 	w.stats.Spawns++
 	w.adv(w.costs.SaveContext + w.costs.DequePush)
@@ -278,10 +298,16 @@ func (w *Worker) ExecSpawn(e *Env, resumeRP, handleSlot int, fid FuncID, localsL
 		setFrameTaskID(w.space, cbase, uint64(id))
 		w.obs.Instant(obs.KSpawn, uint64(parent), id, -1)
 	}
-	if init != nil {
-		init(&Env{x: w, base: cbase, size: size})
+	w.spawnEnv = Env{x: w, base: cbase, size: size}
+	return &w.spawnEnv
+}
+
+// ExecSpawnRun is the second half: run the child, pop the continuation.
+func (w *Worker) ExecSpawnRun(e, child *Env) bool {
+	if w.m.cfg.HelpFirst {
+		return w.spawnHelpFirstRun()
 	}
-	w.invoke(cbase, size)
+	w.invoke(child.base, child.size)
 	// Pop the continuation we pushed (Fig. 4 line 14).
 	w.adv(w.costs.DequePop + w.costs.RestoreContext)
 	if ent, ok := w.deque.Pop(w.proc, w.ep, w.rank); ok {

@@ -348,6 +348,13 @@ type abortRun struct{}
 
 // invoke runs (or resumes) the thread whose stack starts at base.
 func (w *worker) invoke(base mem.VA, size uint64) core.Status {
+	return w.enter(w.getEnv(base, size, 0))
+}
+
+// enter is invoke on a pooled Env already addressing the frame (a spawned
+// child runs in the Env its init wrote through); it recycles e.
+func (w *worker) enter(e *core.Env) core.Status {
+	base, size := e.FrameBase(), e.FrameSize()
 	if w.seg.ctl.fail.Load() != 0 {
 		panic(abortRun{})
 	}
@@ -362,7 +369,7 @@ func (w *worker) invoke(base mem.VA, size uint64) core.Status {
 		}
 	}
 	h := core.DecodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes))
-	e := w.getEnv(base, size, h.Resume)
+	e.Reset(w, base, size, h.Resume)
 	ts := w.wlog.Clock()
 	st := core.TaskFn(h.Fid)(e)
 	w.wlog.Emit(obs.KTask, ts, w.wlog.Clock()-ts, uint64(h.Fid), 0, -1)
@@ -551,9 +558,10 @@ func (w *worker) ExecComplete(rec core.Handle, result uint64) {
 	}
 }
 
-// ExecSpawn is the child-first spawn, identical to rt's: the thief that
-// takes the published continuation may now be another PROCESS.
-func (w *worker) ExecSpawn(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, init func(*core.Env)) bool {
+// ExecSpawnBegin/ExecSpawnRun are the child-first spawn, identical to
+// rt's: the thief that takes the published continuation may now be
+// another PROCESS.
+func (w *worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.stats.Spawns++
 	core.SetFrameResume(w.arena.MustSlice(e.FrameBase(), core.FrameHeaderBytes), uint32(resumeRP))
 	rec := w.newRecord()
@@ -564,12 +572,11 @@ func (w *worker) ExecSpawn(e *core.Env, resumeRP, handleSlot int, fid core.FuncI
 	size := core.FrameBytes(localsLen)
 	cbase := w.newFrame(size)
 	core.EncodeFrameHeader(w.arena.MustSlice(cbase, core.FrameHeaderBytes), fid, localsLen, rec)
-	if init != nil {
-		ce := w.getEnv(cbase, size, 0)
-		init(ce)
-		w.putEnv(ce)
-	}
-	w.invoke(cbase, size)
+	return w.getEnv(cbase, size, 0)
+}
+
+func (w *worker) ExecSpawnRun(e, child *core.Env) bool {
+	w.enter(child)
 	if ent, ok := w.deque.Pop(w.stopFn); ok {
 		if ent.FrameBase != e.FrameBase() || ent.FrameSize != e.FrameSize() {
 			panic(fmt.Sprintf("dist: deque corruption: popped %#x/%d, expected %#x/%d",

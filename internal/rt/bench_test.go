@@ -2,6 +2,7 @@ package rt
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"uniaddr/internal/sched"
@@ -11,9 +12,11 @@ import (
 // Microbenchmarks for the rt hot paths. CI runs them with
 // -benchtime=1x as a smoke test; locally, `go test -bench . -run '^$'
 // ./internal/rt` gives the real numbers, and -cpuprofile/-memprofile
-// work as usual. The e2e benchmarks report ns/task and allocs/op —
-// allocs/op is the regression guard for the pooling work: the steady
-// state spawn/join path must not allocate.
+// work as usual. The e2e benchmarks report ns/task and allocs/task;
+// both include each iteration's fresh Runtime, so they are for reading
+// trends — the regression guard for "the steady-state spawn/join path
+// must not allocate" is TestSpawnPathAllocFree (spawn_test.go), which
+// measures a warm pool.
 
 func BenchmarkNewFrame(b *testing.B) {
 	cfg := DefaultConfig(1)
@@ -96,6 +99,8 @@ func benchRun(b *testing.B, spec workloads.Spec, workers int) {
 	b.Helper()
 	b.ReportAllocs()
 	var tasks uint64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(workers)
 		cfg.Seed = uint64(i) + 1
@@ -110,8 +115,10 @@ func benchRun(b *testing.B, spec workloads.Spec, workers int) {
 		}
 		tasks += r.TotalStats().TasksExecuted
 	}
+	runtime.ReadMemStats(&after)
 	if tasks > 0 {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(tasks), "ns/task")
+		b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(tasks), "allocs/task")
 	}
 }
 

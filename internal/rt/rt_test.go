@@ -82,7 +82,7 @@ func TestStatsConservation(t *testing.T) {
 		t.Errorf("%d steals moved zero bytes", ts.StealsOK)
 	}
 	// Every entry stolen from its original spawner's deque is later
-	// observed as that owner's failed ExecSpawn pop (ParentStolen). A
+	// observed as that owner's failed ExecSpawnRun pop (ParentStolen). A
 	// batch's surplus lands on the thief's deque, and a RE-steal of
 	// such a migrated entry is a StealsOK with no spawn-path pop
 	// anywhere — so under steal-half batching ParentStolen is a lower

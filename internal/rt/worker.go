@@ -322,8 +322,15 @@ func (w *Worker) putCtxBuf(buf []byte) {
 // invoke runs (or resumes) the thread whose stack starts at base. On
 // return the stack is no longer occupied here: Done threads are
 // retired; Unwound threads were swapped out by a suspend or released
-// after a steal, inside ExecJoin/ExecSpawn.
+// after a steal, inside ExecJoin/ExecSpawnRun.
 func (w *Worker) invoke(base mem.VA, size uint64) core.Status {
+	return w.enter(w.getEnv(base, size, 0))
+}
+
+// enter is invoke on a pooled Env already addressing the frame (a spawned
+// child runs in the Env its init wrote through); it recycles e.
+func (w *Worker) enter(e *core.Env) core.Status {
+	base, size := e.FrameBase(), e.FrameSize()
 	h := core.DecodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes))
 	// Map the frame to its job through its record's tag and switch this
 	// worker's cached job context if the frame belongs to another job
@@ -352,10 +359,11 @@ func (w *Worker) invoke(base mem.VA, size uint64) core.Status {
 			if err := w.arena.FreeLowest(base, size); err != nil {
 				panic(err)
 			}
+			w.putEnv(e)
 			return core.Done
 		}
 	}
-	e := w.getEnv(base, size, h.Resume)
+	e.Reset(w, base, size, h.Resume)
 	ts := w.wlog.Clock()
 	st := core.TaskFn(h.Fid)(e)
 	w.wlog.Emit(obs.KTask, ts, w.wlog.Clock()-ts, uint64(h.Fid), 0, -1)
@@ -484,11 +492,11 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 	jc.Pending.Add(-1)
 }
 
-// ExecSpawn is the child-first spawn (Fig. 4) on real concurrency:
-// save the parent's resume point, publish its continuation on the
-// deque, run the child inline, then pop — a failed pop means a real
-// concurrent thief took the parent.
-func (w *Worker) ExecSpawn(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, init func(*core.Env)) bool {
+// ExecSpawnBegin is the child-first spawn (Fig. 4) on real concurrency
+// up to the child's init: save the parent's resume point, publish its
+// continuation on the deque, build the child frame. From the Push on a
+// thief may take the parent, so init must not write it.
+func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.stats.Spawns++
 	// The spawn is counted (and the child's record tagged) against the
 	// spawning frame's job — w.curJob, set by the invoke that entered
@@ -511,12 +519,13 @@ func (w *Worker) ExecSpawn(e *core.Env, resumeRP, handleSlot int, fid core.FuncI
 	size := core.FrameBytes(localsLen)
 	cbase := w.newFrame(size)
 	core.EncodeFrameHeader(w.arena.MustSlice(cbase, core.FrameHeaderBytes), fid, localsLen, rec)
-	if init != nil {
-		ce := w.getEnv(cbase, size, 0)
-		init(ce)
-		w.putEnv(ce)
-	}
-	w.invoke(cbase, size)
+	return w.getEnv(cbase, size, 0)
+}
+
+// ExecSpawnRun runs the child inline, then pops the continuation — a
+// failed pop means a real concurrent thief took the parent.
+func (w *Worker) ExecSpawnRun(e, child *core.Env) bool {
+	w.enter(child)
 	// Pop the continuation we pushed (Fig. 4 line 14).
 	if ent, ok := w.deque.Pop(w.stopFn); ok {
 		if ent.FrameBase != e.FrameBase() || ent.FrameSize != e.FrameSize() {

@@ -61,13 +61,15 @@ func btcTask(e *core.Env) core.Status {
 			// Children inherit the parent's frame size, so padded
 			// variants (see BTCPadded) pad the whole tree.
 			locals := uint32(e.FrameSize()) - 32
-			if !e.Spawn(2, btcH1, btcFID, locals, btcChildInit(e)) {
+			a := btcArgsOf(e)
+			if !e.Spawn(2, btcH1, btcFID, locals, func(c *core.Env) { a.write(c) }) {
 				return core.Unwound
 			}
 			rp = 2
 		case 2:
 			locals := uint32(e.FrameSize()) - 32
-			if !e.Spawn(3, btcH2, btcFID, locals, btcChildInit(e)) {
+			a := btcArgsOf(e)
+			if !e.Spawn(3, btcH2, btcFID, locals, func(c *core.Env) { a.write(c) }) {
 				return core.Unwound
 			}
 			rp = 3
@@ -92,16 +94,19 @@ func btcTask(e *core.Env) core.Status {
 	}
 }
 
-// btcChildInit copies the inherited parameters with depth-1.
-func btcChildInit(parent *core.Env) func(*core.Env) {
-	depth := parent.U64(btcDepth)
-	iter := parent.U64(btcIter)
-	work := parent.U64(btcWork)
-	return func(c *core.Env) {
-		c.SetU64(btcDepth, depth-1)
-		c.SetU64(btcIter, iter)
-		c.SetU64(btcWork, work)
-	}
+// btcArgs is what a child inherits, read out of the parent before the
+// spawn publishes it (by value, for the reason given at utsRangeArgs).
+type btcArgs struct{ depth, iter, work uint64 }
+
+func btcArgsOf(parent *core.Env) btcArgs {
+	return btcArgs{parent.U64(btcDepth), parent.U64(btcIter), parent.U64(btcWork)}
+}
+
+// write stores the inherited parameters with depth-1.
+func (a btcArgs) write(c *core.Env) {
+	c.SetU64(btcDepth, a.depth-1)
+	c.SetU64(btcIter, a.iter)
+	c.SetU64(btcWork, a.work)
 }
 
 // BTCTaskCount returns the exact number of tasks in a BTC(depth, iter)

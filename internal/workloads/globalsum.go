@@ -71,13 +71,15 @@ func gsTask(e *core.Env) core.Status {
 				e.ReturnU64(sum)
 				return core.Done
 			}
-			if !e.Spawn(1, gsH1, gsFID, uint32(e.FrameSize())-32, gsSub(e, lo, (lo+hi)/2)) {
+			a := gsArgsOf(e)
+			if !e.Spawn(1, gsH1, gsFID, uint32(e.FrameSize())-32, func(c *core.Env) { a.write(c, lo, (lo+hi)/2) }) {
 				return core.Unwound
 			}
 			rp = 1
 		case 1:
 			lo, hi := e.U64(gsLo), e.U64(gsHi)
-			if !e.Spawn(2, gsH2, gsFID, uint32(e.FrameSize())-32, gsSub(e, (lo+hi)/2, hi)) {
+			a := gsArgsOf(e)
+			if !e.Spawn(2, gsH2, gsFID, uint32(e.FrameSize())-32, func(c *core.Env) { a.write(c, (lo+hi)/2, hi) }) {
 				return core.Unwound
 			}
 			rp = 2
@@ -101,14 +103,20 @@ func gsTask(e *core.Env) core.Status {
 	}
 }
 
-func gsSub(parent *core.Env, lo, hi uint64) func(*core.Env) {
-	per, chunk := parent.U64(gsPer), parent.U64(gsChunk)
-	return func(c *core.Env) {
-		c.SetU64(gsLo, lo)
-		c.SetU64(gsHi, hi)
-		c.SetU64(gsPer, per)
-		c.SetU64(gsChunk, chunk)
-	}
+// gsArgs is what a half inherits, read out of the parent before the
+// spawn publishes it (by value, for the reason given at utsRangeArgs).
+type gsArgs struct{ per, chunk uint64 }
+
+func gsArgsOf(parent *core.Env) gsArgs {
+	return gsArgs{parent.U64(gsPer), parent.U64(gsChunk)}
+}
+
+// write initialises the child summing [lo, hi).
+func (a gsArgs) write(c *core.Env, lo, hi uint64) {
+	c.SetU64(gsLo, lo)
+	c.SetU64(gsHi, hi)
+	c.SetU64(gsPer, a.per)
+	c.SetU64(gsChunk, a.chunk)
 }
 
 // gsValue is the deterministic element generator (splitmix-style).

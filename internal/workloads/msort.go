@@ -121,13 +121,15 @@ func msTask(e *core.Env) core.Status {
 				e.ReturnU64(n)
 				return core.Done
 			}
-			if !e.Spawn(1, msH1, msFID, uint32(e.FrameSize())-32, msSub(e, lo, (lo+hi)/2)) {
+			a := msArgsOf(e)
+			if !e.Spawn(1, msH1, msFID, uint32(e.FrameSize())-32, func(c *core.Env) { a.write(c, lo, (lo+hi)/2) }) {
 				return core.Unwound
 			}
 			rp = 1
 		case 1:
 			lo, hi := e.U64(msLo), e.U64(msHi)
-			if !e.Spawn(2, msH2, msFID, uint32(e.FrameSize())-32, msSub(e, (lo+hi)/2, hi)) {
+			a := msArgsOf(e)
+			if !e.Spawn(2, msH2, msFID, uint32(e.FrameSize())-32, func(c *core.Env) { a.write(c, (lo+hi)/2, hi) }) {
 				return core.Unwound
 			}
 			rp = 2
@@ -222,17 +224,22 @@ func storeAll(e *core.Env, lo, hi, per, side uint64, vals []uint64) {
 	}
 }
 
-func msSub(parent *core.Env, lo, hi uint64) func(*core.Env) {
-	per, chunk := parent.U64(msPer), parent.U64(msChunk)
-	depth, span := parent.U64(msDepth), parent.U64(7)
-	return func(c *core.Env) {
-		c.SetU64(msLo, lo)
-		c.SetU64(msHi, hi)
-		c.SetU64(msPer, per)
-		c.SetU64(msChunk, chunk)
-		c.SetU64(msDepth, depth+1)
-		c.SetU64(7, span)
-	}
+// msArgs is what a half inherits, read out of the parent before the
+// spawn publishes it (by value, for the reason given at utsRangeArgs).
+type msArgs struct{ per, chunk, depth, span uint64 }
+
+func msArgsOf(parent *core.Env) msArgs {
+	return msArgs{parent.U64(msPer), parent.U64(msChunk), parent.U64(msDepth), parent.U64(7)}
+}
+
+// write initialises the child sorting [lo, hi) one level down.
+func (a msArgs) write(c *core.Env, lo, hi uint64) {
+	c.SetU64(msLo, lo)
+	c.SetU64(msHi, hi)
+	c.SetU64(msPer, a.per)
+	c.SetU64(msChunk, a.chunk)
+	c.SetU64(msDepth, a.depth+1)
+	c.SetU64(7, a.span)
 }
 
 // msValue generates the unsorted input deterministically.

@@ -76,8 +76,8 @@ func nqTask(e *core.Env) core.Status {
 				return core.Done
 			}
 			if hi-lo > 1 {
-				mid := (lo + hi) / 2
-				if !e.Spawn(1, nqH1, nqFID, nqLocals(n), nqSubRange(e, lo, mid)) {
+				row, mid := e.U64(nqRow), (lo+hi)/2
+				if !e.Spawn(1, nqH1, nqFID, nqLocals(n), func(c *core.Env) { nqChild(c, e, row, lo, mid) }) {
 					return core.Unwound
 				}
 				rp = 1
@@ -98,14 +98,14 @@ func nqTask(e *core.Env) core.Status {
 				return core.Done
 			}
 			board[row] = byte(col)
-			if !e.Spawn(4, nqH1, nqFID, nqLocals(n), nqNextRow(e)) {
+			if !e.Spawn(4, nqH1, nqFID, nqLocals(n), func(c *core.Env) { nqChild(c, e, row+1, 0, n) }) {
 				return core.Unwound
 			}
 			rp = 4
 		case 1:
 			n := e.U64(nqN)
-			lo, hi := e.U64(nqLo), e.U64(nqHi)
-			if !e.Spawn(2, nqH2, nqFID, nqLocals(n), nqSubRange(e, (lo+hi)/2, hi)) {
+			row, lo, hi := e.U64(nqRow), e.U64(nqLo), e.U64(nqHi)
+			if !e.Spawn(2, nqH2, nqFID, nqLocals(n), func(c *core.Env) { nqChild(c, e, row, (lo+hi)/2, hi) }) {
 				return core.Unwound
 			}
 			rp = 2
@@ -137,37 +137,19 @@ func nqTask(e *core.Env) core.Status {
 	}
 }
 
-// nqSubRange clones the frame for a column sub-range of the same row.
-func nqSubRange(parent *core.Env, lo, hi uint64) func(*core.Env) {
-	n := parent.U64(nqN)
-	row, work := parent.U64(nqRow), parent.U64(nqWork)
-	board := make([]byte, n)
-	copy(board, parent.Bytes(nqBoardOff, int(n)))
-	return func(c *core.Env) {
-		c.SetU64(nqN, n)
-		c.SetU64(nqRow, row)
-		c.SetU64(nqLo, lo)
-		c.SetU64(nqHi, hi)
-		c.SetU64(nqWork, work)
-		copy(c.Bytes(nqBoardOff, int(n)), board)
-	}
-}
-
-// nqNextRow clones the frame (with the updated board) for the full
-// column range of the next row.
-func nqNextRow(parent *core.Env) func(*core.Env) {
-	n := parent.U64(nqN)
-	row, work := parent.U64(nqRow), parent.U64(nqWork)
-	board := make([]byte, n)
-	copy(board, parent.Bytes(nqBoardOff, int(n)))
-	return func(c *core.Env) {
-		c.SetU64(nqN, n)
-		c.SetU64(nqRow, row+1)
-		c.SetU64(nqLo, 0)
-		c.SetU64(nqHi, n)
-		c.SetU64(nqWork, work)
-		copy(c.Bytes(nqBoardOff, int(n)), board)
-	}
+// nqChild initialises child c of parent p to search columns [lo,hi) of
+// row on p's board — a column sub-range of p's row, or the full range
+// of the next one. It runs as Spawn's init, after p's continuation is
+// published, and copies straight from p's frame: a thief only ever
+// READS the local copy, which stays in place until Spawn's failed pop.
+func nqChild(c, p *core.Env, row, lo, hi uint64) {
+	n := p.U64(nqN)
+	c.SetU64(nqN, n)
+	c.SetU64(nqRow, row)
+	c.SetU64(nqLo, lo)
+	c.SetU64(nqHi, hi)
+	c.SetU64(nqWork, p.U64(nqWork))
+	copy(c.Bytes(nqBoardOff, int(n)), p.Bytes(nqBoardOff, int(n)))
 }
 
 // nqRangeWalk searches columns [lo,hi) of row and everything below

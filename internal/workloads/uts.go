@@ -144,18 +144,8 @@ func utsNodeTask(e *core.Env) core.Status {
 			e.ReturnU64(1)
 			return core.Done
 		}
-		depth, cut, b0, work := e.U64(utsDepth), e.U64(utsCut), e.U64(utsB0), e.U64(utsWork)
-		var d [descLen]byte
-		copy(d[:], desc)
-		if !e.Spawn(1, utsH, utsRangeFID, utsRangeLocals, func(c *core.Env) {
-			copy(c.Bytes(0, descLen), d[:])
-			c.SetU64(utsDepth, depth)
-			c.SetU64(utsCut, cut)
-			c.SetU64(utsB0, b0)
-			c.SetU64(utsWork, work)
-			c.SetU64(utsLo, 0)
-			c.SetU64(utsHi, k)
-		}) {
+		a := utsRangeArgsOf(e)
+		if !e.Spawn(1, utsH, utsRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, 0, k) }) {
 			return core.Unwound
 		}
 		fallthrough
@@ -192,13 +182,15 @@ func utsRangeTask(e *core.Env) core.Status {
 				rp = 3
 				continue
 			}
-			if !e.Spawn(1, utsRH1, utsRangeFID, utsRangeLocals, utsSubRange(e, lo, (lo+hi)/2)) {
+			a := utsRangeArgsOf(e)
+			if !e.Spawn(1, utsRH1, utsRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, lo, (lo+hi)/2) }) {
 				return core.Unwound
 			}
 			rp = 1
 		case 1:
 			lo, hi := e.U64(utsLo), e.U64(utsHi)
-			if !e.Spawn(2, utsRH2, utsRangeFID, utsRangeLocals, utsSubRange(e, (lo+hi)/2, hi)) {
+			a := utsRangeArgsOf(e)
+			if !e.Spawn(2, utsRH2, utsRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, (lo+hi)/2, hi) }) {
 				return core.Unwound
 			}
 			rp = 2
@@ -230,19 +222,30 @@ func utsRangeTask(e *core.Env) core.Status {
 	}
 }
 
-func utsSubRange(parent *core.Env, lo, hi uint64) func(*core.Env) {
-	var d [descLen]byte
-	copy(d[:], parent.Bytes(0, descLen))
-	depth, cut, b0, work := parent.U64(utsDepth), parent.U64(utsCut), parent.U64(utsB0), parent.U64(utsWork)
-	return func(c *core.Env) {
-		copy(c.Bytes(0, descLen), d[:])
-		c.SetU64(utsDepth, depth)
-		c.SetU64(utsCut, cut)
-		c.SetU64(utsB0, b0)
-		c.SetU64(utsWork, work)
-		c.SetU64(utsLo, lo)
-		c.SetU64(utsHi, hi)
-	}
+// utsRangeArgs is what a range task inherits from the node or range
+// spawning it, read out of the parent before the spawn publishes it.
+// Spawn sites pass a literal that calls write: a function that RETURNED
+// the init closure would heap-allocate it (and its captures) per spawn.
+type utsRangeArgs struct {
+	desc                 [descLen]byte
+	depth, cut, b0, work uint64
+}
+
+func utsRangeArgsOf(parent *core.Env) (a utsRangeArgs) {
+	copy(a.desc[:], parent.Bytes(0, descLen))
+	a.depth, a.cut, a.b0, a.work = parent.U64(utsDepth), parent.U64(utsCut), parent.U64(utsB0), parent.U64(utsWork)
+	return a
+}
+
+// write initialises a range task over children [lo, hi).
+func (a *utsRangeArgs) write(c *core.Env, lo, hi uint64) {
+	copy(c.Bytes(0, descLen), a.desc[:])
+	c.SetU64(utsDepth, a.depth)
+	c.SetU64(utsCut, a.cut)
+	c.SetU64(utsB0, a.b0)
+	c.SetU64(utsWork, a.work)
+	c.SetU64(utsLo, lo)
+	c.SetU64(utsHi, hi)
 }
 
 // utsSubtreeNodes counts the geometric-tree subtree rooted at an
@@ -351,18 +354,8 @@ func utsBinNodeTask(e *core.Env) core.Status {
 			e.ReturnU64(1)
 			return core.Done
 		}
-		depth, qfix, work := e.U64(utsDepth), e.U64(utsCut), e.U64(utsWork)
-		var d [descLen]byte
-		copy(d[:], desc)
-		if !e.Spawn(1, utsH, utsBinRangeFID, utsRangeLocals, func(c *core.Env) {
-			copy(c.Bytes(0, descLen), d[:])
-			c.SetU64(utsDepth, depth)
-			c.SetU64(utsCut, qfix)
-			c.SetU64(utsB0, packed)
-			c.SetU64(utsWork, work)
-			c.SetU64(utsLo, 0)
-			c.SetU64(utsHi, k)
-		}) {
+		a := utsRangeArgsOf(e)
+		if !e.Spawn(1, utsH, utsBinRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, 0, k) }) {
 			return core.Unwound
 		}
 		fallthrough
@@ -402,13 +395,15 @@ func utsBinRangeTask(e *core.Env) core.Status {
 				rp = 3
 				continue
 			}
-			if !e.Spawn(1, utsRH1, utsBinRangeFID, utsRangeLocals, utsSubRange(e, lo, (lo+hi)/2)) {
+			a := utsRangeArgsOf(e)
+			if !e.Spawn(1, utsRH1, utsBinRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, lo, (lo+hi)/2) }) {
 				return core.Unwound
 			}
 			rp = 1
 		case 1:
 			lo, hi := e.U64(utsLo), e.U64(utsHi)
-			if !e.Spawn(2, utsRH2, utsBinRangeFID, utsRangeLocals, utsSubRange(e, (lo+hi)/2, hi)) {
+			a := utsRangeArgsOf(e)
+			if !e.Spawn(2, utsRH2, utsBinRangeFID, utsRangeLocals, func(c *core.Env) { a.write(c, (lo+hi)/2, hi) }) {
 				return core.Unwound
 			}
 			rp = 2
