@@ -9,8 +9,10 @@ import (
 
 // Exec is the contract between a task's Env and whichever backend is
 // executing it. Task functions are written once against Env; the
-// backend decides what a frame slot read, a spawn or a join actually
-// does. Two implementations exist:
+// backend decides what a spawn, a join or a completion actually does.
+// Frame memory is NOT behind this interface: the backend hands the Env a
+// byte view of the frame at (re-)entry and slot accesses index it. Two
+// implementations exist:
 //
 //   - *Worker (this package): the deterministic virtual-time simulator,
 //     where memory is a simulated AddressSpace and every operation
@@ -23,13 +25,6 @@ import (
 // the exact same registered task functions, so a differential harness
 // can assert the results agree.
 type Exec interface {
-	// ExecReadU64 / ExecWriteU64 access one 8-byte word of the frame
-	// memory at a virtual address.
-	ExecReadU64(va mem.VA) uint64
-	ExecWriteU64(va mem.VA, v uint64)
-	// ExecSlice returns a direct byte view of [va, va+n). The view is
-	// invalidated by any migration of the owning frame.
-	ExecSlice(va mem.VA, n uint64) ([]byte, error)
 	// ExecWork charges cycles of task computation (virtual time on the
 	// simulator; a calibrated spin on real hardware).
 	ExecWork(cycles uint64)
@@ -82,15 +77,6 @@ const CoalesceDequeMin = 4
 
 // --- *Worker as an Exec (the simulator backend) ----------------------
 
-// ExecReadU64 implements Exec over the worker's simulated memory.
-func (w *Worker) ExecReadU64(va mem.VA) uint64 { return w.space.MustReadU64(va) }
-
-// ExecWriteU64 implements Exec over the worker's simulated memory.
-func (w *Worker) ExecWriteU64(va mem.VA, v uint64) { w.space.MustWriteU64(va, v) }
-
-// ExecSlice implements Exec over the worker's simulated memory.
-func (w *Worker) ExecSlice(va mem.VA, n uint64) ([]byte, error) { return w.space.Slice(va, n) }
-
 // ExecWork advances simulated time by cycles of task computation
 // (scaled on straggler workers).
 func (w *Worker) ExecWork(cycles uint64) {
@@ -138,23 +124,43 @@ func (w *Worker) ExecCoalesce() bool { return w.deque.Size() >= CoalesceDequeMin
 // SimWorker returns w: the simulator is its own Exec.
 func (w *Worker) SimWorker() *Worker { return w }
 
-// --- alternate-backend support ---------------------------------------
+// --- backend support: nothing below is for task functions -------------
 
 // NewEnv constructs the Env for one (re-)entry of a task function on
-// backend x. Alternate backends (internal/rt) use it together with
-// TaskFn to drive task bodies; the simulator builds its Envs
+// backend x: frame is the backend's byte view of the whole frame at
+// base, header first. Alternate backends (internal/rt) use it together
+// with TaskFn to drive task bodies; the simulator builds its Envs
 // internally. The Env must not be retained across the function's
 // return.
-func NewEnv(x Exec, base mem.VA, size uint64, rp uint32) *Env {
-	return &Env{x: x, base: base, size: size, rp: rp}
+func NewEnv(x Exec, base mem.VA, frame []byte, rp uint32) *Env {
+	e := new(Env)
+	e.Reset(x, base, frame, rp)
+	return e
 }
 
 // Reset reinitialises e for a new task entry, so backends can pool Env
 // values instead of heap-allocating one per invocation. The contract
 // that task functions must not retain an Env past their return (see
 // NewEnv) is what makes reuse safe.
-func (e *Env) Reset(x Exec, base mem.VA, size uint64, rp uint32) {
-	*e = Env{x: x, base: base, size: size, rp: rp}
+func (e *Env) Reset(x Exec, base mem.VA, frame []byte, rp uint32) {
+	// Field by field: *e = Env{...} into a pooled (heap) Env builds the
+	// value on the stack and moves it — ~8 ns per task on spawn_join.
+	e.x, e.base, e.rp, e.returned = x, base, rp, false
+	e.hdr, e.locals = (*[frameHdrSize]byte)(frame), frame[frameHdrSize:]
+}
+
+// Rearm readies an Env that already addresses its frame for the task
+// body: a spawned child is entered through the Env its init wrote
+// through, so only the resume point and the returned mark change.
+func (e *Env) Rearm(rp uint32) { e.rp, e.returned = rp, false }
+
+// Header returns the byte view of the frame header, for the backend
+// that owns the bytes. Invalidated by any migration, like Bytes.
+func (e *Env) Header() []byte {
+	if e.hdr == nil {
+		panic("core: Header on a locals-only Env (help-first staging)")
+	}
+	return e.hdr[:]
 }
 
 // Returned reports whether the task called ReturnU64/ReturnI64 during
@@ -212,9 +218,8 @@ func SetFrameResume(b []byte, rp uint32) {
 }
 
 // EncodeFrameHeader writes a fresh header (resume point 0, task ID 0)
-// into b, which must hold at least FrameHeaderBytes. The caller is
-// responsible for zeroing the rest of the frame first, exactly like the
-// simulator's frame initialisation.
+// into b, which must hold at least FrameHeaderBytes. It writes all of
+// them, so the caller need only zero the locals that follow.
 func EncodeFrameHeader(b []byte, fid FuncID, localsLen uint32, rec Handle) {
 	binary.LittleEndian.PutUint32(b[fhFuncIDOff:], uint32(fid))
 	binary.LittleEndian.PutUint32(b[fhResumeOff:], 0)

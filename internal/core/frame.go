@@ -300,30 +300,41 @@ func FrameBytes(localsLen uint32) uint64 {
 
 // writeFrameHeader initialises a fresh frame: the whole footprint is
 // zeroed (stack addresses are reused constantly, and a task must never
-// observe a predecessor's bytes) and the header written.
-func writeFrameHeader(space *mem.AddressSpace, base mem.VA, fid FuncID, localsLen uint32, rec Handle) {
+// observe a predecessor's bytes) and the header written. It returns the
+// frame's byte view, which the caller's Env adopts.
+func writeFrameHeader(space *mem.AddressSpace, base mem.VA, fid FuncID, localsLen uint32, rec Handle) []byte {
 	b, err := space.Slice(base, FrameBytes(localsLen))
 	if err != nil {
 		panic(err)
 	}
-	for i := range b {
-		b[i] = 0
-	}
-	binary.LittleEndian.PutUint32(b[fhFuncIDOff:], uint32(fid))
-	binary.LittleEndian.PutUint32(b[fhLocalsLenOff:], localsLen)
-	binary.LittleEndian.PutUint64(b[fhRecordOff:], uint64(rec))
+	clear(b)
+	EncodeFrameHeader(b, fid, localsLen, rec)
+	return b
 }
 
 // Env is a task function's view of its own frame plus the runtime
-// primitives. Envs are created by the backend for each (re-)entry into
-// a task function and must not be retained across returns.
+// primitives. The frame bytes are the complete thread state, so the Env
+// IS a view of them: the backend slices the frame once per (re-)entry
+// and every slot accessor indexes that slice directly. Envs are created
+// by the backend for each (re-)entry into a task function and must not
+// be retained across returns; the view dies with any migration.
+//
+// The struct is kept at 64 bytes: rt/dist allocate one Env per level of
+// spawn depth per job, which is most of dist_uts' ~0.5 heap bytes per
+// task.
 type Env struct {
 	x    Exec
 	base mem.VA
-	size uint64
 	rp   uint32
 
 	returned bool
+
+	// hdr and locals are the two halves of the frame [base, base+size):
+	// the fixed header and everything after it. hdr is nil on help-first's
+	// staging Env, whose locals view a scratch buffer — a queued child
+	// has no header to address yet.
+	hdr    *[frameHdrSize]byte
+	locals []byte
 }
 
 // Worker returns the simulated worker currently executing the task, or
@@ -334,7 +345,7 @@ func (e *Env) Worker() *Worker { return e.x.SimWorker() }
 func (e *Env) FrameBase() mem.VA { return e.base }
 
 // FrameSize returns the stack footprint in bytes.
-func (e *Env) FrameSize() uint64 { return e.size }
+func (e *Env) FrameSize() uint64 { return frameHdrSize + uint64(len(e.locals)) }
 
 // RP returns the resume point: 0 on first entry, otherwise the value
 // passed to the Spawn or Join the thread last suspended or migrated at.
@@ -342,31 +353,37 @@ func (e *Env) RP() int { return int(e.rp) }
 
 // Self returns the Handle of this task's completion record.
 func (e *Env) Self() Handle {
-	return Handle(e.x.ExecReadU64(e.base + fhRecordOff))
+	return Handle(binary.LittleEndian.Uint64(e.hdr[fhRecordOff:]))
 }
 
-func (e *Env) setRP(rp uint32) {
-	b, err := e.x.ExecSlice(e.base+fhResumeOff, 4)
-	if err != nil {
-		panic(err)
-	}
-	binary.LittleEndian.PutUint32(b, rp)
+func (e *Env) setRP(rp uint32) { SetFrameResume(e.hdr[:], rp) }
+
+// slotError is the panic value of an out-of-range slot access: a value,
+// formatted only if printed, so U64 and SetU64 stay inlinable.
+type slotError struct {
+	slot int
+	size uint64
 }
 
-// slotVA returns the address of 8-byte local slot i.
-func (e *Env) slotVA(i int) mem.VA {
-	va := e.base + frameHdrSize + mem.VA(i*8)
-	if uint64(va)+8 > uint64(e.base)+e.size {
-		panic(fmt.Sprintf("core: slot %d outside frame of %d bytes", i, e.size))
-	}
-	return va
+func (s slotError) Error() string {
+	return fmt.Sprintf("core: slot %d outside frame of %d bytes", s.slot, s.size)
 }
 
 // U64 loads local slot i.
-func (e *Env) U64(i int) uint64 { return e.x.ExecReadU64(e.slotVA(i)) }
+func (e *Env) U64(i int) uint64 {
+	if uint(i) >= uint(len(e.locals))/8 {
+		panic(slotError{i, e.FrameSize()})
+	}
+	return binary.LittleEndian.Uint64(e.locals[i*8:])
+}
 
 // SetU64 stores local slot i.
-func (e *Env) SetU64(i int, v uint64) { e.x.ExecWriteU64(e.slotVA(i), v) }
+func (e *Env) SetU64(i int, v uint64) {
+	if uint(i) >= uint(len(e.locals))/8 {
+		panic(slotError{i, e.FrameSize()})
+	}
+	binary.LittleEndian.PutUint64(e.locals[i*8:], v)
+}
 
 // I64 loads local slot i as a signed integer.
 func (e *Env) I64(i int) int64 { return int64(e.U64(i)) }
@@ -396,14 +413,10 @@ func (e *Env) LocalAddr(off int) mem.VA { return e.base + frameHdrSize + mem.VA(
 // (e.g. an NQueens board). The view is invalidated by any migration, so
 // it must not be retained across Spawn or Join.
 func (e *Env) Bytes(off, n int) []byte {
-	if off < 0 || n < 0 || frameHdrSize+uint64(off)+uint64(n) > e.size {
-		panic(fmt.Sprintf("core: Bytes(%d,%d) outside frame of %d bytes", off, n, e.size))
+	if off < 0 || n < 0 || uint64(off)+uint64(n) > uint64(len(e.locals)) {
+		panic(fmt.Sprintf("core: Bytes(%d,%d) outside frame of %d bytes", off, n, e.FrameSize()))
 	}
-	b, err := e.x.ExecSlice(e.base+frameHdrSize+mem.VA(off), uint64(n))
-	if err != nil {
-		panic(err)
-	}
-	return b
+	return e.locals[off : off+n : off+n]
 }
 
 // Gas returns the global heap for cross-thread data. Refs obtained

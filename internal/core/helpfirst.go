@@ -63,8 +63,10 @@ func (w *Worker) spawnHelpFirstBegin(e *Env, handleSlot int, fid FuncID, localsL
 	e.SetHandle(handleSlot, rec)
 	w.hfFid, w.hfLocalsLen, w.hfRec, w.hfStaged = fid, localsLen, rec, hasInit
 	if hasInit {
-		staging := w.helpFirstStaging(localsLen)
-		w.spawnEnv = Env{x: w, base: staging - frameHdrSize, size: frameHdrSize + uint64(localsLen)}
+		// Locals only: the queued child has no frame yet, so base names
+		// a header that does not exist and hdr stays nil.
+		locals := w.helpFirstStaging(localsLen) // may move w.hfStaging
+		w.spawnEnv = Env{x: w, base: w.hfStaging - frameHdrSize, locals: locals}
 	}
 	return &w.spawnEnv
 }
@@ -105,10 +107,10 @@ func (w *Worker) spawnHelpFirstRun() bool {
 	return true
 }
 
-// helpFirstStaging returns a zeroed scratch area in the RDMA heap big
-// enough for localsLen bytes of staged arguments; one per worker,
-// grown on demand.
-func (w *Worker) helpFirstStaging(localsLen uint32) mem.VA {
+// helpFirstStaging returns a view of a zeroed scratch area in the RDMA
+// heap (at w.hfStaging) holding localsLen bytes of staged arguments; one
+// per worker, grown on demand.
+func (w *Worker) helpFirstStaging(localsLen uint32) []byte {
 	need := uint64(localsLen)
 	if need == 0 {
 		need = 8
@@ -124,10 +126,8 @@ func (w *Worker) helpFirstStaging(localsLen uint32) mem.VA {
 	if err != nil {
 		panic(err)
 	}
-	for i := range b {
-		b[i] = 0
-	}
-	return w.hfStaging
+	clear(b)
+	return b[:localsLen]
 }
 
 // materializeDescriptor turns a local descriptor into a runnable frame

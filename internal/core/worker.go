@@ -196,14 +196,16 @@ func (w *Worker) newThread(fid FuncID, localsLen uint32, init func(*Env), root b
 	}
 	size := FrameBytes(localsLen)
 	base := w.sch.newFrame(w, size)
-	writeFrameHeader(w.space, base, fid, localsLen, rec)
+	f := writeFrameHeader(w.space, base, fid, localsLen, rec)
 	if w.obs != nil {
 		id := w.m.obs.NewTask(0, w.rank, uint32(fid), uint64(rec))
 		setFrameTaskID(w.space, base, uint64(id))
 		w.obs.Instant(obs.KSpawn, 0, id, -1)
 	}
 	if init != nil {
-		init(&Env{x: w, base: base, size: size})
+		var e Env
+		e.Reset(w, base, f, 0)
+		init(&e)
 	}
 	return base, size
 }
@@ -214,13 +216,14 @@ func (w *Worker) newThread(fid FuncID, localsLen uint32, init func(*Env), root b
 // a suspend or released after a steal.
 func (w *Worker) invoke(base mem.VA, size uint64) Status {
 	w.mark(trace.Work)
-	hb, err := w.space.Slice(base, frameHdrSize)
+	// The Env's view of the frame: one Slice per entry.
+	f, err := w.space.Slice(base, size)
 	if err != nil {
 		panic(err)
 	}
-	fid := FuncID(binary.LittleEndian.Uint32(hb[fhFuncIDOff:]))
-	rp := binary.LittleEndian.Uint32(hb[fhResumeOff:])
-	e := Env{x: w, base: base, size: size, rp: rp}
+	fid := FuncID(binary.LittleEndian.Uint32(f[fhFuncIDOff:]))
+	var e Env
+	e.Reset(w, base, f, binary.LittleEndian.Uint32(f[fhResumeOff:]))
 	var tid obs.TaskID
 	var tstart uint64
 	if w.obs != nil {
@@ -281,7 +284,7 @@ func (w *Worker) ExecSpawnBegin(e *Env, resumeRP, handleSlot int, fid FuncID, lo
 	size := FrameBytes(localsLen)
 	rec := w.newRecord()
 	e.SetHandle(handleSlot, rec)
-	if err := w.deque.Push(Entry{FrameBase: e.base, FrameSize: e.size}); err != nil {
+	if err := w.deque.Push(Entry{FrameBase: e.base, FrameSize: e.FrameSize()}); err != nil {
 		panic(err)
 	}
 	if w.m.cfg.Lifelines {
@@ -291,14 +294,14 @@ func (w *Worker) ExecSpawnBegin(e *Env, resumeRP, handleSlot int, fid FuncID, lo
 		}
 	}
 	cbase := w.sch.newFrame(w, size)
-	writeFrameHeader(w.space, cbase, fid, localsLen, rec)
+	f := writeFrameHeader(w.space, cbase, fid, localsLen, rec)
 	if w.obs != nil {
 		parent := obs.TaskID(frameTaskID(w.space, e.base))
 		id := w.m.obs.NewTask(parent, w.rank, uint32(fid), uint64(rec))
 		setFrameTaskID(w.space, cbase, uint64(id))
 		w.obs.Instant(obs.KSpawn, uint64(parent), id, -1)
 	}
-	w.spawnEnv = Env{x: w, base: cbase, size: size}
+	w.spawnEnv.Reset(w, cbase, f, 0)
 	return &w.spawnEnv
 }
 
@@ -307,13 +310,13 @@ func (w *Worker) ExecSpawnRun(e, child *Env) bool {
 	if w.m.cfg.HelpFirst {
 		return w.spawnHelpFirstRun()
 	}
-	w.invoke(child.base, child.size)
+	w.invoke(child.base, child.FrameSize())
 	// Pop the continuation we pushed (Fig. 4 line 14).
 	w.adv(w.costs.DequePop + w.costs.RestoreContext)
 	if ent, ok := w.deque.Pop(w.proc, w.ep, w.rank); ok {
-		if ent.FrameBase != e.base || ent.FrameSize != e.size {
+		if ent.FrameBase != e.base || ent.FrameSize != e.FrameSize() {
 			panic(fmt.Sprintf("core: deque corruption: popped %#x/%d, expected %#x/%d",
-				ent.FrameBase, ent.FrameSize, e.base, e.size))
+				ent.FrameBase, ent.FrameSize, e.base, e.FrameSize()))
 		}
 		return true
 	}
@@ -323,7 +326,7 @@ func (w *Worker) ExecSpawnRun(e, child *Env) bool {
 	if w.obs != nil {
 		w.obs.Instant(obs.KPopFail, 0, obs.TaskID(frameTaskID(w.space, e.base)), -1)
 	}
-	w.sch.releaseStolen(w, e.base, e.size)
+	w.sch.releaseStolen(w, e.base, e.FrameSize())
 	return false
 }
 
@@ -358,7 +361,7 @@ func (w *Worker) ExecJoin(e *Env, resumeRP int, h Handle) (uint64, bool) {
 	}
 	e.setRP(uint32(resumeRP))
 	w.mark(trace.Suspend)
-	sc := w.sch.suspend(w, e.base, e.size)
+	sc := w.sch.suspend(w, e.base, e.FrameSize())
 	w.waitq = append(w.waitq, sc)
 	return 0, false
 }

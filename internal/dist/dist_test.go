@@ -86,6 +86,22 @@ func TestDistStealsHappen(t *testing.T) {
 	}
 }
 
+// TestDistIdleBackoffFromFirstRound: a worker that has not run anything
+// yet must back off like any other. A sequential root leaves rank 1 idle
+// for the whole run; a backoff ladder that starts at zero turns every
+// "sleep" into a poll — tens of thousands of them, and on a shared CPU
+// they are taken from the rank doing the work.
+func TestDistIdleBackoffFromFirstRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process test skipped in -short mode")
+	}
+	res := runSpec(t, dist.DefaultConfig(2), workloads.Fib(1, 30_000_000))
+	// 20 us doubling to 1 ms: a handful of sleeps, then one per ms.
+	if n := res.TotalStats().IdleSleeps; n > 2000 {
+		t.Fatalf("%d idle sleeps while one leaf task ran: the backoff is not sleeping", n)
+	}
+}
+
 // TestDistWorkerCrashReported is the resilience gate: SIGKILL a worker
 // process mid-run and require a structured WorkerCrashError, promptly —
 // not a hang, not a zero result.

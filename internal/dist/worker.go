@@ -41,8 +41,8 @@ type Stats struct {
 	StealBatchEntries uint64
 
 	// Steal-hint counters, mirroring rt.Stats: probes routed by the
-	// victim's segment-hosted occupancy hint or the last-victim cache
-	// vs blind random probes.
+	// victim's segment-hosted deque size or the last-victim cache vs
+	// blind random probes.
 	StealHintProbes  uint64
 	StealCacheProbes uint64
 	StealBlindProbes uint64
@@ -175,6 +175,7 @@ func newWorker(seg *segment, rank int, seed uint64, plan *fault.Plan, hung *atom
 		records:    seg.tables[rank],
 		rng:        rand.New(rand.NewSource(int64(seed*0x9e3779b97f4a7c15 + uint64(rank)*0xbf58476d1ce4e5b9 + 1))),
 		lastVictim: -1,
+		sleep:      idleSleepMin,
 		hung:       hung,
 		grain:      tune.grain,
 		tiers:      sched.BuildTiers(rank, seg.lay.workers, tune.tierGroup),
@@ -284,35 +285,36 @@ func (w *worker) idleWait() {
 // (rootRec: rank 0, index 0) was allocated by the coordinator before
 // the start barrier.
 func (w *worker) runRoot() {
-	size := core.FrameBytes(w.rootLocals)
-	base := w.newFrame(size)
-	core.EncodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes), w.rootFid, w.rootLocals, rootRec())
+	e := w.newFrame(w.rootFid, w.rootLocals, rootRec())
 	if w.rootInit != nil {
-		e := w.getEnv(base, size, 0)
 		w.rootInit(e)
-		w.putEnv(e)
 	}
-	w.invoke(base, size)
+	w.enter(e)
 }
 
-func (w *worker) newFrame(size uint64) mem.VA {
+// newFrame builds a fresh thread below the current chain and returns
+// the Env addressing it, slicing the arena once (see rt's newFrame).
+func (w *worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle) *core.Env {
+	size := core.FrameBytes(localsLen)
 	base, err := w.arena.AllocBelow(size)
 	if err != nil {
 		panic(err)
 	}
-	clear(w.arena.MustSlice(base, size))
-	return base
+	f := w.arena.MustSlice(base, size)
+	clear(f[core.FrameHeaderBytes:])
+	core.EncodeFrameHeader(f, fid, localsLen, rec)
+	return w.getEnv(base, f, 0)
 }
 
-func (w *worker) getEnv(base mem.VA, size uint64, rp uint32) *core.Env {
+func (w *worker) getEnv(base mem.VA, frame []byte, rp uint32) *core.Env {
 	if n := len(w.envFree); n > 0 {
 		e := w.envFree[n-1]
 		w.envFree[n-1] = nil
 		w.envFree = w.envFree[:n-1]
-		e.Reset(w, base, size, rp)
+		e.Reset(w, base, frame, rp)
 		return e
 	}
-	return core.NewEnv(w, base, size, rp)
+	return core.NewEnv(w, base, frame, rp)
 }
 
 func (w *worker) putEnv(e *core.Env) {
@@ -348,7 +350,7 @@ type abortRun struct{}
 
 // invoke runs (or resumes) the thread whose stack starts at base.
 func (w *worker) invoke(base mem.VA, size uint64) core.Status {
-	return w.enter(w.getEnv(base, size, 0))
+	return w.enter(w.getEnv(base, w.arena.MustSlice(base, size), 0))
 }
 
 // enter is invoke on a pooled Env already addressing the frame (a spawned
@@ -368,8 +370,8 @@ func (w *worker) enter(e *core.Env) core.Status {
 			time.Sleep(time.Hour)
 		}
 	}
-	h := core.DecodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes))
-	e.Reset(w, base, size, h.Resume)
+	h := core.DecodeFrameHeader(e.Header())
+	e.Rearm(h.Resume)
 	ts := w.wlog.Clock()
 	st := core.TaskFn(h.Fid)(e)
 	w.wlog.Emit(obs.KTask, ts, w.wlog.Clock()-ts, uint64(h.Fid), 0, -1)
@@ -415,19 +417,19 @@ func (w *worker) resumeSaved(sc savedCtx) {
 }
 
 // trySteal attempts one steal round, hint-guided as in rt: cached
-// victim, then a distance-tiered occupancy-hint sweep (near ranks
-// first; see sched.BuildTiers), then one blind probe. Every read here
-// is a one-sided load on another process's deque region — the
-// occupancy hint word lives in the victim's deque header INSIDE the
-// shared segment, so a probe decision costs one remote cache line, not
-// a lock RMW.
+// victim, then a distance-tiered sweep of the victims' deque sizes
+// (near ranks first; see sched.BuildTiers), then one blind probe. Every
+// read here is a one-sided load on another process's deque region: the
+// hint is Size(), the top and bottom words in the victim's deque header
+// INSIDE the shared segment — the two lines the steal itself loads
+// next — so a probe decision costs no lock RMW and no line of its own.
 func (w *worker) trySteal() bool {
 	n := w.seg.lay.workers
 	if n < 2 || !w.arena.Empty() {
 		return false
 	}
 	if lv := w.lastVictim; lv >= 0 {
-		if d := w.seg.deques[lv]; d.Occupancy() > 0 && !w.res.Banned(int(lv)) {
+		if d := w.seg.deques[lv]; d.Size() > 0 && !w.res.Banned(int(lv)) {
 			w.stats.StealCacheProbes++
 			w.wlog.Instant(obs.KProbeCache, 0, 0, int(lv))
 			if w.stealFrom(int(lv)) {
@@ -444,7 +446,7 @@ func (w *worker) trySteal() bool {
 		start := w.rng.Intn(len(cands))
 		for i := 0; i < len(cands); i++ {
 			vi := cands[(start+i)%len(cands)]
-			if w.seg.deques[vi].Occupancy() > 0 && !w.res.Banned(vi) {
+			if w.seg.deques[vi].Size() > 0 && !w.res.Banned(vi) {
 				w.stats.StealHintProbes++
 				w.wlog.Instant(obs.KProbeHint, 0, 0, vi)
 				return w.stealFrom(vi)
@@ -520,15 +522,6 @@ func (w *worker) stealFrom(vi int) bool {
 
 // --- core.Exec implementation ----------------------------------------
 
-// ExecReadU64 implements core.Exec over the worker's arena window.
-func (w *worker) ExecReadU64(va mem.VA) uint64 { return w.arena.ReadU64(va) }
-
-// ExecWriteU64 implements core.Exec over the worker's arena window.
-func (w *worker) ExecWriteU64(va mem.VA, v uint64) { w.arena.WriteU64(va, v) }
-
-// ExecSlice implements core.Exec over the worker's arena window.
-func (w *worker) ExecSlice(va mem.VA, n uint64) ([]byte, error) { return w.arena.Slice(va, n) }
-
 // ExecWork burns roughly `cycles` iterations of an LCG, as in rt.
 func (w *worker) ExecWork(cycles uint64) {
 	x := w.spin
@@ -546,7 +539,7 @@ func (w *worker) ExecWork(cycles uint64) {
 // process's scheduler loop.
 func (w *worker) ExecComplete(rec core.Handle, result uint64) {
 	r := w.seg.tables[rec.Rank()].Get(sched.RecordIndex(rec))
-	r.Result.Store(result)
+	r.Result = result
 	r.Done.Store(1)
 	// Record the waiter handshake for symmetry with rt; there is no
 	// cross-process wake to deliver (idle workers poll), so the load is
@@ -563,16 +556,13 @@ func (w *worker) ExecComplete(rec core.Handle, result uint64) {
 // another PROCESS.
 func (w *worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.stats.Spawns++
-	core.SetFrameResume(w.arena.MustSlice(e.FrameBase(), core.FrameHeaderBytes), uint32(resumeRP))
+	core.SetFrameResume(e.Header(), uint32(resumeRP))
 	rec := w.newRecord()
 	e.SetHandle(handleSlot, rec)
 	if err := w.deque.Push(sched.Entry{FrameBase: e.FrameBase(), FrameSize: e.FrameSize()}); err != nil {
 		panic(err)
 	}
-	size := core.FrameBytes(localsLen)
-	cbase := w.newFrame(size)
-	core.EncodeFrameHeader(w.arena.MustSlice(cbase, core.FrameHeaderBytes), fid, localsLen, rec)
-	return w.getEnv(cbase, size, 0)
+	return w.newFrame(fid, localsLen, rec)
 }
 
 func (w *worker) ExecSpawnRun(e, child *core.Env) bool {
@@ -603,7 +593,7 @@ func (w *worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	r := w.seg.tables[h.Rank()].Get(sched.RecordIndex(h))
 	if r.Done.Load() != 0 {
 		w.stats.JoinsFast++
-		v := r.Result.Load()
+		v := r.Result
 		w.releaseRecord(h)
 		return v, true
 	}
@@ -611,13 +601,13 @@ func (w *worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	if r.Done.Load() != 0 {
 		r.Waiter.Store(0)
 		w.stats.JoinsFast++
-		v := r.Result.Load()
+		v := r.Result
 		w.releaseRecord(h)
 		return v, true
 	}
 	w.stats.JoinsMiss++
 	w.stats.Suspends++
-	core.SetFrameResume(w.arena.MustSlice(e.FrameBase(), core.FrameHeaderBytes), uint32(resumeRP))
+	core.SetFrameResume(e.Header(), uint32(resumeRP))
 	buf := w.getCtxBuf(e.FrameSize())
 	ss := w.wlog.Clock()
 	copy(buf, w.arena.MustSlice(e.FrameBase(), e.FrameSize()))

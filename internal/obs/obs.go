@@ -106,7 +106,7 @@ const (
 	// --- real-backend (wall-clock) kinds -------------------------------
 	// KProbeCache / KProbeHint / KProbeBlind classify a steal-victim
 	// probe on the rt/dist backends: last-successful-victim cache hit,
-	// occupancy-hint sweep pick, or blind liveness fallback (Peer =
+	// deque-size hint sweep pick, or blind liveness fallback (Peer =
 	// probed victim).
 	KProbeCache
 	KProbeHint

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"uniaddr/internal/core"
 	"uniaddr/internal/sched"
 	"uniaddr/internal/workloads"
 )
@@ -24,10 +25,11 @@ func BenchmarkNewFrame(b *testing.B) {
 	const size = 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		base := w.newFrame(size)
-		if err := w.arena.FreeLowest(base, size); err != nil {
+		e := w.newFrame(1, size-core.FrameHeaderBytes, 0)
+		if err := w.arena.FreeLowest(e.FrameBase(), size); err != nil {
 			b.Fatal(err)
 		}
+		w.putEnv(e)
 	}
 }
 
@@ -69,7 +71,7 @@ func BenchmarkStealRoundTrip(b *testing.B) {
 	r := New(DefaultConfig(2))
 	victim, thief := r.workers[0], r.workers[1]
 	const size = 128
-	base := victim.newFrame(size)
+	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0).FrameBase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

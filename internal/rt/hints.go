@@ -6,9 +6,13 @@ import "uniaddr/internal/obs"
 // trySteal probed one uniformly random victim per idle round; with W
 // workers and one busy victim, an idle worker burned W-2 empty probes
 // (each a real StealBegin: an atomic RMW on the victim's lock line)
-// for every hit. The replacement consults advisory occupancy hints —
-// one atomic load per candidate, no RMW — and a last-successful-victim
-// cache before falling back to a single blind probe.
+// for every hit. The replacement consults each candidate's racy
+// Deque.Size() — two atomic loads, no RMW, and the very top/bottom lines
+// StealBeginBatch reads next, so a hit costs no line of its own — and a
+// last-successful-victim cache before falling back to a single blind
+// probe. The owner publishes nothing for thieves' benefit: a separate
+// hint word would cost it two serialising stores per task to save a
+// thief one load per probe.
 //
 // The hint sweep walks victims in DISTANCE order (sched.BuildTiers,
 // after distbdd-spin17's VERYNEAR/NEAR/FAR/VERYFAR arrays): candidates
@@ -17,10 +21,11 @@ import "uniaddr/internal/obs"
 // lowest rank. On rt the tiers model cache/NUMA affinity between
 // neighbouring workers; on dist the same construction tiers process
 // ranks. Tier order is a pure preference — liveness never depends on
-// it, nor on hint freshness: a stale-high hint costs one wasted probe;
-// a stale-low hint could starve a victim of thieves forever, which is
-// why the no-hints-anywhere path still probes one random victim
-// blindly (DESIGN.md §10).
+// it, nor on the hint: Size() is exact but racy, so it can be stale by
+// the time the probe lands (one wasted probe) and can read 0 for an
+// instant while another thief's doomed claim inflates top, which is why
+// the no-hints-anywhere path still probes one random victim blindly
+// (DESIGN.md §10).
 
 // trySteal attempts one steal round: cache first, then the tiered hint
 // sweep, then one blind probe. Returns true when at least one thread
@@ -34,7 +39,7 @@ func (w *Worker) trySteal() bool {
 	// 1. Last successful victim: work-stealing victims are bursty — a
 	// deep deque stays stealable across many rounds.
 	if lv := w.lastVictim; lv >= 0 {
-		if v := w.rt.workers[lv]; v.deque.Occupancy() > 0 && !w.res.Banned(int(lv)) {
+		if v := w.rt.workers[lv]; v.deque.Size() > 0 && !w.res.Banned(int(lv)) {
 			w.stats.StealCacheProbes++
 			w.wlog.Instant(obs.KProbeCache, 0, 0, int(lv))
 			if w.stealFrom(v, int(lv)) {
@@ -43,9 +48,9 @@ func (w *Worker) trySteal() bool {
 		}
 		w.lastVictim = -1
 	}
-	// 2. Tiered hint sweep: scan each distance tier's hints (cheap
-	// loads) near-to-far, probing the first candidate that advertises
-	// work and is not blacklisted.
+	// 2. Tiered hint sweep: scan each distance tier's deque sizes (cheap
+	// loads) near-to-far, probing the first candidate that holds work
+	// and is not blacklisted.
 	for tier := range w.tiers {
 		cands := w.tiers[tier]
 		if len(cands) == 0 {
@@ -54,17 +59,17 @@ func (w *Worker) trySteal() bool {
 		start := w.rng.Intn(len(cands))
 		for i := 0; i < len(cands); i++ {
 			vi := cands[(start+i)%len(cands)]
-			if v := w.rt.workers[vi]; v.deque.Occupancy() > 0 && !w.res.Banned(vi) {
+			if v := w.rt.workers[vi]; v.deque.Size() > 0 && !w.res.Banned(vi) {
 				w.stats.StealHintProbes++
 				w.wlog.Instant(obs.KProbeHint, 0, 0, vi)
 				return w.stealFrom(v, vi)
 			}
 		}
 	}
-	// 3. Every hint reads empty (or banned). Hints can be stale-low (a
-	// thief's refresh can overwrite the owner's newer value), so probe
-	// one random victim anyway: the blind probe is what makes progress
-	// independent of hint freshness — and, matching the sim's
+	// 3. Every deque reads empty (or banned). A racy read can miss work
+	// pushed a moment later, so probe one random victim anyway: the
+	// blind probe is what makes progress independent of the sweep's
+	// timing — and, matching the sim's
 	// pickVictim, independent of the ban set (bans only redirect the
 	// draw; after a few redraws the probe proceeds regardless, so
 	// liveness never depends on bans expiring on time).

@@ -6,52 +6,6 @@ import (
 	"uniaddr/internal/workloads"
 )
 
-// TestDequeOccupancyTracksSize checks the hint converges to the exact
-// size at every quiescent point of a push/pop/steal history.
-func TestDequeOccupancyTracksSize(t *testing.T) {
-	d := NewDeque(16)
-	check := func(when string) {
-		t.Helper()
-		if d.Occupancy() != d.Size() {
-			t.Fatalf("%s: occupancy %d != size %d", when, d.Occupancy(), d.Size())
-		}
-	}
-	check("fresh")
-	for i := 1; i <= 5; i++ {
-		if err := d.Push(Entry{FrameBase: 0x1000, FrameSize: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		check("after push")
-	}
-	if _, ok := d.Pop(nil); !ok {
-		t.Fatal("pop failed")
-	}
-	check("after pop")
-
-	if _, outcome := d.StealBegin(); outcome != StealOK {
-		t.Fatalf("steal outcome %v", outcome)
-	}
-	d.StealCommit()
-	check("after steal commit")
-
-	if _, outcome := d.StealBegin(); outcome != StealOK {
-		t.Fatalf("steal outcome %v", outcome)
-	}
-	d.StealAbort()
-	check("after steal abort")
-
-	for {
-		if _, ok := d.Pop(nil); !ok {
-			break
-		}
-		check("while draining")
-	}
-	check("empty")
-	if d.Occupancy() != 0 {
-		t.Fatalf("empty deque advertises occupancy %d", d.Occupancy())
-	}
-}
-
 // TestStealProbeAccounting checks the probe taxonomy: every steal
 // attempt is routed by exactly one of the three selectors (cache, hint
 // sweep, blind fallback), so the buckets must sum to StealAttempts.

@@ -3,6 +3,7 @@ package rt
 import (
 	"testing"
 
+	"uniaddr/internal/core"
 	"uniaddr/internal/obs"
 	"uniaddr/internal/workloads"
 )
@@ -139,7 +140,7 @@ func TestRTObsDisabledPath(t *testing.T) {
 		t.Fatal("worker log wired with Obs off")
 	}
 	const size = 128
-	base := victim.newFrame(size)
+	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0).FrameBase()
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := victim.deque.Push(Entry{FrameBase: base, FrameSize: size}); err != nil {
 			t.Fatal(err)

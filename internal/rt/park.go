@@ -166,9 +166,11 @@ func (l *parkingLot) wakeAll() {
 
 // hasWorkHint reports whether anything the parked-to-be worker could
 // act on exists right now. This is the park-side recheck, so it reads
-// EXACT state — other deques' atomic Size and waitq records' done flags
-// — never the advisory occupancy hints: a stale hint here could strand
-// a worker, whereas on the steal path it only wastes a probe.
+// EXACT state — other deques' atomic Size and waitq records' done
+// flags. The steal sweep asks the same Size(), but there a stale answer
+// only wastes or skips a probe; here the read is ordered after the lot
+// registration (see park), so work it misses is work whose producer
+// sees the registration and sends a wake.
 func (w *Worker) hasWorkHint() bool {
 	// A queued job is dispatchable work ONLY while a job slot is free
 	// (persistent pools only; queuedCount stays 0 elsewhere): with every

@@ -366,15 +366,11 @@ func (w *Worker) startQueuedJob() bool {
 	if pj.t.cancelASAP.Load() {
 		r.cancelRunning(slot)
 	}
-	size := core.FrameBytes(pj.locals)
-	base := w.newFrame(size)
-	core.EncodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes), pj.fid, pj.locals, rec)
+	e := w.newFrame(pj.fid, pj.locals, rec)
 	if pj.init != nil {
-		e := w.getEnv(base, size, 0)
 		pj.init(e)
-		w.putEnv(e)
 	}
-	w.invoke(base, size)
+	w.enter(e)
 	return true
 }
 

@@ -43,7 +43,7 @@ type Stats struct {
 	StealBatches      uint64
 	StealBatchEntries uint64
 
-	// Steal-hint counters: probes routed by a victim's occupancy hint or
+	// Steal-hint counters: probes routed by a victim's deque size or
 	// by the last-successful-victim cache, vs blind random probes. Every
 	// StealAttempt falls into exactly one bucket.
 	StealHintProbes  uint64
@@ -235,14 +235,14 @@ func (w *Worker) run() {
 }
 
 // clearDead empties the arena of dead stolen-thread copies. Unlike the
-// simulator's clearDead this must synchronise: the owner's lock-free
-// pop reports "empty" without touching the lock, so a thief that
-// claimed our LAST entry may still be mid-copy of its frame bytes when
-// we get here. Winning the deque lock once (thieves hold it across the
-// whole copy) guarantees every in-flight copy has committed before the
-// arena can be rewritten by an install or fresh frame; claims arriving
-// later find bottom <= top and retreat without copying. Returns false
-// only when shutdown interrupted the lock spin.
+// simulator's clearDead this must synchronise: a thief that claimed our
+// LAST entry may still be mid-copy of its frame bytes. Winning the
+// deque lock once (thieves hold it across the whole copy) guarantees
+// every in-flight copy has committed before the arena can be rewritten
+// by an install or fresh frame; claims arriving later find bottom <=
+// top and retreat without copying. (The empty Pop before us won the
+// same lock unless shutdown aborted it; this round does not lean on
+// that.) Returns false only when shutdown interrupted the lock spin.
 func (w *Worker) clearDead() bool {
 	if !w.deque.LockOwner(w.stopFn) {
 		return false
@@ -256,40 +256,40 @@ func (w *Worker) clearDead() bool {
 // of the simulator's newThread on rank 0). The root record was
 // pre-allocated by Runtime.Run before goroutines started.
 func (w *Worker) runRoot() {
-	size := core.FrameBytes(w.rt.rootLocals)
-	base := w.newFrame(size)
-	core.EncodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes), w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec)
+	e := w.newFrame(w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec)
 	if w.rt.rootInit != nil {
-		e := w.getEnv(base, size, 0)
 		w.rt.rootInit(e)
-		w.putEnv(e)
 	}
-	w.invoke(base, size)
+	w.enter(e)
 }
 
-// newFrame allocates and zeroes a frame of size bytes below the
-// current chain.
-func (w *Worker) newFrame(size uint64) mem.VA {
+// newFrame builds a fresh thread below the current chain and returns
+// the Env addressing it. The arena is sliced ONCE: zeroing the locals,
+// the header (all of it written) and the Env's view share that slice.
+func (w *Worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle) *core.Env {
+	size := core.FrameBytes(localsLen)
 	base, err := w.arena.AllocBelow(size)
 	if err != nil {
 		panic(err)
 	}
-	clear(w.arena.MustSlice(base, size))
-	return base
+	f := w.arena.MustSlice(base, size)
+	clear(f[core.FrameHeaderBytes:])
+	core.EncodeFrameHeader(f, fid, localsLen, rec)
+	return w.getEnv(base, f, 0)
 }
 
 // getEnv returns a (possibly recycled) Env for one task entry; putEnv
 // recycles it. Safe because task functions must not retain an Env past
 // their return (the core.NewEnv contract).
-func (w *Worker) getEnv(base mem.VA, size uint64, rp uint32) *core.Env {
+func (w *Worker) getEnv(base mem.VA, frame []byte, rp uint32) *core.Env {
 	if n := len(w.envFree); n > 0 {
 		e := w.envFree[n-1]
 		w.envFree[n-1] = nil
 		w.envFree = w.envFree[:n-1]
-		e.Reset(w, base, size, rp)
+		e.Reset(w, base, frame, rp)
 		return e
 	}
-	return core.NewEnv(w, base, size, rp)
+	return core.NewEnv(w, base, frame, rp)
 }
 
 func (w *Worker) putEnv(e *core.Env) {
@@ -324,14 +324,14 @@ func (w *Worker) putCtxBuf(buf []byte) {
 // retired; Unwound threads were swapped out by a suspend or released
 // after a steal, inside ExecJoin/ExecSpawnRun.
 func (w *Worker) invoke(base mem.VA, size uint64) core.Status {
-	return w.enter(w.getEnv(base, size, 0))
+	return w.enter(w.getEnv(base, w.arena.MustSlice(base, size), 0))
 }
 
 // enter is invoke on a pooled Env already addressing the frame (a spawned
 // child runs in the Env its init wrote through); it recycles e.
 func (w *Worker) enter(e *core.Env) core.Status {
 	base, size := e.FrameBase(), e.FrameSize()
-	h := core.DecodeFrameHeader(w.arena.MustSlice(base, core.FrameHeaderBytes))
+	h := core.DecodeFrameHeader(e.Header())
 	// Map the frame to its job through its record's tag and switch this
 	// worker's cached job context if the frame belongs to another job
 	// (steals interleave jobs on one worker). The id recheck catches a
@@ -363,7 +363,7 @@ func (w *Worker) enter(e *core.Env) core.Status {
 			return core.Done
 		}
 	}
-	e.Reset(w, base, size, h.Resume)
+	e.Rearm(h.Resume)
 	ts := w.wlog.Clock()
 	st := core.TaskFn(h.Fid)(e)
 	w.wlog.Emit(obs.KTask, ts, w.wlog.Clock()-ts, uint64(h.Fid), 0, -1)
@@ -416,15 +416,6 @@ func (w *Worker) resumeSaved(sc savedCtx) {
 
 // --- core.Exec implementation ----------------------------------------
 
-// ExecReadU64 implements core.Exec over the worker's arena.
-func (w *Worker) ExecReadU64(va mem.VA) uint64 { return w.arena.ReadU64(va) }
-
-// ExecWriteU64 implements core.Exec over the worker's arena.
-func (w *Worker) ExecWriteU64(va mem.VA, v uint64) { w.arena.WriteU64(va, v) }
-
-// ExecSlice implements core.Exec over the worker's arena.
-func (w *Worker) ExecSlice(va mem.VA, n uint64) ([]byte, error) { return w.arena.Slice(va, n) }
-
 // ExecWork burns roughly `cycles` iterations of an LCG — the wall-clock
 // stand-in for the simulator's virtual-time advance, so workload knobs
 // like Fib's workCycles translate into real computation.
@@ -437,8 +428,9 @@ func (w *Worker) ExecWork(cycles uint64) {
 	w.stats.WorkCycles += cycles
 }
 
-// ExecComplete publishes a task's result: store result, then done
-// (both seq-cst), so any joiner observing done==1 observes the result.
+// ExecComplete publishes a task's result: write result (a plain word),
+// then store done (seq-cst), so any joiner observing done==1 observes
+// the result.
 // If a joiner recorded itself as the record's waiter before we stored
 // done, wake that worker precisely; the seq-cst done-store→waiter-load
 // order pairs with the joiner's waiter-store→done-load recheck so at
@@ -467,7 +459,7 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 	// still the record's job for the whole bracket.
 	tag := r.Job.Load()
 	if tag == 0 {
-		r.Result.Store(result)
+		r.Result = result
 		r.Done.Store(1)
 		if wr := r.Waiter.Load(); wr != 0 {
 			w.rt.lot.wakeWorker(w.rt.workers[wr-1])
@@ -478,7 +470,7 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 	jc := w.jobCounts.Get(slot)
 	jc.Pending.Add(1)
 	jc.Executed.Add(1)
-	r.Result.Store(result)
+	r.Result = result
 	r.Done.Store(1)
 	if wr := r.Waiter.Load(); wr != 0 {
 		w.rt.lot.wakeWorker(w.rt.workers[wr-1])
@@ -502,7 +494,7 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 	// spawning frame's job — w.curJob, set by the invoke that entered
 	// this task — BEFORE the child becomes visible to any other worker.
 	w.jobCounts.Get(w.curJob).Spawns.Add(1)
-	core.SetFrameResume(w.arena.MustSlice(e.FrameBase(), core.FrameHeaderBytes), uint32(resumeRP))
+	core.SetFrameResume(e.Header(), uint32(resumeRP))
 	rec := w.newRecord(sched.JobTag(w.curJob))
 	// The child's handle lands in the parent's frame BEFORE the
 	// continuation is published, so a migrated parent finds it.
@@ -516,10 +508,7 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 	if w.rt.lot.count.Load() > 0 {
 		w.rt.lot.wakeOne()
 	}
-	size := core.FrameBytes(localsLen)
-	cbase := w.newFrame(size)
-	core.EncodeFrameHeader(w.arena.MustSlice(cbase, core.FrameHeaderBytes), fid, localsLen, rec)
-	return w.getEnv(cbase, size, 0)
+	return w.newFrame(fid, localsLen, rec)
 }
 
 // ExecSpawnRun runs the child inline, then pops the continuation — a
@@ -555,7 +544,7 @@ func (w *Worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	r := w.rt.workers[h.Rank()].records.Get(sched.RecordIndex(h))
 	if r.Done.Load() != 0 {
 		w.stats.JoinsFast++
-		v := r.Result.Load()
+		v := r.Result
 		w.releaseRecord(h)
 		return v, true
 	}
@@ -566,13 +555,13 @@ func (w *Worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	if r.Done.Load() != 0 {
 		r.Waiter.Store(0)
 		w.stats.JoinsFast++
-		v := r.Result.Load()
+		v := r.Result
 		w.releaseRecord(h)
 		return v, true
 	}
 	w.stats.JoinsMiss++
 	w.stats.Suspends++
-	core.SetFrameResume(w.arena.MustSlice(e.FrameBase(), core.FrameHeaderBytes), uint32(resumeRP))
+	core.SetFrameResume(e.Header(), uint32(resumeRP))
 	buf := w.getCtxBuf(e.FrameSize())
 	ss := w.wlog.Clock()
 	copy(buf, w.arena.MustSlice(e.FrameBase(), e.FrameSize()))

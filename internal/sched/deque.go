@@ -16,7 +16,8 @@ import (
 //
 // Protocol, identical to the simulator's:
 //
-//   - The owner pushes and pops at bottom without the lock (fast path).
+//   - The owner pushes, and pops an entry, at bottom without the lock
+//     (fast path). Only a SUCCESSFUL pop is lock-free.
 //   - A thief locks with fetch-add(+1) on the lock word: acquired iff
 //     the previous value was 0. Failed lockers do NOT retry and never
 //     write; the holder releases by storing 0, which absorbs every
@@ -27,25 +28,30 @@ import (
 //     re-reading bottom (the THE order). If the owner's pop decremented
 //     bottom past the claim, the thief retreats (restores top) and
 //     reports the deque empty.
-//   - The owner's pop conflict path (bottom crossed top) restores
-//     bottom, takes the lock, and re-checks — serialising against any
-//     in-flight claim.
+//   - The owner's pop slow path (bottom crossed top, or the deque looks
+//     empty) restores bottom, takes the lock, and re-checks —
+//     serialising against any in-flight claim. top is settled only
+//     under the lock, so "empty" is never decided on a value a retreat
+//     or an abort may still take back.
 //
 // Memory ordering: Go's sync/atomic operations are sequentially
 // consistent, which subsumes every ordering the protocol needs. The
 // load-bearing happens-before edges are:
 //
-//  1. push(entry slots) → store(bottom)      : a thief that observes
-//     bottom > t observes the entry bytes (slots use atomic stores, so
-//     the race detector sees the edge too).
+//  1. push(entry slot) → store(bottom)       : the slot words are PLAIN
+//     memory; the seq-cst bottom store after them is their only
+//     publication, and a thief reads a slot only after a bottom load
+//     that covered its index. One fence per push, as in Chase–Lev. Why
+//     a plain slot is never written and read concurrently is argued at
+//     Push.
 //  2. thief's frame-bytes copy → store(lock=0): the steal's cross-arena
 //     memcpy completes before the lock release.
 //  3. owner's lock acquire → frame reuse     : the owner only reuses a
-//     frame's arena range after a pop that, if it conflicted with a
-//     claim, went through the lock — so edge 2 makes the thief's copy
-//     visible (and finished) before the owner can overwrite the bytes.
-//     The lock-free pop fast path keeps entries that no thief can have
-//     claimed (bottom-1 >= top was re-checked after the decrement).
+//     frame's arena range after a pop that either won the entry or went
+//     through the lock — so edge 2 makes the thief's copy visible (and
+//     finished) before the owner can overwrite the bytes. The lock-free
+//     pop fast path keeps entries that no thief can have claimed
+//     (bottom-1 >= top was re-checked after the decrement).
 //
 // These edges hold across processes too: on the dist backend the words
 // live in an mmap'd MAP_SHARED segment and the same hardware fences
@@ -64,9 +70,9 @@ import (
 // (maxClaimFor), so every process view of a shared region computes the
 // same bound without coordination.
 //
-// Layout: the flat region starts with four words, each alone on a
-// 64-byte line (lock, top, bottom, occupancy), followed by cap 16-byte
-// entry slots. A Deque value is one process's *view* of such a region;
+// Layout: the flat region starts with three words, each alone on a
+// 64-byte line (lock, top, bottom), followed by cap 16-byte entry
+// slots. A Deque value is one process's *view* of such a region;
 // any number of views may attach to the same region.
 type Deque struct {
 	hdr      *dequeHdr
@@ -76,30 +82,23 @@ type Deque struct {
 }
 
 // dequeHdr is the shared word block at the start of a deque region.
-// occupancy is the published steal hint: an approximate entry count a
-// prospective thief can read with ONE load (top and bottom live on
-// separate cache lines by design, so the exact Size() costs two). It is
-// refreshed by the owner at every push/pop and by a thief at
-// commit/abort while it still holds the lock. Both sides use plain
-// last-writer-wins stores, so the value can go stale in either
-// direction; it is ADVISORY ONLY — no correctness decision reads it.
+// There is no steal-hint word: a prospective thief asks Size(), the top
+// and bottom lines its StealBeginBatch loads next anyway, so the owner's
+// push/pop invalidate no line on a thief's behalf.
 type dequeHdr struct {
-	lock      atomic.Uint64
-	_         [56]byte
-	top       atomic.Uint64
-	_         [56]byte
-	bottom    atomic.Uint64
-	_         [56]byte
-	occupancy atomic.Uint64
-	_         [56]byte
+	lock   atomic.Uint64
+	_      [56]byte
+	top    atomic.Uint64
+	_      [56]byte
+	bottom atomic.Uint64
+	_      [56]byte
 }
 
-// dqSlot is one deque entry. Fields are atomics so the entry publish
-// (push before bottom-store) and the thief's read (after bottom-load)
-// form explicit happens-before edges under the race detector.
+// dqSlot is one deque entry: two plain words, published by the bottom
+// store that follows them in Push (edge 1 of the type comment).
 type dqSlot struct {
-	base atomic.Uint64
-	size atomic.Uint64
+	base uint64
+	size uint64
 }
 
 const dequeHdrBytes = uint64(unsafe.Sizeof(dequeHdr{}))
@@ -210,84 +209,84 @@ func NewDeque(capacity uint64) *Deque {
 	return d
 }
 
-// syncOccupancy republishes the current Size as the steal hint.
-func (d *Deque) syncOccupancy() { d.hdr.occupancy.Store(d.Size()) }
-
-// Occupancy returns the advisory entry-count hint (single load).
-func (d *Deque) Occupancy() uint64 { return d.hdr.occupancy.Load() }
-
 func (d *Deque) entryAt(i uint64) Entry {
 	s := &d.slots[i&(d.cap-1)]
-	return Entry{FrameBase: mem.VA(s.base.Load()), FrameSize: s.size.Load()}
+	return Entry{FrameBase: mem.VA(s.base), FrameSize: s.size}
 }
 
-// Push publishes an entry at bottom (owner only, lock-free). maxClaim
-// slots of the ring are reserved: a thief's in-flight claim inflates
-// top by up to maxClaim until it commits or aborts, so the owner's
-// occupancy read b-t can undercount by that much — pushing into the
-// slack would overwrite either slots the thief is still copying or
-// entries an abort is about to hand back. At most one claim is ever in
-// flight (the lock), so maxClaim reserved slots restore the bound.
+// Push publishes an entry at bottom (owner only, lock-free): two plain
+// slot words, then ONE seq-cst store of bottom. maxClaim slots of the
+// ring are reserved: a thief's in-flight claim inflates top by up to
+// maxClaim until it commits or aborts, so the owner's size read
+// b-t can undercount by that much — pushing into the slack would
+// overwrite either slots the thief is still copying or entries an abort
+// is about to hand back. At most one claim is ever in flight (the
+// lock), so maxClaim reserved slots restore the bound.
+//
+// The same reservation is why the slot words can be plain. A thief
+// reads slot j only while it holds the lock, after claiming from a
+// settled top t' <= j (it never stores more than t'+maxClaim) and after
+// a bottom load that covered j. The owner writes physical slot j again
+// only as index j+cap, which the test below admits only once it has
+// loaded a top above j+maxClaim — a value no store of that reader's
+// lock epoch, or of any earlier one, can have produced (settled top
+// never decreases). So the owner's write follows a later holder's top
+// store, which follows the reader's unlock: reader and writer of one
+// slot are always ordered through the lock and top, never concurrent.
+// The entry's own first read is ordered by the bottom store (edge 1).
+//
+// The size test is SIGNED. A thief that saw the deque non-empty, lost
+// the race to the owner's last Pop, and claims before re-reading bottom
+// leaves top > bottom until it retreats; unsigned b-t then wraps and an
+// empty deque reports full. Pushing under such a doomed claim is sound:
+// the thief's verify either sees the new bottom and takes the fresh
+// entry (a legal steal) or sees the old one and retreats — and until it
+// has, the owner's Pop finds "apparently empty" and waits for the lock.
 func (d *Deque) Push(e Entry) error {
 	t := d.hdr.top.Load()
 	b := d.hdr.bottom.Load()
-	if b-t >= d.cap-d.maxClaim {
+	if int64(b-t) >= int64(d.cap-d.maxClaim) {
 		return fmt.Errorf("sched: deque overflow (cap %d)", d.cap)
 	}
 	s := &d.slots[b&(d.cap-1)]
-	s.base.Store(uint64(e.FrameBase))
-	s.size.Store(e.FrameSize)
+	s.base, s.size = uint64(e.FrameBase), e.FrameSize
 	d.hdr.bottom.Store(b + 1)
-	// Hint refresh from the locals already in hand (an in-flight claim
-	// can make this stale-high by one — advisory, so fine).
-	d.hdr.occupancy.Store(b + 1 - t)
 	return nil
 }
 
-// Pop takes the bottom entry (owner only; lock-free unless it collides
-// with a thief's claim on the last entry). stop, if non-nil, aborts the
-// conflict-path lock spin — used so a worker wedged behind a crashed
-// lock holder can still observe shutdown; a stop-aborted Pop reports
-// empty.
+// Pop takes the bottom entry (owner only). Only SUCCESS is lock-free:
+// top is settled only under the lock — an in-flight claim inflates it
+// and may yet retreat or abort — so an apparently empty deque, like a
+// claim crossing the decrement, is decided under the lock (THE's slow
+// path), and "empty" means every entry was stolen AND every thief's
+// copy has committed. stop, if non-nil, aborts the lock spin, so a
+// worker wedged behind a crashed lock holder can still observe
+// shutdown; a stop-aborted Pop reports empty.
 func (d *Deque) Pop(stop func() bool) (Entry, bool) {
 	b := d.hdr.bottom.Load()
-	t := d.hdr.top.Load()
-	if b <= t {
-		// Empty. No claim can be outstanding on entries below top, so
-		// this path needs no lock (edge 3 note in the type comment).
-		// Converge the hint toward the truth while we are here: a stale
-		// non-zero hint would keep attracting thieves to a dry deque.
-		d.hdr.occupancy.Store(0)
-		return Entry{}, false
+	if t := d.hdr.top.Load(); b > t {
+		b--
+		d.hdr.bottom.Store(b)
+		if t = d.hdr.top.Load(); t <= b {
+			// No conflict: the entry at b is ours, and no thief can claim
+			// it any more (a claim writes top = b+1 > b only after reading
+			// bottom > b, which is no longer true).
+			return d.entryAt(b), true
+		}
+		d.hdr.bottom.Store(b + 1)
 	}
-	b--
-	d.hdr.bottom.Store(b)
-	if t = d.hdr.top.Load(); t <= b {
-		// No conflict: the entry at b is ours, and no thief can claim
-		// it any more (a claim writes top = b+1 > b only after reading
-		// bottom > b, which is no longer true).
-		d.hdr.occupancy.Store(b - t)
-		return d.entryAt(b), true
-	}
-	// A thief's claim crossed our decrement. Restore bottom and settle
-	// the race under the lock (THE slow path).
-	d.hdr.bottom.Store(b + 1)
 	if !d.LockOwner(stop) {
 		return Entry{}, false
 	}
-	b = d.hdr.bottom.Load() - 1
-	t = d.hdr.top.Load()
-	if t > b {
-		// The thief won: the last entry is gone.
-		d.syncOccupancy()
-		d.Unlock()
-		return Entry{}, false
+	var e Entry
+	b = d.hdr.bottom.Load()
+	ok := b > d.hdr.top.Load()
+	if ok {
+		d.hdr.bottom.Store(b - 1)
+		e = d.entryAt(b - 1)
 	}
-	d.hdr.bottom.Store(b)
-	e := d.entryAt(b)
-	d.syncOccupancy()
 	d.Unlock()
-	return e, true
+	return e, ok
 }
 
 // StealBegin claims the victim's top entry (thief side, one-sided in
@@ -321,19 +320,13 @@ func (d *Deque) StealBegin() (Entry, StealOutcome) {
 }
 
 // StealCommit releases the victim's lock after the frame copy. The
-// seq-cst store orders the copy before the release (edge 2). The hint
-// refresh happens while the lock is still held, so the committed
-// claim's effect on top is already reflected.
-func (d *Deque) StealCommit() {
-	d.syncOccupancy()
-	d.Unlock()
-}
+// seq-cst store orders the copy before the release (edge 2).
+func (d *Deque) StealCommit() { d.Unlock() }
 
 // StealAbort hands a claimed entry back (top = t) and releases the
 // lock — the THE abort the simulator's fault-injection tests exercise.
 func (d *Deque) StealAbort() {
 	d.hdr.top.Store(d.hdr.top.Load() - 1)
-	d.syncOccupancy()
 	d.Unlock()
 }
 
@@ -430,7 +423,6 @@ func (d *Deque) StealBeginBatch(buf []Entry) (int, StealOutcome) {
 // releases the lock — StealAbort generalised to the batch width.
 func (d *Deque) StealAbortBatch(n int) {
 	d.hdr.top.Store(d.hdr.top.Load() - uint64(n))
-	d.syncOccupancy()
 	d.Unlock()
 }
 
@@ -453,8 +445,9 @@ func (d *Deque) LockOwner(stop func() bool) bool {
 	}
 }
 
-// Size returns a racy snapshot of the entry count (quiescence checks
-// and stats only).
+// Size returns a racy snapshot of the entry count: exact at quiescence,
+// and the steal hint otherwise (an unsettled claim can make it read low
+// for an instant; hint sweeps fall back to a blind probe).
 func (d *Deque) Size() uint64 {
 	t := d.hdr.top.Load()
 	b := d.hdr.bottom.Load()

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -131,31 +132,71 @@ func TestDequeStealAbortLeavesEntry(t *testing.T) {
 	}
 }
 
+type popResult struct {
+	e  Entry
+	ok bool
+}
+
+// popUnderClaim starts an owner Pop while the caller holds the deque
+// lock with a claim unsettled, and returns once the owner is spinning on
+// the lock (its FAA shows in the lock word). A Pop that answers instead
+// decided on a top the claim may still take back.
+func popUnderClaim(t *testing.T, d *Deque) <-chan popResult {
+	t.Helper()
+	ch := make(chan popResult, 1)
+	go func() {
+		e, ok := d.Pop(nil)
+		ch <- popResult{e, ok}
+	}()
+	for d.hdr.lock.Load() < 2 {
+		select {
+		case r := <-ch:
+			t.Fatalf("owner pop answered (%+v, %v) under an unsettled claim", r.e, r.ok)
+		default:
+			runtime.Gosched()
+		}
+	}
+	return ch
+}
+
 // TestDequeTHELastElementRace scripts the Fig. 6 showdown on the final
 // entry: once the thief's claim lands (top = bottom), the owner's pop
-// must lose — whether the thief is still mid-copy or has committed —
-// and must never surface the claimed entry. (The interleaving where the
-// owner's decrement lands first and both sides settle under the lock is
+// must WAIT for the claim to settle — "empty" tells the caller the
+// frame is gone and its bytes copied out — and then lose to a commit or
+// recover the entry from an abort. (The interleaving where the owner's
+// decrement lands first and both sides settle under the lock is
 // inherently timing-dependent; the stress tests below drive it.)
 func TestDequeTHELastElementRace(t *testing.T) {
-	d := NewDeque(16)
-	if err := d.Push(ent(3)); err != nil {
-		t.Fatal(err)
-	}
-	e, outcome := d.StealBegin()
-	if outcome != StealOK || e != ent(3) {
-		t.Fatalf("steal: %v %+v", outcome, e)
-	}
-	// Claim held, copy in progress: the owner sees an empty deque.
-	if got, ok := d.Pop(nil); ok {
-		t.Fatalf("owner pop won claimed entry %+v", got)
-	}
-	d.StealCommit()
-	if got, ok := d.Pop(nil); ok {
-		t.Fatalf("owner pop after commit returned %+v", got)
-	}
-	if n := d.Size(); n != 0 {
-		t.Fatalf("size %d after showdown, want 0", n)
+	for _, abort := range []bool{false, true} {
+		d := NewDeque(16)
+		if err := d.Push(ent(3)); err != nil {
+			t.Fatal(err)
+		}
+		e, outcome := d.StealBegin()
+		if outcome != StealOK || e != ent(3) {
+			t.Fatalf("steal: %v %+v", outcome, e)
+		}
+		pop := popUnderClaim(t, d) // claim held, copy in progress
+		if abort {
+			d.StealAbort()
+			if r := <-pop; !r.ok || r.e != ent(3) {
+				t.Fatalf("pop after abort: %v %+v, want %+v", r.ok, r.e, ent(3))
+			}
+		} else {
+			d.StealCommit()
+			if r := <-pop; r.ok {
+				t.Fatalf("owner pop won claimed entry %+v", r.e)
+			}
+		}
+		if got, ok := d.Pop(nil); ok {
+			t.Fatalf("owner pop after the showdown returned %+v", got)
+		}
+		if n := d.Size(); n != 0 {
+			t.Fatalf("size %d after showdown, want 0", n)
+		}
+		if got := d.hdr.lock.Load(); got != 0 {
+			t.Fatalf("lock word %d at rest", got)
+		}
 	}
 }
 

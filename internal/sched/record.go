@@ -25,10 +25,13 @@ const (
 )
 
 // Record is one completion record. Done transitions 0→1 exactly once
-// per allocation; Result is stored before Done (both seq-cst), so a
+// per allocation; Result is a plain word written before the seq-cst
+// Done store and read only after a Done load returned non-zero, so a
 // joiner that loads Done==1 also observes the result — the same
 // publish order the simulator's 16-byte RDMA WRITE provides by landing
-// atomically.
+// atomically. A recycled record's Result is rewritten only after its
+// Alloc, which follows the previous joiner's release (program order for
+// ReleaseLocal, the release stack's CAS→Swap for Release).
 //
 // The next field threads the record through the table's shared release
 // stack; it is only meaningful while the record sits on that stack.
@@ -36,7 +39,7 @@ const (
 // did) keeps the Table a single flat region.
 type Record struct {
 	Done   atomic.Uint64
-	Result atomic.Uint64
+	Result uint64
 	// Waiter publishes which worker suspended at a join on this record:
 	// rank+1, 0 = none. The joiner stores Waiter BEFORE re-checking Done
 	// (ExecJoin); the completer stores Done BEFORE loading Waiter

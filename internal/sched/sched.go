@@ -14,9 +14,10 @@
 //     real address spaces.
 //
 // To serve both, Deque and Table are *flat*: all shared state (lock,
-// top, bottom, occupancy hint, entry slots, records, release stack) is
-// a fixed byte layout inside a caller-provided memory region, accessed
-// through sync/atomic. NewDequeAt / NewTableAt attach a view to such a
+// top, bottom, entry slots, records, release stack) is a fixed byte
+// layout inside a caller-provided memory region; the protocol words are
+// accessed through sync/atomic, the payload words they publish (deque
+// slots, Record.Result) are plain. NewDequeAt / NewTableAt attach a view to such a
 // region (any number of processes may attach to the same one);
 // NewDeque / NewTable allocate a private heap-backed region for the
 // single-process case. Owner-only bookkeeping (the Table's private free
