@@ -142,7 +142,7 @@ func main() {
 			*exp = "bench"
 		}
 		if *exp == "chaos" {
-			runChaosMatrix(harness.RTChaosBackend(false), harness.RTChaosSchedules(), *chaosWorkers, *seed, *scale, *chaosJSON)
+			runChaosMatrix(harness.RTChaosBackend(), harness.RTChaosSchedules(), *chaosWorkers, *seed, *scale, *chaosJSON)
 			traceRepresentative("rt", *chaosWorkers, *seed, true, *traceOut, *obsOut)
 			return
 		}
@@ -392,7 +392,7 @@ func runRT(exp, scale string, seed uint64, reps int, workersFlag, rtJSON, compar
 		}
 		wls, err := harness.RTBenchWorkloads(scale)
 		check(err)
-		rep, err := harness.RunRTBench(wls, workers, reps, seed, false, tune)
+		rep, err := harness.RunRTBench(wls, workers, reps, seed, tune)
 		check(err)
 		harness.PrintRTBench(out, rep)
 		f, err := os.Create(rtJSON)
@@ -414,7 +414,7 @@ func runRT(exp, scale string, seed uint64, reps int, workersFlag, rtJSON, compar
 		}
 	case "diff":
 		seeds := []uint64{seed, seed + 1, seed + 2}
-		rep, err := harness.RunDifferential(harness.DiffWorkloads(), workers, seeds, false)
+		rep, err := harness.RunDifferential(harness.DiffWorkloads(), workers, seeds)
 		check(err)
 		printDiff(out, rep)
 	case "scalefloor":
@@ -470,7 +470,7 @@ func runScaleFloor(out *os.File, seed uint64, reps int, tune harness.BenchTuning
 	}
 	wls, err := harness.RTBenchWorkloads("bench")
 	check(err)
-	rep, err := harness.RunRTBench(wls, []int{1, 8}, reps, seed, false, tune)
+	rep, err := harness.RunRTBench(wls, []int{1, 8}, reps, seed, tune)
 	check(err)
 	wall := map[string]map[int]int64{}
 	for _, row := range rep.Rows {

@@ -145,7 +145,6 @@ func TestEnvInitWriteVisibleToChildBody(t *testing.T) {
 		{"sim-help-first", func() (uint64, error) { return runSim(true) }},
 		{"rt", func() (uint64, error) {
 			cfg := rt.DefaultConfig(2)
-			cfg.NoPin = true
 			return rt.New(cfg).Run(envParentFID, 8, nil)
 		}},
 		// One dist worker runs in-process: no re-exec, so no TestMain.

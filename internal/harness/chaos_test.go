@@ -88,7 +88,7 @@ func TestChaosFaultConfigScaling(t *testing.T) {
 // deque steal-fault stress.
 func TestChaosMatrixRT(t *testing.T) {
 	seeds := []uint64{1, 2, 3}
-	cells, failed := RunChaosMatrix(RTChaosBackend(true), 8, seeds, RTChaosSchedules(), "tiny")
+	cells, failed := RunChaosMatrix(RTChaosBackend(), 8, seeds, RTChaosSchedules(), "tiny")
 	if failed > 0 {
 		for _, c := range cells {
 			if !c.Pass {
@@ -163,10 +163,10 @@ func TestChaosMatrixRejectsMismatchedKnobs(t *testing.T) {
 	simSch := ChaosSchedule{Name: "sim-knobs", Fault: ChaosFaultConfig(0.01)}
 	planSch := ChaosSchedule{Name: "plan-knobs", Fault: fault.Config{StealClaimFailProb: 0.1}}
 	killSch := ChaosSchedule{Name: "kill", Kill: []int{1}}
-	if RTChaosBackend(true).Supports(simSch) == "" {
+	if RTChaosBackend().Supports(simSch) == "" {
 		t.Error("rt accepted sim-only knobs")
 	}
-	if RTChaosBackend(true).Supports(killSch) == "" {
+	if RTChaosBackend().Supports(killSch) == "" {
 		t.Error("rt accepted kill injection")
 	}
 	if SimChaosBackend().Supports(planSch) == "" {

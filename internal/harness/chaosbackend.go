@@ -305,7 +305,7 @@ func SimChaosBackend() ChaosBackend {
 }
 
 // RTChaosBackend adapts the in-process real backend.
-func RTChaosBackend(noPin bool) ChaosBackend {
+func RTChaosBackend() ChaosBackend {
 	return ChaosBackend{
 		Name: "rt",
 		Supports: func(sch ChaosSchedule) string {
@@ -328,7 +328,6 @@ func RTChaosBackend(noPin bool) ChaosBackend {
 		Run: func(spec workloads.Spec, workers int, seed uint64, sch ChaosSchedule) (uint64, error) {
 			cfg := rt.DefaultConfig(workers)
 			cfg.Seed = seed
-			cfg.NoPin = noPin
 			cfg.Fault = sch.Fault
 			if sch.Deadline > 0 {
 				cfg.MaxWall = sch.Deadline

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"uniaddr/internal/core"
-	"uniaddr/internal/rt"
 	"uniaddr/internal/workloads"
 )
 
@@ -88,25 +87,13 @@ type DiffBackend struct {
 }
 
 // RTDiffBackend is the in-process real-parallelism backend as a
-// differential target. noPin disables OS-thread pinning, which test
-// runs want.
-func RTDiffBackend(noPin bool) DiffBackend {
+// differential target: the chaos backend's run under the empty schedule.
+func RTDiffBackend() DiffBackend {
 	return DiffBackend{
 		Name: "rt",
 		Skip: RTSkipReason,
 		Run: func(spec workloads.Spec, workers int, seed uint64) (uint64, error) {
-			cfg := rt.DefaultConfig(workers)
-			cfg.Seed = seed
-			cfg.NoPin = noPin
-			r := rt.New(cfg)
-			res, err := r.Run(spec.Fid, spec.Locals, spec.Init)
-			if err != nil {
-				return 0, err
-			}
-			if err := r.CheckQuiescence(); err != nil {
-				return 0, err
-			}
-			return res, nil
+			return RTChaosBackend().Run(spec, workers, seed, ChaosSchedule{})
 		},
 	}
 }
@@ -156,6 +143,6 @@ func RunDifferentialBackend(b DiffBackend, wls []DiffWorkload, workerCounts []in
 }
 
 // RunDifferential is the sim-vs-rt matrix (see RunDifferentialBackend).
-func RunDifferential(wls []DiffWorkload, workerCounts []int, seeds []uint64, noPin bool) (DiffReport, error) {
-	return RunDifferentialBackend(RTDiffBackend(noPin), wls, workerCounts, seeds)
+func RunDifferential(wls []DiffWorkload, workerCounts []int, seeds []uint64) (DiffReport, error) {
+	return RunDifferentialBackend(RTDiffBackend(), wls, workerCounts, seeds)
 }

@@ -18,7 +18,7 @@ func TestDifferentialSimVsRT(t *testing.T) {
 		workerCounts = []int{1, 4}
 		seeds = []uint64{1, 2, 3}
 	}
-	rep, err := RunDifferential(DiffWorkloads(), workerCounts, seeds, true)
+	rep, err := RunDifferential(DiffWorkloads(), workerCounts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestDiffWorkloadsCoverCatalog(t *testing.T) {
 }
 
 func TestRTBenchReportJSON(t *testing.T) {
-	rep, err := RunRTBench(DiffWorkloads(), []int{1, 2}, 1, 1, true, BenchTuning{})
+	rep, err := RunRTBench(DiffWorkloads(), []int{1, 2}, 1, 1, BenchTuning{})
 	if err != nil {
 		t.Fatal(err)
 	}

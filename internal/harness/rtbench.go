@@ -118,7 +118,7 @@ type RTBenchReport struct {
 // reported in Skipped with a reason. tune applies the ISSUE-9 scheduler
 // knobs to every run; rows measured with more workers than CPUs are
 // tagged Underprovisioned (and a warning lands on stderr).
-func RunRTBench(wls []DiffWorkload, workerCounts []int, reps int, seed uint64, noPin bool, tune BenchTuning) (RTBenchReport, error) {
+func RunRTBench(wls []DiffWorkload, workerCounts []int, reps int, seed uint64, tune BenchTuning) (RTBenchReport, error) {
 	if reps < 1 {
 		reps = 1
 	}
@@ -145,7 +145,6 @@ func RunRTBench(wls []DiffWorkload, workerCounts []int, reps int, seed uint64, n
 			for i := 0; i < reps; i++ {
 				cfg := rt.DefaultConfig(workers)
 				cfg.Seed = seed + uint64(i)
-				cfg.NoPin = noPin
 				cfg.Grain = tune.Grain
 				cfg.StealBatch = tune.StealBatch
 				cfg.TierGroup = tune.TierGroup

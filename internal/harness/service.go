@@ -37,8 +37,6 @@ type ServiceBenchConfig struct {
 	// defaults).
 	MaxJobs    int
 	QueueDepth int
-	// NoPin disables per-worker OS-thread pinning (tests).
-	NoPin bool
 }
 
 // ServiceLatency is one latency distribution's digest, in nanoseconds.
@@ -71,7 +69,7 @@ type ServiceBenchReport struct {
 	GOARCH     string `json:"goarch"`
 	// Underprovisioned flags a run with more workers than host CPUs:
 	// latencies then measure scheduler time-slicing, not the pool.
-	Underprovisioned bool `json:"underprovisioned,omitempty"`
+	Underprovisioned bool   `json:"underprovisioned,omitempty"`
 	Note             string `json:"note,omitempty"`
 
 	Workers   int     `json:"workers"`
@@ -134,7 +132,6 @@ func RunServiceBench(cfg ServiceBenchConfig) (ServiceBenchReport, error) {
 	}
 	pcfg := rt.DefaultConfig(cfg.Workers)
 	pcfg.Seed = cfg.Seed
-	pcfg.NoPin = cfg.NoPin
 	pcfg.MaxJobs = cfg.MaxJobs
 	pcfg.QueueDepth = cfg.QueueDepth
 	pcfg.MaxWall = 0 // pool lifetime is the run's

@@ -12,7 +12,7 @@ import (
 // covering exactly the admitted jobs, and a round-trippable JSON form.
 func TestServiceBenchSmoke(t *testing.T) {
 	rep, err := RunServiceBench(ServiceBenchConfig{
-		Workers: 2, QPS: 500, Jobs: 30, Seed: 3, NoPin: true,
+		Workers: 2, QPS: 500, Jobs: 30, Seed: 3,
 	})
 	if err != nil {
 		t.Fatal(err)

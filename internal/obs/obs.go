@@ -111,8 +111,8 @@ const (
 	KProbeCache
 	KProbeHint
 	KProbeBlind
-	// KNap is one bounded idle sleep in the spin→nap→park ladder
-	// (Dur = ns actually slept).
+	// KNap is one bounded idle sleep of dist's sleep ladder (Dur = ns
+	// actually slept); rt's idle ladder is spin→park and emits none.
 	KNap
 	// KPark is one full park on the runtime parking lot, from blocking
 	// on the wake channel to the wake token arriving (Dur = ns parked).

@@ -106,7 +106,6 @@ func benchRun(b *testing.B, spec workloads.Spec, workers int) {
 	for i := 0; i < b.N; i++ {
 		cfg := DefaultConfig(workers)
 		cfg.Seed = uint64(i) + 1
-		cfg.NoPin = true
 		r := New(cfg)
 		got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
 		if err != nil {

@@ -16,7 +16,6 @@ func runFaulted(t *testing.T, spec workloads.Spec, workers int, seed uint64, fc 
 	t.Helper()
 	cfg := rt.DefaultConfig(workers)
 	cfg.Seed = seed
-	cfg.NoPin = true
 	cfg.MaxWall = 30 * time.Second
 	cfg.Fault = fc
 	r := rt.New(cfg)
@@ -98,7 +97,6 @@ func TestRTZeroFaultPinned(t *testing.T) {
 
 func TestRTBadFaultConfigRejected(t *testing.T) {
 	cfg := rt.DefaultConfig(2)
-	cfg.NoPin = true
 	cfg.Fault = fault.Config{StealClaimFailProb: 1.5}
 	r := rt.New(cfg)
 	spec := workloads.Fib(10, 0)

@@ -16,7 +16,6 @@ func TestStealProbeAccounting(t *testing.T) {
 	} {
 		for _, workers := range []int{2, 4, 8} {
 			cfg := DefaultConfig(workers)
-			cfg.NoPin = true
 			r := New(cfg)
 			got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
 			if err != nil {
@@ -50,7 +49,6 @@ func TestStealProbeAccounting(t *testing.T) {
 func TestHintedStealsFindWork(t *testing.T) {
 	spec := workloads.Fib(18, 20)
 	cfg := DefaultConfig(4)
-	cfg.NoPin = true
 	r := New(cfg)
 	if _, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil {
 		t.Fatal(err)

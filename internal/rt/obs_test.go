@@ -16,7 +16,6 @@ import (
 func TestRTObsStealLifecycle(t *testing.T) {
 	spec := workloads.Fib(18, 20)
 	cfg := DefaultConfig(4)
-	cfg.NoPin = true
 	cfg.Obs = true
 	r := New(cfg)
 	got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
@@ -85,7 +84,6 @@ func TestRTObsStealLifecycle(t *testing.T) {
 func TestRTObsConcurrentStress(t *testing.T) {
 	spec := workloads.Fib(17, 50)
 	cfg := DefaultConfig(8)
-	cfg.NoPin = true
 	cfg.Obs = true
 	cfg.ObsRingCap = 256 // force heavy overflow
 	r := New(cfg)
@@ -130,7 +128,6 @@ func TestRTObsConcurrentStress(t *testing.T) {
 // nil-receiver path does not perturb scheduling.
 func TestRTObsDisabledPath(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.NoPin = true
 	r := New(cfg)
 	if r.Obs() != nil {
 		t.Fatal("recorder allocated with Obs off")
@@ -163,7 +160,6 @@ func TestRTObsDisabledPath(t *testing.T) {
 	spec := workloads.Fib(15, 0)
 	run := func(withObs bool) Stats {
 		c := DefaultConfig(1)
-		c.NoPin = true
 		c.Obs = withObs
 		rt := New(c)
 		got, err := rt.Run(spec.Fid, spec.Locals, spec.Init)

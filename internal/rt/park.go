@@ -4,70 +4,38 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// Idle parking. The pre-optimization idle engine was a flat 20µs
-// sleep-poll: every idle worker woke 50,000 times a second to probe
-// deques that were empty the last 50,000 times, stealing cycles (and,
-// on a single-core box, the whole CPU quantum) from the one worker with
-// actual work. The replacement is a three-stage ladder — spin hot,
-// then nap with capped-exponential backoff, then PARK on a wakeable lot
-// — plus precise wakeups: Push wakes one parker only when one exists,
-// and a record completion wakes exactly the worker whose suspended
-// thread it unblocks. The memory-ordering argument for why no wakeup
-// can be lost is spelled out in DESIGN.md §10.
+// Idle parking: a two-rung ladder — spin hot, then PARK on a wakeable
+// lot — plus precise wakeups: Push wakes one parker only when one
+// exists, and a record completion wakes exactly the worker whose
+// suspended thread it unblocks. No timed rung in between: a sleeping
+// worker is in no lot, so no Submit, push or Close could reach it before
+// its (coarse) timer fired. Why no wakeup can be lost: DESIGN.md §10.
 
-const (
-	// idleSpinRounds: Gosched-only rounds before the first nap. Spinning
-	// stays hot for the common steal-latency case (a victim is about to
-	// push).
-	idleSpinRounds = 64
-	// idleNapStart / idleNapCap bound the exponential nap ladder:
-	// 1µs, 2µs, … 256µs, then park. An idle worker reaches the lot after
-	// ~½ms instead of polling forever.
-	idleNapStart = time.Microsecond
-	idleNapCap   = 256 * time.Microsecond
-)
+// idleSpinRounds: Gosched-only rounds before parking — hot for the
+// steal about to succeed and the Submit microseconds away.
+const idleSpinRounds = 64
 
-// idleAction is what the ladder tells the idle loop to do next.
-type idleAction uint8
-
-const (
-	actSpin idleAction = iota
-	actNap
-	actPark
-)
-
-// idleState is the per-worker backoff ladder. Pure state machine —
-// step decides, the caller sleeps — so the counter semantics are unit
-// testable without a runtime.
+// idleState is the per-worker backoff ladder: a pure state machine, so
+// the counter semantics are unit testable without a runtime.
 type idleState struct {
 	spins int
-	nap   time.Duration
 }
 
-// step advances the ladder one round and returns the action to take
-// (with the nap duration when the action is actNap).
-func (s *idleState) step() (idleAction, time.Duration) {
+// spin advances the ladder one round: true = yield and look again,
+// false = the spinning budget is spent, park.
+func (s *idleState) spin() bool {
 	if s.spins < idleSpinRounds {
 		s.spins++
-		return actSpin, 0
+		return true
 	}
-	switch {
-	case s.nap == 0:
-		s.nap = idleNapStart
-	case s.nap < idleNapCap:
-		s.nap *= 2
-	default:
-		return actPark, 0
-	}
-	return actNap, s.nap
+	return false
 }
 
 // reset rewinds the ladder to hot spinning; called whenever the worker
 // finds work (pop, steal, or resume succeeds) and after a wakeup.
-func (s *idleState) reset() { s.spins, s.nap = 0, 0 }
+func (s *idleState) reset() { s.spins = 0 }
 
 // parkingLot tracks which workers are parked. count is read on the
 // producer fast path (one atomic load per push when nobody is parked);
@@ -221,22 +189,15 @@ func (w *Worker) park() {
 	w.stats.Wakes++
 }
 
-// idlePark is one round of the idle engine: advance the ladder, then
-// spin, nap or park accordingly. idleSpins is advanced on every round
-// and NOT while parked — the quiescence tests assert it stops moving
-// once the lot has absorbed the idle workers.
+// idlePark is one round of the idle engine: yield or park, as the
+// ladder says. idleSpins advances every round and NOT while parked — the
+// quiescence tests assert it stops once the lot has absorbed the idle.
 func (w *Worker) idlePark() {
 	w.idleSpins.Add(1)
-	act, nap := w.idle.step()
-	switch act {
-	case actSpin:
+	if w.idle.spin() {
 		runtime.Gosched()
-	case actNap:
-		ns := w.wlog.Clock()
-		time.Sleep(nap)
-		w.wlog.Nap(ns)
-	case actPark:
-		w.park()
-		w.idle.reset()
+		return
 	}
+	w.park()
+	w.idle.reset()
 }

@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"go/parser"
+	"go/token"
 	"sync"
 	"testing"
 	"time"
@@ -8,57 +10,66 @@ import (
 	"uniaddr/internal/workloads"
 )
 
-// TestIdleStateLadder pins the backoff counter semantics: exactly
-// idleSpinRounds hot spins, then naps doubling from idleNapStart to
-// idleNapCap, then park forever (no overflow, no further naps) until a
-// reset rewinds to hot spinning.
+// TestIdleStateLadder pins the two-rung ladder: exactly idleSpinRounds
+// hot spins, then park on every later round — there is no timed rung in
+// between, so the ladder never asks for a sleep — until a reset rewinds
+// to hot spinning.
 func TestIdleStateLadder(t *testing.T) {
 	var s idleState
 	for i := 0; i < idleSpinRounds; i++ {
-		act, _ := s.step()
-		if act != actSpin {
-			t.Fatalf("round %d: action %d, want spin", i, act)
+		if !s.spin() {
+			t.Fatalf("round %d: ladder says park, want spin", i)
 		}
-	}
-	wantNap := idleNapStart
-	for wantNap <= idleNapCap {
-		act, d := s.step()
-		if act != actNap || d != wantNap {
-			t.Fatalf("nap rung: action %d dur %v, want nap %v", act, d, wantNap)
-		}
-		wantNap *= 2
 	}
 	for i := 0; i < 10; i++ {
-		if act, _ := s.step(); act != actPark {
-			t.Fatalf("post-ladder round %d: action %d, want park", i, act)
+		if s.spin() {
+			t.Fatalf("post-ladder round %d: ladder says spin, want park", i)
 		}
 	}
 	s.reset()
-	if act, _ := s.step(); act != actSpin {
+	if !s.spin() {
 		t.Fatal("reset did not rewind the ladder to spinning")
 	}
 }
 
-// TestIdleLadderTotalDelay documents the ladder's shape: an idle worker
-// reaches the parking lot after roughly half a millisecond of napping,
-// not never (the old engine polled every 20µs forever).
-func TestIdleLadderTotalDelay(t *testing.T) {
-	var s idleState
-	var total time.Duration
-	rounds := 0
-	for {
-		act, d := s.step()
-		if act == actPark {
-			break
-		}
-		total += d
-		rounds++
-		if rounds > 10_000 {
-			t.Fatal("ladder never reaches park")
+// TestIdlePoolParksWithinSpinBudget: an idle pool worker is in the lot
+// after idleSpinRounds yields and the one round that parks it — there
+// is no rung on which it could be neither spinning nor reachable — and
+// Close then reaches every worker through the lot: none of them takes
+// another idle round, and none is waited for on a timer (the idle
+// engine does not import the package that has them).
+func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
+	const workers = 4
+	p, err := NewPool(DefaultConfig(workers))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); p.ParkedWorkers() != workers; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d idle workers parked", p.ParkedWorkers(), workers)
 		}
 	}
-	if total > 2*time.Millisecond {
-		t.Fatalf("ladder naps %v before parking; want under 2ms", total)
+	spins := p.r.IdleSpins()
+	if max := uint64(workers * (idleSpinRounds + 1)); spins > max {
+		t.Errorf("%d idle rounds to park %d workers, the ladder allows %d", spins, workers, max)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.WorkersExited(); got != workers {
+		t.Errorf("%d of %d workers exited at Close", got, workers)
+	}
+	if got := p.r.IdleSpins(); got != spins {
+		t.Errorf("parked workers took %d more idle rounds on their way out", got-spins)
+	}
+	f, err := parser.ParseFile(token.NewFileSet(), "park.go", nil, parser.ImportsOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, imp := range f.Imports {
+		if imp.Path.Value == `"time"` {
+			t.Error("park.go imports time: the idle engine must have no timed rung")
+		}
 	}
 }
 
@@ -66,7 +77,6 @@ func TestIdleLadderTotalDelay(t *testing.T) {
 // exercised directly.
 func parkRig(workers int) *Runtime {
 	cfg := DefaultConfig(workers)
-	cfg.NoPin = true
 	return New(cfg)
 }
 
@@ -222,7 +232,6 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 		for seed := uint64(1); seed <= 5; seed++ {
 			cfg := DefaultConfig(8)
 			cfg.Seed = seed
-			cfg.NoPin = true
 			cfg.MaxWall = 30 * time.Second
 			r := New(cfg)
 			got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
@@ -253,7 +262,6 @@ func TestQuiescenceParkedWorkersStopSpinning(t *testing.T) {
 	// of wall clock to walk their ladders into the lot.
 	spec := workloads.Fib(1, 3_000_000_000)
 	cfg := DefaultConfig(workers)
-	cfg.NoPin = true
 	r := New(cfg)
 	resCh := make(chan error, 1)
 	go func() {

@@ -29,8 +29,7 @@ func (e *TimeoutError) Error() string {
 // Config sizes a Runtime. The zero value of every field selects a
 // sensible default (see DefaultConfig).
 type Config struct {
-	// Workers is the number of concurrently executing workers, one
-	// goroutine each (pinned to an OS thread unless NoPin).
+	// Workers is the number of concurrent workers, one goroutine each.
 	Workers int
 	// Seed drives victim selection; each worker derives its own stream.
 	Seed uint64
@@ -46,9 +45,6 @@ type Config struct {
 	// MaxWall aborts a run that exceeds this wall-clock budget — the
 	// analogue of the simulator's MaxCycles deadlock guard.
 	MaxWall time.Duration
-	// NoPin disables runtime.LockOSThread per worker (useful in tests
-	// that run many runtimes concurrently).
-	NoPin bool
 	// Grain is the task-granularity cutoff workloads read back through
 	// core.Env.Grain: 0 (default) disables coalescing, core.GrainAuto
 	// selects the workload's own cutoff applied adaptively, any other
@@ -166,8 +162,8 @@ type Runtime struct {
 	err        error
 	wg         sync.WaitGroup
 
-	// lot is the idle-parking lot: workers that exhaust the backoff
-	// ladder block here until a push, a record completion or shutdown
+	// lot is the idle-parking lot: workers that exhaust their idle
+	// spin block here until a push, a record completion or shutdown
 	// wakes them (park.go).
 	lot parkingLot
 
@@ -203,14 +199,15 @@ type Runtime struct {
 	// on both counters — otherwise idle workers would busy-spin on a
 	// non-empty queue for as long as every slot stays occupied.
 	freeSlotCount atomic.Int64
-	anyCanceled atomic.Int64 // jobs currently draining; gates the invoke-path drain check
-	jobsDone    atomic.Uint64
-	exited      atomic.Uint64 // workers whose goroutine has returned
-	startT      time.Time
-	watchdog    *time.Timer
+	anyCanceled   atomic.Int64 // jobs currently draining; gates the invoke-path drain check
+	jobsDone      atomic.Uint64
+	exited        atomic.Uint64 // workers whose goroutine has returned
+	startT        time.Time
+	watchdog      *time.Timer
 
 	ran     bool
 	elapsed time.Duration
+	total   Stats // Pool.Close's snapshot of TotalStats
 }
 
 // jobMeta is the Go-side half of a job slot.
@@ -253,14 +250,13 @@ func newRuntime(cfg Config, persistent bool) *Runtime {
 	if cfg.Obs {
 		r.rec = obs.NewWallRecorder(cfg.Workers, cfg.ObsRingCap)
 	}
+	layout := memKey{cfg.ArenaBase, cfg.ArenaSize, cfg.DequeCap, cfg.RecordCap}
 	for i := 0; i < cfg.Workers; i++ {
 		seed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1
 		w := &Worker{
 			rt:         r,
 			rank:       i,
-			arena:      sched.NewArena(cfg.ArenaBase, cfg.ArenaSize),
-			deque:      sched.NewDeque(cfg.DequeCap),
-			records:    sched.NewTable(cfg.RecordCap),
+			workerMem:  takeWorkerMem(layout),
 			rng:        rand.New(rand.NewSource(int64(seed))),
 			wakeCh:     make(chan struct{}, 1),
 			parkSlot:   -1,
@@ -383,9 +379,6 @@ func (r *Runtime) Obs() *obs.WallRecorder { return r.rec }
 
 // Workers returns the worker count.
 func (r *Runtime) Workers() int { return len(r.workers) }
-
-// WorkerStats returns rank's counters; call only after Run returns.
-func (r *Runtime) WorkerStats(rank int) Stats { return r.workers[rank].Stats() }
 
 // ParkedWorkers returns how many workers are currently blocked in the
 // parking lot. Unlike most introspection here it is safe to call

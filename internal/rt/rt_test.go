@@ -16,7 +16,6 @@ func runSpec(t *testing.T, spec workloads.Spec, workers int, seed uint64) {
 	}
 	cfg := rt.DefaultConfig(workers)
 	cfg.Seed = seed
-	cfg.NoPin = true // tests run many runtimes; don't monopolise OS threads
 	r := rt.New(cfg)
 	got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
 	if err != nil {
@@ -65,7 +64,6 @@ func TestNQueensParallel(t *testing.T) {
 func TestStatsConservation(t *testing.T) {
 	spec := workloads.Fib(18, 20)
 	cfg := rt.DefaultConfig(8)
-	cfg.NoPin = true
 	r := rt.New(cfg)
 	got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
 	if err != nil {
@@ -104,7 +102,6 @@ func TestStatsConservation(t *testing.T) {
 func TestRunTwiceRejected(t *testing.T) {
 	spec := workloads.Fib(5, 0)
 	cfg := rt.DefaultConfig(1)
-	cfg.NoPin = true
 	r := rt.New(cfg)
 	if _, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil {
 		t.Fatal(err)

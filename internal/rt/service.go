@@ -1,6 +1,7 @@
 package rt
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -52,6 +53,12 @@ type JobParams struct {
 	// weights reduce to FIFO and a weight-w job is admitted as if it
 	// had arrived w times earlier. <= 0 means 1.
 	Weight int
+	// Ctx, if it can be canceled, cancels the job (queued or mid-run)
+	// with Ctx.Err() as the cause. nil means never.
+	Ctx context.Context
+	// MaxWall cancels the job once it has run this long, counted from
+	// DISPATCH (queue time is free). 0 means unbounded.
+	MaxWall time.Duration
 }
 
 // JobResult is one job's per-job report.
@@ -74,19 +81,19 @@ const (
 	tkDone
 )
 
-// Ticket is the submitter's handle on one admitted job.
+// Ticket is the submitter's handle on one admitted job, resolved by
+// the goroutine that finalizes it — normally the completing worker.
 type Ticket struct {
-	id   uint64
-	done chan struct{}
-	// dispatched is closed by the worker that claims the job off the
-	// admission queue — the anchor for deadlines that must exclude queue
-	// time. Never closed for jobs canceled or failed while still queued
-	// (watch Done alongside it).
-	dispatched chan struct{}
-	once       sync.Once
-	res        JobResult
-	err        error
-	submitNS   int64
+	id       uint64
+	done     chan struct{}
+	once     sync.Once
+	res      JobResult
+	err      error
+	submitNS int64
+	// The job's watchers (nil when not needed), stopped by deliver:
+	// JobParams.Ctx's hook and the MaxWall timer. Guarded by jobMu.
+	stopCtx  func() bool
+	deadline *time.Timer
 	// dispatchNS is stamped by the dispatching worker; atomic because a
 	// pool failure may finalize the ticket from another goroutine.
 	dispatchNS atomic.Int64
@@ -106,20 +113,21 @@ func (t *Ticket) ID() uint64 { return t.id }
 // Done returns a channel closed when the job has been finalized.
 func (t *Ticket) Done() <-chan struct{} { return t.done }
 
-// Dispatched returns a channel closed when a worker claims the job off
-// the admission queue and begins executing it. It never closes for a
-// job canceled (or failed) while still queued, so select on Done too.
-func (t *Ticket) Dispatched() <-chan struct{} { return t.dispatched }
-
 // Wait blocks until the job is finalized and returns its result.
 func (t *Ticket) Wait() (JobResult, error) {
 	<-t.done
 	return t.res, t.err
 }
 
-// deliver publishes the job's outcome exactly once.
+// deliver publishes the job's outcome exactly once, stopping its watchers.
 func (t *Ticket) deliver(r *Runtime, res JobResult, err error) {
 	t.once.Do(func() {
+		if t.stopCtx != nil {
+			t.stopCtx()
+		}
+		if t.deadline != nil {
+			t.deadline.Stop()
+		}
 		t.res, t.err = res, err
 		r.jobsDone.Add(1)
 		close(t.done)
@@ -133,8 +141,7 @@ type pendingJob struct {
 	fid    core.FuncID
 	locals uint32
 	init   func(*core.Env)
-	grain  uint64
-	weight int
+	par    JobParams
 	seq    uint64
 }
 
@@ -197,17 +204,16 @@ func (p *Pool) Submit(fid core.FuncID, localsLen uint32, init func(*core.Env), p
 		return nil, ErrPoolSaturated
 	}
 	r.submitSeq++
-	t := &Ticket{
-		id: r.submitSeq, done: make(chan struct{}),
-		dispatched: make(chan struct{}), submitNS: nowNS(), state: tkQueued,
-	}
-	r.jobQueue = append(r.jobQueue, &pendingJob{
-		t: t, fid: fid, locals: localsLen, init: init,
-		grain: par.Grain, weight: par.Weight, seq: r.submitSeq,
-	})
+	t := &Ticket{id: r.submitSeq, done: make(chan struct{}), submitNS: nowNS(), state: tkQueued}
+	r.jobQueue = append(r.jobQueue, &pendingJob{t: t, fid: fid, locals: localsLen, init: init, par: par, seq: r.submitSeq})
 	r.queuedCount.Store(int64(len(r.jobQueue)))
 	r.activeTk[t] = struct{}{}
 	r.jobWG.Add(1)
+	// Hooked under jobMu once the ticket is queued: the hook (its own
+	// goroutine) must find a ticket cancel can act on.
+	if ctx := par.Ctx; ctx != nil && ctx.Done() != nil {
+		t.stopCtx = context.AfterFunc(ctx, func() { r.cancel(t, ctx.Err()) })
+	}
 	r.jobMu.Unlock()
 	// Queued before waking: a parker that registered after our store
 	// either sees the count in its recheck or is claimed by this wake.
@@ -221,8 +227,9 @@ func (p *Pool) Submit(fid core.FuncID, localsLen uint32, init func(*core.Env), p
 // bodies, co-resident jobs are untouched, and the ticket resolves to a
 // JobCanceledError once the job's quiescence count closes. Returns
 // false if the job had already been finalized.
-func (p *Pool) Cancel(t *Ticket, cause error) bool {
-	r := p.r
+func (p *Pool) Cancel(t *Ticket, cause error) bool { return p.r.cancel(t, cause) }
+
+func (r *Runtime) cancel(t *Ticket, cause error) bool {
 	if cause == nil {
 		cause = errors.New("canceled")
 	}
@@ -296,13 +303,21 @@ func (p *Pool) Close() error {
 		r.watchdog.Stop()
 	}
 	r.elapsed = time.Since(r.startT)
+	r.total = r.TotalStats() // snapshot: the memory may serve another pool now
 	r.failMu.Lock()
 	err := r.err
 	r.failMu.Unlock()
+	if err == nil {
+		err = r.checkPoolQuiescence()
+	}
 	if err != nil {
 		return err
 	}
-	return r.checkPoolQuiescence()
+	for _, w := range r.workers { // quiescent: all the memory's next tenant needs
+		putWorkerMem(w.workerMem)
+		w.workerMem = workerMem{}
+	}
+	return nil
 }
 
 // Workers returns the worker count.
@@ -315,8 +330,8 @@ func (p *Pool) Obs() *obs.WallRecorder { return p.r.Obs() }
 // Elapsed returns the pool's lifetime; call after Close.
 func (p *Pool) Elapsed() time.Duration { return p.r.Elapsed() }
 
-// TotalStats sums all workers' counters; call only after Close.
-func (p *Pool) TotalStats() Stats { return p.r.TotalStats() }
+// TotalStats is the sum of all workers' counters at Close.
+func (p *Pool) TotalStats() Stats { return p.r.total }
 
 // ParkedWorkers returns how many workers are blocked on the parking lot
 // right now (safe mid-run — one atomic load).
@@ -356,7 +371,7 @@ func (w *Worker) startQueuedJob() bool {
 		v.jobCounts.Reset(slot)
 	}
 	js := r.jobs.Get(slot)
-	js.Grain.Store(pj.grain)
+	js.Grain.Store(pj.par.Grain)
 	js.Result.Store(0)
 	rec := w.newRecord(sched.JobTag(slot))
 	js.Root.Store(uint64(rec))
@@ -383,9 +398,9 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 		return nil, 0, false
 	}
 	best := 0
-	bestKey := float64(r.jobQueue[0].seq) / float64(r.jobQueue[0].weight)
+	bestKey := float64(r.jobQueue[0].seq) / float64(r.jobQueue[0].par.Weight)
 	for i := 1; i < len(r.jobQueue); i++ {
-		if k := float64(r.jobQueue[i].seq) / float64(r.jobQueue[i].weight); k < bestKey {
+		if k := float64(r.jobQueue[i].seq) / float64(r.jobQueue[i].par.Weight); k < bestKey {
 			best, bestKey = i, k
 		}
 	}
@@ -403,8 +418,12 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 	meta.single = false
 	pj.t.state = tkRunning
 	pj.t.slot = slot
+	// The budget runs from dispatch, so it is armed here — BEFORE the
+	// stamp: the microsecond it costs is queue time, not execution.
+	if t, d := pj.t, pj.par.MaxWall; d > 0 {
+		t.deadline = time.AfterFunc(d, func() { r.cancel(t, fmt.Errorf("job exceeded JobMaxWall %v", d)) })
+	}
 	pj.t.dispatchNS.Store(nowNS())
-	close(pj.t.dispatched)
 	return pj, slot, true
 }
 
@@ -536,6 +555,7 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	}
 	r.jobMu.Lock()
 	t.state = tkDone
+	delete(r.activeTk, t)
 	meta.t = nil
 	js.Root.Store(0)
 	js.State.Store(sched.JobFree)
@@ -575,8 +595,8 @@ func (r *Runtime) failTickets(err error) {
 
 // checkPoolQuiescence is the pool analogue of CheckQuiescence: after
 // the last job no frame, waiter or record may survive anywhere (job
-// roots included — finalizeSlot released them), and every slot must be
-// back on the free list.
+// roots included — finalizeSlot released them), no record may still
+// name a waiter, and every slot must be back on the free list.
 func (r *Runtime) checkPoolQuiescence() error {
 	live := 0
 	for _, w := range r.workers {
@@ -587,6 +607,9 @@ func (r *Runtime) checkPoolQuiescence() error {
 			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after pool close", w.rank, len(w.waitq))
 		}
 		live += w.records.Live()
+		if n := w.records.Waiters(); n != 0 {
+			return fmt.Errorf("rt: %d of worker %d's records name a waiter after pool close", n, w.rank)
+		}
 	}
 	if live != 0 {
 		return fmt.Errorf("rt: %d records live after pool close, want 0", live)

@@ -17,7 +17,6 @@ import (
 // errors.
 func newPool(t *testing.T, cfg rt.Config) *rt.Pool {
 	t.Helper()
-	cfg.NoPin = true
 	p, err := rt.NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)

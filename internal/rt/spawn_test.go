@@ -16,7 +16,6 @@ import (
 // factory as ≈2.
 func TestSpawnPathAllocFree(t *testing.T) {
 	cfg := DefaultConfig(1)
-	cfg.NoPin = true
 	p, err := NewPool(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +100,6 @@ func swParentTask(e *core.Env) core.Status {
 // parent, then reads the (now dead) local copy of the parent's frame.
 func TestStealDuringSpawnInit(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.NoPin = true
 	r := New(cfg)
 	queued := func() (n uint64) {
 		for _, w := range r.workers {

@@ -3,7 +3,6 @@ package rt
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sync/atomic"
 
 	"uniaddr/internal/core"
@@ -23,12 +22,12 @@ type Stats struct {
 	// quiescence arithmetic treats a drained task as executed).
 	TasksDrained uint64
 	Spawns       uint64
-	JoinsFast     uint64
-	JoinsMiss     uint64
-	Suspends      uint64
-	ResumesLocal  uint64
-	ResumesWait   uint64
-	ParentStolen  uint64
+	JoinsFast    uint64
+	JoinsMiss    uint64
+	Suspends     uint64
+	ResumesLocal uint64
+	ResumesWait  uint64
+	ParentStolen uint64
 
 	StealAttempts   uint64
 	StealsOK        uint64
@@ -91,20 +90,18 @@ const (
 	envPoolCap = 64
 )
 
-// Worker is one scheduling context: a goroutine (optionally pinned to
-// an OS thread), its uni-address arena, its deque and its record pool.
+// Worker is one scheduling context: a plain goroutine (not pinned: see
+// DESIGN.md §10), its uni-address arena, its deque and its record pool.
 // It implements core.Exec, so task functions written against core.Env
 // run on it unchanged.
 type Worker struct {
-	rt      *Runtime
-	rank    int
-	arena   *sched.Arena
-	deque   *sched.Deque
-	records *sched.Table
-	waitq   []savedCtx
-	rng     *rand.Rand
-	stats   Stats
-	spin    uint64 // ExecWork sink; kept per-worker to avoid false sharing
+	rt        *Runtime
+	rank      int
+	workerMem // arena, deque, records: recycled across pools (memcache.go)
+	waitq     []savedCtx
+	rng       *rand.Rand
+	stats     Stats
+	spin      uint64 // ExecWork sink; kept per-worker to avoid false sharing
 
 	// stopFn is w.rt.stopped pre-bound once: passing the method value
 	// directly to Deque.Pop allocated a closure per pop — once per task
@@ -190,10 +187,6 @@ func (w *Worker) run() {
 			w.rt.fail(fmt.Errorf("rt: worker %d panicked: %v", w.rank, r))
 		}
 	}()
-	if !w.rt.cfg.NoPin {
-		runtime.LockOSThread()
-		defer runtime.UnlockOSThread()
-	}
 	if w.rank == 0 && !w.rt.persistent {
 		w.runRoot()
 	}
@@ -391,6 +384,9 @@ func (w *Worker) resumeReady() bool {
 	for i := range w.waitq {
 		if w.waitq[i].rec.Done.Load() != 0 {
 			sc := w.waitq[i]
+			// Stop waiting while the joiner still owns the record: a rank
+			// left behind outlives the join (see sched.Record.Waiter).
+			sc.rec.Waiter.Store(0)
 			// Preserve FIFO order among the remaining waiters.
 			copy(w.waitq[i:], w.waitq[i+1:])
 			w.waitq[len(w.waitq)-1] = savedCtx{}

@@ -186,6 +186,19 @@ func (a *Arena) Install(base mem.VA, size uint64) error {
 	return nil
 }
 
+// Reset returns the bookkeeping to its NewArena state (empty region,
+// zero high-water) so the arena can serve another runtime. O(1): the
+// bytes keep their old contents, which no reader can observe — a frame
+// is written in full (header encoded, locals cleared, or the whole
+// range copied in by a steal or resume) before anything loads from it,
+// the same rule that lets consecutive jobs of one pool share an arena.
+// Owner-only, like every other bookkeeping method; the caller must know
+// that no thief is still copying out of the bytes.
+func (a *Arena) Reset() {
+	a.Clear()
+	a.max = 0
+}
+
 // Clear empties the region, reclaiming space held by the dead local
 // copies of stolen threads. Called only when no thread is running and
 // the deque is empty, at which point everything left belongs to threads

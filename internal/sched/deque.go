@@ -209,6 +209,18 @@ func NewDeque(capacity uint64) *Deque {
 	return d
 }
 
+// Reset returns the deque to its NewDeque state: empty, unlocked,
+// indices back at zero. O(1) — the slots keep stale entries, which are
+// unreadable until a bottom store publishes them again (edge 1). Only
+// for a deque no owner or thief is using any more; a lock word left
+// non-zero by a stop-aborted LockOwner is absorbed like any failed
+// locker's increment.
+func (d *Deque) Reset() {
+	d.hdr.top.Store(0)
+	d.hdr.bottom.Store(0)
+	d.hdr.lock.Store(0)
+}
+
 func (d *Deque) entryAt(i uint64) Entry {
 	s := &d.slots[i&(d.cap-1)]
 	return Entry{FrameBase: mem.VA(s.base), FrameSize: s.size}

@@ -46,7 +46,12 @@ type Record struct {
 	// (ExecComplete). Under seq-cst ordering at least one side observes
 	// the other, so a suspended joiner is always either resumed by its
 	// own recheck or woken precisely by the completer — never silently
-	// left parked (see DESIGN.md §10).
+	// left parked (see DESIGN.md §10). An rt joiner stores 0 again when
+	// it stops waiting (a recheck hit, or the resume of its suspended
+	// thread) while it still owns the record, so a record re-enters the
+	// free lists with Waiter == 0: a stale rank would send every later
+	// completion of the recycled record through the parking-lot mutex,
+	// and would index out of range in a runtime with fewer workers.
 	Waiter atomic.Int64
 	// Job tags the record with its owning job while allocated: slot+1
 	// (see JobTag), 0 when free or outside a persistent pool. The
@@ -167,9 +172,10 @@ func (t *Table) Alloc() (uint32, error) {
 		t.localFree = t.localFree[:n-1]
 		// Only Done needs resetting for reuse. Result is always stored
 		// by the completer before it stores Done=1, so the new epoch's
-		// joiner can never read the old value; a stale Waiter causes at
-		// worst one spurious wake (the Dekker handshake in ExecJoin /
-		// ExecComplete never depends on the field's initial value).
+		// joiner can never read the old value; Waiter is already 0 where
+		// anyone reads it — an rt joiner that set it cleared it again
+		// before releasing the record (see Record.Waiter), and dist
+		// never acts on it.
 		t.recs[idx].Done.Store(0)
 	} else if uint64(t.nextFresh) < uint64(len(t.recs)) {
 		idx = t.nextFresh
@@ -217,6 +223,35 @@ func (t *Table) SweepJob(tag uint64) int {
 	for i := range t.recs {
 		if t.recs[i].Job.Load() == tag && t.recs[i].Job.CompareAndSwap(tag, 0) {
 			t.Release(uint32(i))
+			n++
+		}
+	}
+	return n
+}
+
+// Reset returns the table to its NewTable state — every record zero,
+// both free lists empty, counters zero — in time proportional to the
+// records ever handed out: nextFresh bounds the indices any Alloc,
+// Release or completer can have written. Only for a table whose owner
+// and every handle holder have stopped (the words are cleared with
+// plain stores); the caller decides whether the contents were worth
+// keeping, e.g. that Live() is 0.
+func (t *Table) Reset() {
+	clear(t.recs[:t.nextFresh])
+	t.hdr.releaseHead.Store(0)
+	t.hdr.freedRem.Store(0)
+	t.localFree = t.localFree[:0]
+	t.nextFresh, t.allocs, t.freedLoc = 0, 0, 0
+}
+
+// Waiters counts the records that still name a suspended joiner
+// (quiescence check: a resumed joiner clears the word, so any survivor
+// is a thread that was never resumed — or a resume that forgot to).
+// Same calling rule as Live.
+func (t *Table) Waiters() int {
+	n := 0
+	for i := range t.recs[:t.nextFresh] {
+		if t.recs[i].Waiter.Load() != 0 {
 			n++
 		}
 	}

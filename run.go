@@ -66,7 +66,7 @@ type Option func(*options)
 func WithBackend(name string) Option { return func(o *options) { o.backend = name } }
 
 // WithWorkers sets the worker count: simulated processes (sim),
-// OS threads (rt) or OS processes (dist). Default 4.
+// goroutines (rt) or OS processes (dist). Default 4.
 func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithSeed pins the seed driving every random scheduling decision.
@@ -176,7 +176,7 @@ func rejectFaultKnobs(backend string, fc *FaultConfig) error {
 }
 
 // Report is the unified result of a Run on any backend: the same shape
-// whether the workers were simulated processes, OS threads or OS
+// whether the workers were simulated processes, goroutines or OS
 // processes, so tooling can compare backends field by field.
 type Report struct {
 	Backend string `json:"backend"`

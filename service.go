@@ -66,9 +66,9 @@ type Service struct {
 	mu     sync.Mutex
 	closed bool
 	seq    uint64
-	queued int           // sim/dist: admitted, not yet dispatched
-	slots  chan struct{} // sim/dist: running-concurrency tokens
-	wg     sync.WaitGroup
+	queued int            // sim/dist: admitted, not yet dispatched
+	slots  chan struct{}  // sim/dist: running-concurrency tokens
+	wg     sync.WaitGroup // sim/dist: one goroutine per job
 }
 
 // ErrServiceSaturated is returned by Submit when the service's bounded
@@ -203,11 +203,14 @@ func JobTrace(w io.Writer) JobOption { return func(o *jobOptions) { o.trace = w 
 // w times earlier. <= 0 means 1. Sim/dist admission is FIFO.
 func JobWeight(w int) JobOption { return func(o *jobOptions) { o.weight = w } }
 
-// Job is the submitter's handle on one admitted job.
+// Job is the submitter's handle on one admitted job. On the rt pool it
+// is a view of the pool's ticket, which the completing worker resolves.
 type Job struct {
-	id   uint64
+	id      uint64
+	tk      *rt.Ticket // rt pool only
+	workers int        // rt pool only: for the Report
+	// sim/dist: resolved by the job's ephemeral-world goroutine.
 	done chan struct{}
-	once sync.Once
 	rep  Report
 	err  error
 }
@@ -218,7 +221,12 @@ type Job struct {
 func (j *Job) ID() uint64 { return j.id }
 
 // Done returns a channel closed when the job has been finalized.
-func (j *Job) Done() <-chan struct{} { return j.done }
+func (j *Job) Done() <-chan struct{} {
+	if j.tk != nil {
+		return j.tk.Done()
+	}
+	return j.done
+}
 
 // Wait blocks until the job is finalized and returns its Report — the
 // same shape Run returns, plus the Job and QueueNS fields. On the rt
@@ -226,15 +234,23 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 // quiescence accounting); pool-wide steal counters are not attributed
 // to single jobs.
 func (j *Job) Wait() (Report, error) {
+	if j.tk != nil {
+		res, err := j.tk.Wait()
+		return Report{
+			Backend: BackendRT, Workers: j.workers,
+			Root: res.Result, WallNS: res.ExecNS,
+			Tasks: res.Tasks, Spawns: res.Spawns,
+			Job: j.id, QueueNS: res.QueueNS,
+		}, err
+	}
 	<-j.done
 	return j.rep, j.err
 }
 
+// finalize resolves a sim/dist job; each job's goroutine calls it once.
 func (j *Job) finalize(rep Report, err error) {
-	j.once.Do(func() {
-		j.rep, j.err = rep, err
-		close(j.done)
-	})
+	j.rep, j.err = rep, err
+	close(j.done)
 }
 
 // NewService validates the option set and builds the service. On the
@@ -347,9 +363,6 @@ func (s *Service) Submit(ctx context.Context, fid FuncID, localsLen uint32, init
 	for _, opt := range opts {
 		opt(&jo)
 	}
-	if jo.weight <= 0 {
-		jo.weight = 1
-	}
 	if s.o.backend == BackendRT {
 		for _, bad := range []struct {
 			set  bool
@@ -372,67 +385,20 @@ func (s *Service) Submit(ctx context.Context, fid FuncID, localsLen uint32, init
 	return s.submitEphemeral(ctx, fid, localsLen, init, jo)
 }
 
-// submitRT admits a job onto the persistent rt pool and bridges its
-// ticket to the facade Job, watching ctx and the JobMaxWall deadline.
+// submitRT admits a job onto the persistent rt pool, which from here on
+// watches ctx and the JobMaxWall budget and resolves the Job's ticket.
 func (s *Service) submitRT(ctx context.Context, fid FuncID, localsLen uint32, init func(*Env), jo jobOptions) (*Job, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	tk, err := s.pool.Submit(fid, localsLen, init,
+		rt.JobParams{Grain: jo.grain, Weight: jo.weight, Ctx: ctx, MaxWall: jo.maxWall})
+	switch {
+	case err == nil:
+		return &Job{id: tk.ID(), tk: tk, workers: s.o.workers}, nil
+	case errors.Is(err, rt.ErrPoolSaturated):
+		return nil, ErrServiceSaturated
+	case errors.Is(err, rt.ErrPoolClosed):
 		return nil, ErrServiceClosed
 	}
-	tk, err := s.pool.Submit(fid, localsLen, init, rt.JobParams{Grain: jo.grain, Weight: jo.weight})
-	if err != nil {
-		s.mu.Unlock()
-		switch {
-		case errors.Is(err, rt.ErrPoolSaturated):
-			return nil, ErrServiceSaturated
-		case errors.Is(err, rt.ErrPoolClosed):
-			return nil, ErrServiceClosed
-		}
-		return nil, err
-	}
-	s.wg.Add(1)
-	s.mu.Unlock()
-	j := &Job{id: tk.ID(), done: make(chan struct{})}
-	go func() {
-		defer s.wg.Done()
-		var deadline *time.Timer
-		select {
-		case <-ctx.Done():
-			s.pool.Cancel(tk, ctx.Err())
-			<-tk.Done()
-		case <-tk.Dispatched():
-			// JobMaxWall bounds execution, not queueing: the deadline is
-			// armed only once a worker claims the job, so a submission
-			// that outwaits its budget in the admission queue still runs.
-			if jo.maxWall > 0 {
-				d := jo.maxWall
-				deadline = time.AfterFunc(d, func() {
-					s.pool.Cancel(tk, fmt.Errorf("job exceeded JobMaxWall %v", d))
-				})
-			}
-			select {
-			case <-ctx.Done():
-				s.pool.Cancel(tk, ctx.Err())
-				<-tk.Done()
-			case <-tk.Done():
-			}
-		case <-tk.Done():
-			// Finalized while still queued (canceled or pool failure).
-		}
-		if deadline != nil {
-			deadline.Stop()
-		}
-		res, err := tk.Wait()
-		rep := Report{
-			Backend: BackendRT, Workers: s.o.workers,
-			Root: res.Result, WallNS: res.ExecNS,
-			Tasks: res.Tasks, Spawns: res.Spawns,
-			Job: j.id, QueueNS: res.QueueNS,
-		}
-		j.finalize(rep, err)
-	}()
-	return j, nil
+	return nil, err
 }
 
 // submitEphemeral admits a sim/dist job: it waits for one of the
