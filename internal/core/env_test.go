@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"testing"
@@ -26,6 +27,25 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 	f()
 }
 
+// The job tag took the header's reserved word: the header stays 32
+// bytes, the tag decodes with the rest, and neither a resume-point
+// stamp nor a write to the last local slot disturbs it.
+func TestFrameHeaderCarriesJob(t *testing.T) {
+	if core.FrameHeaderBytes != 32 {
+		t.Fatalf("frame header is %d bytes, want 32", core.FrameHeaderBytes)
+	}
+	frame := bytes.Repeat([]byte{0xff}, int(core.FrameBytes(16)))
+	rec := core.MakeHandle(2, 0x80)
+	core.EncodeFrameHeader(frame, 9, 16, 0xabcd1234, rec)
+	core.SetFrameResume(frame, 5)
+	e := core.NewEnv(nil, 0x1000, frame, 0)
+	e.SetU64(1, ^uint64(0))
+	want := core.FrameHeader{Fid: 9, Resume: 5, LocalsLen: 16, Job: 0xabcd1234, Record: rec}
+	if got := core.DecodeFrameHeader(e.Header()); got != want {
+		t.Fatalf("decoded %+v, want %+v", got, want)
+	}
+}
+
 func TestEnvAccessorBounds(t *testing.T) {
 	// rt/dist allocate an Env per level of spawn depth per job; past 64
 	// bytes that shows in dist_uts' alloc_bytes_per_task (~0.5 B/task).
@@ -35,7 +55,7 @@ func TestEnvAccessorBounds(t *testing.T) {
 	const locals = 4 * 8
 	size := core.FrameBytes(locals)
 	frame := make([]byte, size)
-	core.EncodeFrameHeader(frame, 1, locals, core.MakeHandle(3, 0x40))
+	core.EncodeFrameHeader(frame, 1, locals, 0, core.MakeHandle(3, 0x40))
 	e := core.NewEnv(nil, 0x1000, frame, 0)
 
 	e.SetU64(3, 0xfeed)

@@ -194,8 +194,11 @@ type FrameHeader struct {
 	Fid       FuncID
 	Resume    uint32
 	LocalsLen uint32
-	Record    Handle
-	TaskID    uint64
+	// Job is the tag of the job the thread belongs to (sched.JobTag:
+	// slot+1), 0 on backends that run one job at a time.
+	Job    uint32
+	Record Handle
+	TaskID uint64
 }
 
 // DecodeFrameHeader parses the header from the first FrameHeaderBytes
@@ -205,6 +208,7 @@ func DecodeFrameHeader(b []byte) FrameHeader {
 		Fid:       FuncID(binary.LittleEndian.Uint32(b[fhFuncIDOff:])),
 		Resume:    binary.LittleEndian.Uint32(b[fhResumeOff:]),
 		LocalsLen: binary.LittleEndian.Uint32(b[fhLocalsLenOff:]),
+		Job:       binary.LittleEndian.Uint32(b[fhJobOff:]),
 		Record:    Handle(binary.LittleEndian.Uint64(b[fhRecordOff:])),
 		TaskID:    binary.LittleEndian.Uint64(b[fhTaskIDOff:]),
 	}
@@ -220,11 +224,11 @@ func SetFrameResume(b []byte, rp uint32) {
 // EncodeFrameHeader writes a fresh header (resume point 0, task ID 0)
 // into b, which must hold at least FrameHeaderBytes. It writes all of
 // them, so the caller need only zero the locals that follow.
-func EncodeFrameHeader(b []byte, fid FuncID, localsLen uint32, rec Handle) {
+func EncodeFrameHeader(b []byte, fid FuncID, localsLen, job uint32, rec Handle) {
 	binary.LittleEndian.PutUint32(b[fhFuncIDOff:], uint32(fid))
 	binary.LittleEndian.PutUint32(b[fhResumeOff:], 0)
 	binary.LittleEndian.PutUint32(b[fhLocalsLenOff:], localsLen)
-	binary.LittleEndian.PutUint32(b[fhLocalsLenOff+4:], 0)
+	binary.LittleEndian.PutUint32(b[fhJobOff:], job)
 	binary.LittleEndian.PutUint64(b[fhRecordOff:], uint64(rec))
 	binary.LittleEndian.PutUint64(b[fhTaskIDOff:], 0)
 }

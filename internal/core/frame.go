@@ -263,7 +263,8 @@ func RegistryNames() []string {
 //	+0   funcID     u32
 //	+4   resumePt   u32  (the "saved instruction pointer")
 //	+8   localsLen  u32  (bytes of locals following the header)
-//	+12  reserved   u32
+//	+12  job        u32  (sched.JobTag of the owning job: slot+1 on a
+//	                      pool that multiplexes jobs, 0 on sim and dist)
 //	+16  record     u64  (Handle of this task's completion record)
 //	+24  taskID     u64  (obs.TaskID for lineage tracking; 0 when
 //	                      observability is disabled)
@@ -277,6 +278,7 @@ const (
 	fhFuncIDOff    = 0
 	fhResumeOff    = 4
 	fhLocalsLenOff = 8
+	fhJobOff       = 12
 	fhRecordOff    = 16
 	fhTaskIDOff    = 24
 )
@@ -308,7 +310,7 @@ func writeFrameHeader(space *mem.AddressSpace, base mem.VA, fid FuncID, localsLe
 		panic(err)
 	}
 	clear(b)
-	EncodeFrameHeader(b, fid, localsLen, rec)
+	EncodeFrameHeader(b, fid, localsLen, 0, rec)
 	return b
 }
 

@@ -302,7 +302,7 @@ func (w *worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle) *c
 	}
 	f := w.arena.MustSlice(base, size)
 	clear(f[core.FrameHeaderBytes:])
-	core.EncodeFrameHeader(f, fid, localsLen, rec)
+	core.EncodeFrameHeader(f, fid, localsLen, 0, rec)
 	return w.getEnv(base, f, 0)
 }
 
@@ -389,12 +389,12 @@ func (w *worker) enter(e *core.Env) core.Status {
 }
 
 // resumeReady restores the first suspended thread whose join target has
-// completed. The completer may be any process; its Done store is a
+// completed. The completer may be any process; its done store is a
 // one-sided write into our rank's table region, observed here by a
 // plain polling load.
 func (w *worker) resumeReady() bool {
 	for i := range w.waitq {
-		if w.waitq[i].rec.Done.Load() != 0 {
+		if w.waitq[i].rec.IsDone() {
 			sc := w.waitq[i]
 			copy(w.waitq[i:], w.waitq[i+1:])
 			w.waitq[len(w.waitq)-1] = savedCtx{}
@@ -540,7 +540,7 @@ func (w *worker) ExecWork(cycles uint64) {
 func (w *worker) ExecComplete(rec core.Handle, result uint64) {
 	r := w.seg.tables[rec.Rank()].Get(sched.RecordIndex(rec))
 	r.Result = result
-	r.Done.Store(1)
+	r.Job.Store(sched.RecordDone(0))
 	// Record the waiter handshake for symmetry with rt; there is no
 	// cross-process wake to deliver (idle workers poll), so the load is
 	// advisory only.
@@ -591,14 +591,14 @@ func (w *worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 		panic("dist: join on invalid handle")
 	}
 	r := w.seg.tables[h.Rank()].Get(sched.RecordIndex(h))
-	if r.Done.Load() != 0 {
+	if r.IsDone() {
 		w.stats.JoinsFast++
 		v := r.Result
 		w.releaseRecord(h)
 		return v, true
 	}
 	r.Waiter.Store(int64(w.rank) + 1)
-	if r.Done.Load() != 0 {
+	if r.IsDone() {
 		r.Waiter.Store(0)
 		w.stats.JoinsFast++
 		v := r.Result

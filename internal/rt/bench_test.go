@@ -25,7 +25,7 @@ func BenchmarkNewFrame(b *testing.B) {
 	const size = 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := w.newFrame(1, size-core.FrameHeaderBytes, 0)
+		e := w.newFrame(1, size-core.FrameHeaderBytes, 0, 0)
 		if err := w.arena.FreeLowest(e.FrameBase(), size); err != nil {
 			b.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func BenchmarkStealRoundTrip(b *testing.B) {
 	r := New(DefaultConfig(2))
 	victim, thief := r.workers[0], r.workers[1]
 	const size = 128
-	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0).FrameBase()
+	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -137,7 +137,7 @@ func TestRTObsDisabledPath(t *testing.T) {
 		t.Fatal("worker log wired with Obs off")
 	}
 	const size = 128
-	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0).FrameBase()
+	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
 	allocs := testing.AllocsPerRun(200, func() {
 		if err := victim.deque.Push(Entry{FrameBase: base, FrameSize: size}); err != nil {
 			t.Fatal(err)

@@ -158,7 +158,7 @@ func (w *Worker) hasWorkHint() bool {
 		}
 	}
 	for i := range w.waitq {
-		if w.waitq[i].rec.Done.Load() != 0 {
+		if w.waitq[i].rec.IsDone() {
 			return true
 		}
 	}

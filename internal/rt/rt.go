@@ -312,7 +312,7 @@ func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (
 	js := r.jobs.Get(0)
 	js.Grain.Store(r.cfg.Grain)
 	js.Root.Store(uint64(r.rootRec))
-	js.State.Store(sched.JobRunning)
+	js.State.Store(sched.JobState(0, sched.JobRunning))
 	r.jobMeta[0].single = true
 	watchdog := time.AfterFunc(r.cfg.MaxWall, func() {
 		r.fail(&TimeoutError{Budget: r.cfg.MaxWall})

@@ -20,8 +20,8 @@ import (
 // of exiting; an idle worker dispatches the next admitted job by
 // allocating a tagged root record from its own table and invoking the
 // root frame in its own arena. Per-job isolation and quiescence rest on
-// the job tags (sched.Record.Job) and the per-worker counter pairs
-// (sched.JobCounters); see DESIGN.md §15.
+// the job tags (in every frame header and record lifecycle word) and the
+// per-worker counter pairs (sched.JobCounters); see DESIGN.md §15.
 
 // ErrPoolSaturated is returned by Submit when the bounded admission
 // queue is full — the pool's backpressure signal.
@@ -265,20 +265,22 @@ func (r *Runtime) cancel(t *Ticket, cause error) bool {
 		meta.cancelErr = &JobCanceledError{Job: t.id, Cause: cause}
 		t.cancelASAP.Store(true)
 		r.jobMu.Unlock()
-		r.cancelRunning(slot)
+		r.cancelRunning(slot, t.id)
 		return true
 	}
 }
 
-// cancelRunning flips a running job to draining and re-runs the
+// cancelRunning flips running job id to draining and re-runs the
 // quiescence check (the job may already be quiescent, or may never
-// complete another task — e.g. every remaining frame is suspended).
-func (r *Runtime) cancelRunning(slot uint32) {
-	if r.jobs.Get(slot).State.CompareAndSwap(sched.JobRunning, sched.JobDraining) {
+// complete another task — e.g. every remaining frame is suspended). A
+// completer that bumped Executed and read anyCanceled == 0 did both
+// before the Add below, so the check here counts it.
+func (r *Runtime) cancelRunning(slot uint32, id uint64) {
+	if r.jobs.Get(slot).Advance(id, sched.JobRunning, sched.JobDraining) {
 		r.anyCanceled.Add(1)
 		// Parked workers must wake to pop-and-drain the job's frames.
 		r.lot.wakeAll()
-		r.drainCheck(slot, 0)
+		r.drainCheck(slot, id)
 	}
 }
 
@@ -373,15 +375,16 @@ func (w *Worker) startQueuedJob() bool {
 	js := r.jobs.Get(slot)
 	js.Grain.Store(pj.par.Grain)
 	js.Result.Store(0)
-	rec := w.newRecord(sched.JobTag(slot))
+	tag := sched.JobTag(slot)
+	rec := w.newRecord(tag)
 	js.Root.Store(uint64(rec))
-	js.State.Store(sched.JobRunning)
+	js.State.Store(sched.JobState(pj.t.id, sched.JobRunning))
 	// Close the dispatch/cancel race: a Cancel that found the slot not
 	// yet Running set cancelASAP before we stored it (see Ticket).
 	if pj.t.cancelASAP.Load() {
-		r.cancelRunning(slot)
+		r.cancelRunning(slot, pj.t.id)
 	}
-	e := w.newFrame(pj.fid, pj.locals, rec)
+	e := w.newFrame(pj.fid, pj.locals, rec, tag)
 	if pj.init != nil {
 		pj.init(e)
 	}
@@ -427,32 +430,25 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 	return pj, slot, true
 }
 
-// rootComplete runs inside the ExecComplete that completed a job's root
-// record (so the caller holds one Pending bracket). Exactly one
-// finalizer wins the slot's state CAS, even against a concurrent
-// cancel.
-func (r *Runtime) rootComplete(slot uint32, result uint64) {
-	js := r.jobs.Get(slot)
-	meta := &r.jobMeta[slot]
-	js.Result.Store(result)
-	if js.State.CompareAndSwap(sched.JobRunning, sched.JobDone) {
-		// Joined children's completers may still be inside their own
-		// brackets (their Done stores landed — the join saw them — but
-		// their slot reads have not necessarily retired). They must all
-		// leave before the slot can be recycled under them.
-		r.waitJobSettled(slot, 1)
-		if meta.single {
-			r.finish(result)
-			return
-		}
-		r.finalizeSlot(slot, result, nil)
+// rootFinalize runs in the ExecComplete that completed a job's root
+// record and won the slot's Running→Done CAS, after its Executed bump.
+// The winner waits for closure: joined children's bumps may trail their
+// done stores by an instruction, and until the last one lands its
+// completer may still be reading the slot. A root that leaked an
+// unjoined child thus delays finalization until the child ends (or
+// MaxWall fails the pool) instead of recycling the slot under it.
+func (r *Runtime) rootFinalize(slot uint32, result uint64) {
+	if r.jobMeta[slot].single {
+		r.finish(result)
 		return
 	}
-	// A cancel won the state race: the job reports canceled even though
-	// its root raced to completion; the drain arithmetic closes it.
-	if js.State.Load() == sched.JobDraining {
-		r.drainCheck(slot, 1)
+	for ex, sp := r.jobSums(slot); ex != sp+1; ex, sp = r.jobSums(slot) {
+		if r.stopped() {
+			return
+		}
+		runtime.Gosched()
 	}
+	r.finalizeSlot(slot, result, nil)
 }
 
 // jobSums returns the job's cross-worker (executed, spawned) totals.
@@ -471,28 +467,24 @@ func (r *Runtime) jobSums(slot uint32) (ex, sp uint64) {
 	return ex, sp
 }
 
-// drainCheck finalizes a draining job once its quiescence count closes:
-// sweep the record tables for the tags the drained frames abandoned,
-// then deliver the cancellation. Runs after every ExecComplete of a
-// draining job and once from Cancel itself (the job may already be
-// quiescent when the cancel lands). held is the number of Pending
-// brackets the CALLER holds on this slot: 1 from an ExecComplete tail,
-// 0 from the Cancel path.
-func (r *Runtime) drainCheck(slot uint32, held int64) {
-	ex, sp := r.jobSums(slot)
-	if ex != sp+1 {
-		return
-	}
+// drainCheck finalizes draining job id once its quiescence count
+// closes: sweep the record tables for the tags the drained frames
+// abandoned, then deliver the cancellation. Runs after every
+// ExecComplete while some job is draining and once from Cancel itself
+// (the job may already be quiescent when the cancel lands). A caller
+// whose bump already landed may find job id finalized and the slot
+// re-tenanted at any point in here, so the sums can mix two tenants and
+// look closed. The CAS settles it: it succeeds only if id still holds
+// the slot and is draining — id was never finalized, and the sums were
+// its own (DESIGN.md §15 has the straddle a phase-only CAS let through).
+func (r *Runtime) drainCheck(slot uint32, id uint64) {
 	js := r.jobs.Get(slot)
-	if !js.State.CompareAndSwap(sched.JobDraining, sched.JobDone) {
+	if js.State.Load() != sched.JobState(id, sched.JobDraining) {
 		return
 	}
-	// The count closing proves every frame's Executed bump landed, NOT
-	// that the Result/Done stores sequenced after those bumps did. Wait
-	// for every other in-flight completion bracket to retire before
-	// touching the records, or the sweep below could release (and a new
-	// job re-allocate) a record whose completer is still mid-store.
-	r.waitJobSettled(slot, held)
+	if ex, sp := r.jobSums(slot); ex != sp+1 || !js.Advance(id, sched.JobDraining, sched.JobDone) {
+		return
+	}
 	r.anyCanceled.Add(-1)
 	tag := sched.JobTag(slot)
 	for _, w := range r.workers {
@@ -501,50 +493,18 @@ func (r *Runtime) drainCheck(slot uint32, held int64) {
 	r.finalizeSlot(slot, 0, r.jobMeta[slot].cancelErr)
 }
 
-// pendingSum is the slot's cross-worker in-flight-completion gauge.
-func (r *Runtime) pendingSum(slot uint32) int64 {
-	var n int64
-	for _, w := range r.workers {
-		n += w.jobCounts.Get(slot).Pending.Load()
-	}
-	return n
-}
-
-// waitJobSettled spins until every in-flight ExecComplete bracket for
-// the slot other than the caller's own (held of them) has retired. Only
-// a finalizer that already won the slot's terminal state CAS may call
-// this, and only after quiescence-count closure, so no NEW bracket for
-// this job can open during the wait; brackets never block between their
-// +1 and -1 except to run this very finalization, so the spin is
-// bounded by scheduler preemption. A stale +1 from a previous tenant's
-// finalizer (slot recycled while it was between finalizeSlot and its
-// own -1) only lengthens the wait — it retires without blocking.
-func (r *Runtime) waitJobSettled(slot uint32, held int64) {
-	for r.pendingSum(slot) != held {
-		runtime.Gosched()
-	}
-}
-
-// finalizeSlot releases the job's root record, checks per-job
-// quiescence, delivers the ticket and recycles the slot. Called exactly
-// once per dispatched job, by whichever goroutine won the JobDone CAS.
+// finalizeSlot releases the job's root record, delivers the ticket and
+// recycles the slot. Called exactly once per dispatched job, by
+// whichever goroutine won the JobDone CAS, after the job's count closed.
 func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	js := r.jobs.Get(slot)
 	meta := &r.jobMeta[slot]
 	t := meta.t
-	tag := sched.JobTag(slot)
-	// Release the root record unless the cancel sweep already claimed
-	// it (same CAS-the-tag protocol as SweepJob).
+	// Release the root record unless the cancel sweep already claimed it.
 	if h := core.Handle(js.Root.Load()); h.Valid() {
-		tb := r.workers[h.Rank()].records
-		if tb.Get(sched.RecordIndex(h)).Job.CompareAndSwap(tag, 0) {
-			tb.Release(sched.RecordIndex(h))
-		}
+		r.workers[h.Rank()].records.ReleaseTagged(sched.RecordIndex(h), sched.JobTag(slot))
 	}
 	ex, sp := r.jobSums(slot)
-	if jobErr == nil && ex != sp+1 {
-		jobErr = fmt.Errorf("rt: job %d quiescence violation: %d tasks executed, %d spawned (+1 root)", meta.id, ex, sp)
-	}
 	disp := t.dispatchNS.Load()
 	res := JobResult{
 		Result:  result,
@@ -616,7 +576,7 @@ func (r *Runtime) checkPoolQuiescence() error {
 	}
 	for i := 0; i < r.cfg.MaxJobs; i++ {
 		if st := r.jobs.Get(uint32(i)).State.Load(); st != sched.JobFree {
-			return fmt.Errorf("rt: job slot %d in state %d after pool close, want free", i, st)
+			return fmt.Errorf("rt: job slot %d in state %#x after pool close, want free", i, st)
 		}
 	}
 	if len(r.freeSlots) != r.cfg.MaxJobs {

@@ -182,32 +182,47 @@ func TestPoolPerJobTaskCount(t *testing.T) {
 // TestPoolSaturation drives the bounded admission queue to rejection:
 // with one job slot and a depth-1 queue, a running job plus a queued
 // job leaves no room — the third submit must bounce with
-// ErrPoolSaturated, not block.
+// ErrPoolSaturated, not block. The running job is gated on a channel: a
+// timed one could finish, and let the queued job dispatch, between the
+// second submit and the third.
 func TestPoolSaturation(t *testing.T) {
 	cfg := rt.DefaultConfig(2)
 	cfg.MaxJobs = 1
 	cfg.QueueDepth = 1
 	p := newPool(t, cfg)
+	gate := make(chan struct{})
+	gateFID := core.Register("rt_test.satgate", func(e *core.Env) core.Status {
+		<-gate
+		e.ReturnU64(7)
+		return core.Done
+	})
+	tk1, err := p.Submit(gateFID, 8, nil, rt.JobParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	heavy := workloads.Fib(20, 500)
-	tk1 := submitSpec(t, p, heavy, rt.JobParams{})
 	// Admission means the queue was empty, i.e. tk1 was claimed and is
 	// running (MaxJobs=1 keeps it in the only slot until done).
 	var tk2 *rt.Ticket
 	for {
-		var err error
 		tk2, err = p.Submit(heavy.Fid, heavy.Locals, heavy.Init, rt.JobParams{})
 		if err == nil {
 			break
 		}
 		if !errors.Is(err, rt.ErrPoolSaturated) {
+			close(gate)
 			t.Fatal(err)
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	if _, err := p.Submit(heavy.Fid, heavy.Locals, heavy.Init, rt.JobParams{}); !errors.Is(err, rt.ErrPoolSaturated) {
+	_, err = p.Submit(heavy.Fid, heavy.Locals, heavy.Init, rt.JobParams{})
+	close(gate)
+	if !errors.Is(err, rt.ErrPoolSaturated) {
 		t.Fatalf("third submit: got %v, want ErrPoolSaturated", err)
 	}
-	waitSpec(t, tk1, heavy)
+	if res, err := tk1.Wait(); err != nil || res.Result != 7 {
+		t.Fatalf("gate job: result %d err %v, want 7", res.Result, err)
+	}
 	waitSpec(t, tk2, heavy)
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
@@ -502,5 +517,160 @@ func TestPoolWatchdogFailsTickets(t *testing.T) {
 	}
 	if err := p.Close(); !errors.As(err, &te) {
 		t.Fatalf("Close after watchdog: got %v, want TimeoutError", err)
+	}
+}
+
+// grainProbe is a fib-shaped tree whose every entry — first run and each
+// resume after a steal or a suspended join — compares Env.Grain() with
+// the value its job was submitted with. A frame that lost its job tag in
+// flight switches the worker onto the co-resident job's slot and reads
+// that job's grain. Result: tasks in the subtree, plus 1<<40 per
+// mismatching entry. Slots: 0=n, 1=want, 2=h1, 3=h2, 4=acc.
+var grainProbeFID core.FuncID
+
+func init() { grainProbeFID = core.Register("rt_test.grainprobe", grainProbe) }
+
+func grainProbe(e *core.Env) core.Status {
+	const locals = 5 * 8
+	if e.Grain() != e.U64(1) {
+		e.SetU64(4, e.U64(4)+1<<40)
+	}
+	n, want := e.U64(0), e.U64(1)
+	child := func(k uint64) func(*core.Env) {
+		return func(c *core.Env) { c.SetU64(0, k); c.SetU64(1, want) }
+	}
+	switch e.RP() {
+	case 0:
+		e.Work(100)
+		if n < 2 {
+			e.ReturnU64(1 + e.U64(4))
+			return core.Done
+		}
+		if !e.Spawn(1, 2, grainProbeFID, locals, child(n-1)) {
+			return core.Unwound
+		}
+		fallthrough
+	case 1:
+		if !e.Spawn(2, 3, grainProbeFID, locals, child(n-2)) {
+			return core.Unwound
+		}
+		fallthrough
+	case 2:
+		r, ok := e.Join(2, e.HandleAt(2))
+		if !ok {
+			return core.Unwound
+		}
+		e.SetU64(4, e.U64(4)+r)
+		fallthrough
+	case 3:
+		r, ok := e.Join(3, e.HandleAt(3))
+		if !ok {
+			return core.Unwound
+		}
+		e.ReturnU64(1 + e.U64(4) + r)
+		return core.Done
+	}
+	panic("grainprobe: bad resume point")
+}
+
+// TestFrameKeepsJobTagAcrossMigration: the job tag rides in the frame
+// header, so it must survive everything that moves frame bytes — a
+// steal, a batch steal (the entries that stay on the thief's deque), a
+// suspend to the heap and the resume. Two co-resident jobs with
+// different grains on two workers; every task of each reads its own.
+func TestFrameKeepsJobTagAcrossMigration(t *testing.T) {
+	const n = 18
+	want := 2*workloads.FibSequential(n+1) - 1
+	var st rt.Stats
+	for attempt := 0; attempt < 20; attempt++ {
+		cfg := rt.DefaultConfig(2)
+		cfg.MaxJobs = 2
+		cfg.MaxWall = 30 * time.Second // a lost tag never closes its job's count
+		cfg.Seed = uint64(attempt) + 1
+		p := newPool(t, cfg)
+		var tks [2]*rt.Ticket
+		for round := 0; round < 4; round++ {
+			for j, grain := range []uint64{3, 5} {
+				tk, err := p.Submit(grainProbeFID, 5*8, func(e *core.Env) { e.SetU64(0, n); e.SetU64(1, grain) }, rt.JobParams{Grain: grain})
+				if err != nil {
+					t.Fatal(err)
+				}
+				tks[j] = tk
+			}
+			for j, tk := range tks {
+				res, err := tk.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Result != want {
+					t.Fatalf("job %d of round %d: result %#x, want %d tasks and no grain mismatch (%d entries read the other job's grain)",
+						j, round, res.Result, want, res.Result>>40)
+				}
+			}
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		s := p.TotalStats()
+		st.StealsOK += s.StealsOK
+		st.StealBatches += s.StealBatches
+		st.StealBatchEntries += s.StealBatchEntries
+		st.Suspends += s.Suspends
+		if st.StealsOK > 0 && st.Suspends > 0 && st.StealBatchEntries > st.StealBatches {
+			t.Logf("%d steals in %d batches, %d suspends over %d pools", st.StealsOK, st.StealBatches, st.Suspends, attempt+1)
+			return
+		}
+	}
+	t.Skipf("every task read its own grain, but this host produced %d steals in %d batches and %d suspends: migration not exercised",
+		st.StealsOK, st.StealBatches, st.Suspends)
+}
+
+// TestPoolLeakedChildDelaysFinalization: a root that returns without
+// joining a child it spawned does not get its slot recycled under the
+// running child. The completer that took the job to Done waits for the
+// count to close, so the ticket resolves only when the leaked task ends —
+// with an exact report — and never before.
+func TestPoolLeakedChildDelaysFinalization(t *testing.T) {
+	cfg := rt.DefaultConfig(2)
+	cfg.MaxJobs = 1
+	cfg.MaxWall = 30 * time.Second
+	p := newPool(t, cfg)
+	gate, rootDone := make(chan struct{}), make(chan struct{})
+	childFID := core.Register("rt_test.leakchild", func(e *core.Env) core.Status {
+		<-gate
+		e.ReturnU64(1)
+		return core.Done
+	})
+	// The child runs first and blocks its worker; the other worker steals
+	// the root's continuation, which returns without a join.
+	rootFID := core.Register("rt_test.leakroot", func(e *core.Env) core.Status {
+		if e.RP() == 0 && !e.Spawn(1, 0, childFID, 8, func(*core.Env) {}) {
+			return core.Unwound
+		}
+		close(rootDone)
+		e.ReturnU64(9)
+		return core.Done
+	})
+	tk, err := p.Submit(rootFID, 8, nil, rt.JobParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-rootDone
+	select {
+	case <-tk.Done():
+		close(gate)
+		t.Fatal("job finalized while its leaked child was still running")
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(gate)
+	res, err := tk.Wait()
+	if err != nil || res.Result != 9 || res.Tasks != 2 || res.Spawns != 1 {
+		t.Fatalf("after the child ended: result %d tasks %d spawns %d err %v, want 9, 2, 1, nil", res.Result, res.Tasks, res.Spawns, err)
+	}
+	// The slot is reusable; the child's never-joined record is the leak
+	// Close reports.
+	waitSpec(t, submitSpec(t, p, workloads.Fib(10, 0), rt.JobParams{}), workloads.Fib(10, 0))
+	if err := p.Close(); err == nil {
+		t.Error("Close reported a clean pool although the leaked child's record was never released")
 	}
 }

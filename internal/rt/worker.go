@@ -140,6 +140,8 @@ type Worker struct {
 	// curJob / curJobID / curSlot cache the job the last invoked frame
 	// belonged to (owner-only; ^uint32(0) = none yet). curJobID guards
 	// against a slot being recycled to a new job between two frames.
+	// Spawns, completions and nested entries inside a task body all
+	// belong to that frame's job, so they take it from here.
 	curJob   uint32
 	curJobID uint64
 	curSlot  *sched.JobSlot
@@ -249,7 +251,7 @@ func (w *Worker) clearDead() bool {
 // of the simulator's newThread on rank 0). The root record was
 // pre-allocated by Runtime.Run before goroutines started.
 func (w *Worker) runRoot() {
-	e := w.newFrame(w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec)
+	e := w.newFrame(w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec, sched.JobTag(0))
 	if w.rt.rootInit != nil {
 		w.rt.rootInit(e)
 	}
@@ -259,7 +261,9 @@ func (w *Worker) runRoot() {
 // newFrame builds a fresh thread below the current chain and returns
 // the Env addressing it. The arena is sliced ONCE: zeroing the locals,
 // the header (all of it written) and the Env's view share that slice.
-func (w *Worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle) *core.Env {
+// job is the tag of the job the thread belongs to: part of its state, so
+// it rides in the header through every steal and suspend.
+func (w *Worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle, job uint64) *core.Env {
 	size := core.FrameBytes(localsLen)
 	base, err := w.arena.AllocBelow(size)
 	if err != nil {
@@ -267,7 +271,7 @@ func (w *Worker) newFrame(fid core.FuncID, localsLen uint32, rec core.Handle) *c
 	}
 	f := w.arena.MustSlice(base, size)
 	clear(f[core.FrameHeaderBytes:])
-	core.EncodeFrameHeader(f, fid, localsLen, rec)
+	core.EncodeFrameHeader(f, fid, localsLen, uint32(job), rec)
 	return w.getEnv(base, f, 0)
 }
 
@@ -325,36 +329,32 @@ func (w *Worker) invoke(base mem.VA, size uint64) core.Status {
 func (w *Worker) enter(e *core.Env) core.Status {
 	base, size := e.FrameBase(), e.FrameSize()
 	h := core.DecodeFrameHeader(e.Header())
-	// Map the frame to its job through its record's tag and switch this
-	// worker's cached job context if the frame belongs to another job
-	// (steals interleave jobs on one worker). The id recheck catches a
-	// slot recycled to a new job between two frames.
-	if tag := w.rt.workers[h.Record.Rank()].records.Get(sched.RecordIndex(h.Record)).Job.Load(); tag != 0 {
-		slot := uint32(tag - 1)
-		if slot != w.curJob || w.rt.jobMeta[slot].id != w.curJobID {
-			w.curJob = slot
-			w.curJobID = w.rt.jobMeta[slot].id
-			w.curSlot = w.rt.jobs.Get(slot)
-			w.grain = w.curSlot.Grain.Load()
-			w.wlog.SetJob(w.curJobID)
+	// Switch this worker's cached job context if the frame belongs to
+	// another job (steals interleave jobs on one worker). The id recheck
+	// catches a slot recycled to a new job between two frames.
+	if slot := h.Job - 1; slot != w.curJob || w.rt.jobMeta[slot].id != w.curJobID {
+		w.curJob = slot
+		w.curJobID = w.rt.jobMeta[slot].id
+		w.curSlot = w.rt.jobs.Get(slot)
+		w.grain = w.curSlot.Grain.Load()
+		w.wlog.SetJob(w.curJobID)
+	}
+	// Canceled job: complete the frame without running its body. Every
+	// task of a draining job is reached exactly once — it is popped,
+	// stolen or resumed like any other frame — so the per-job executed
+	// count still closes exactly, and completing the record here is what
+	// unblocks (and in turn drains) any parent suspended on it. Records
+	// the frame held references to are reclaimed by the post-quiescence
+	// sweep (Table.SweepJob).
+	if w.rt.anyCanceled.Load() > 0 && sched.JobPhase(w.curSlot.State.Load()) == sched.JobDraining {
+		w.ExecComplete(h.Record, 0)
+		w.stats.TasksExecuted++
+		w.stats.TasksDrained++
+		if err := w.arena.FreeLowest(base, size); err != nil {
+			panic(err)
 		}
-		// Canceled job: complete the frame without running its body.
-		// Every task of a draining job is reached exactly once — it is
-		// popped, stolen or resumed like any other frame — so the
-		// per-job executed count still closes exactly, and completing
-		// the record here is what unblocks (and in turn drains) any
-		// parent suspended on it. Records the frame held references to
-		// are reclaimed by the post-quiescence sweep (Table.SweepJob).
-		if w.rt.anyCanceled.Load() > 0 && w.curSlot.State.Load() == sched.JobDraining {
-			w.ExecComplete(h.Record, 0)
-			w.stats.TasksExecuted++
-			w.stats.TasksDrained++
-			if err := w.arena.FreeLowest(base, size); err != nil {
-				panic(err)
-			}
-			w.putEnv(e)
-			return core.Done
-		}
+		w.putEnv(e)
+		return core.Done
 	}
 	e.Rearm(h.Resume)
 	ts := w.wlog.Clock()
@@ -382,7 +382,7 @@ func (w *Worker) enter(e *core.Env) core.Status {
 // comes.
 func (w *Worker) resumeReady() bool {
 	for i := range w.waitq {
-		if w.waitq[i].rec.Done.Load() != 0 {
+		if w.waitq[i].rec.IsDone() {
 			sc := w.waitq[i]
 			// Stop waiting while the joiner still owns the record: a rank
 			// left behind outlives the join (see sched.Record.Waiter).
@@ -425,59 +425,41 @@ func (w *Worker) ExecWork(cycles uint64) {
 }
 
 // ExecComplete publishes a task's result: write result (a plain word),
-// then store done (seq-cst), so any joiner observing done==1 observes
-// the result.
+// then store done (seq-cst), so any joiner observing done observes the
+// result.
 // If a joiner recorded itself as the record's waiter before we stored
 // done, wake that worker precisely; the seq-cst done-store→waiter-load
 // order pairs with the joiner's waiter-store→done-load recheck so at
 // least one side always sees the other (DESIGN.md §10).
 //
-// Job-tagged completions run inside a Pending bracket (+1 before the
-// Executed bump, -1 after everything below has retired). The bracket is
-// what makes slot finalization safe against in-flight completers: the
-// Executed bump must precede the Done store (the root's completer sums
-// the counters, and every completion the join tree ordered before it
-// must already be counted — that is what makes executed == spawns+1
-// exact per job), so a finalizer that observes the count close can
-// still race the stores and the slot reads below. Closure DOES imply
-// every bracket's +1 landed (it precedes the counted bump), so a
-// finalizer that then waits for ΣPending to drain (waitJobSettled)
-// knows every record's Result/Done stores retired before it sweeps,
-// and that no completer will read js.Root/js.State after the slot is
-// recycled. Without the bracket, a drain finalizer could sweep and
-// recycle this frame's still-tagged record between our Executed bump
-// and our Done store — the stores would then land on a record already
-// re-allocated to a co-resident job.
+// The completing frame is the one this worker is running, so its job is
+// w.curJob. The completion is COUNTED LAST (sched.JobCount): until the
+// Executed bump lands the job's count cannot close, so neither finalizer
+// can sweep this record or recycle the slot under the stores above it.
+// After the bump nothing of the job is touched except through a CAS that
+// names it: the root's winner waits for closure and finalizes, anyone
+// else re-runs the drain check if some job is canceled (DESIGN.md §15).
 func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 	r := w.rt.workers[rec.Rank()].records.Get(sched.RecordIndex(rec))
-	// The tag cannot be stale: the job's quiescence count cannot close
-	// before THIS completion's Executed bump, so the slot it names is
-	// still the record's job for the whole bracket.
-	tag := r.Job.Load()
-	if tag == 0 {
-		r.Result = result
-		r.Done.Store(1)
-		if wr := r.Waiter.Load(); wr != 0 {
-			w.rt.lot.wakeWorker(w.rt.workers[wr-1])
-		}
-		return
-	}
-	slot := uint32(tag - 1)
-	jc := w.jobCounts.Get(slot)
-	jc.Pending.Add(1)
-	jc.Executed.Add(1)
+	slot, js, id := w.curJob, w.curSlot, w.curJobID
 	r.Result = result
-	r.Done.Store(1)
+	r.Job.Store(sched.RecordDone(sched.JobTag(slot)))
 	if wr := r.Waiter.Load(); wr != 0 {
 		w.rt.lot.wakeWorker(w.rt.workers[wr-1])
 	}
-	js := w.rt.jobs.Get(slot)
+	// A root that loses the CAS lost it to a cancel: the job reports
+	// canceled, and the drain arithmetic closes it.
+	won := false
 	if uint64(rec) == js.Root.Load() {
-		w.rt.rootComplete(slot, result)
-	} else if js.State.Load() == sched.JobDraining {
-		w.rt.drainCheck(slot, 1)
+		js.Result.Store(result)
+		won = js.Advance(id, sched.JobRunning, sched.JobDone)
 	}
-	jc.Pending.Add(-1)
+	w.jobCounts.Get(slot).Executed.Add(1)
+	if won {
+		w.rt.rootFinalize(slot, result)
+	} else if w.rt.anyCanceled.Load() > 0 {
+		w.rt.drainCheck(slot, id)
+	}
 }
 
 // ExecSpawnBegin is the child-first spawn (Fig. 4) on real concurrency
@@ -486,12 +468,13 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 // thief may take the parent, so init must not write it.
 func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.stats.Spawns++
-	// The spawn is counted (and the child's record tagged) against the
-	// spawning frame's job — w.curJob, set by the invoke that entered
-	// this task — BEFORE the child becomes visible to any other worker.
+	// The spawn is counted (and the child's record and frame tagged)
+	// against the spawning frame's job — w.curJob, set by the invoke that
+	// entered this task — BEFORE any other worker can see the child.
 	w.jobCounts.Get(w.curJob).Spawns.Add(1)
 	core.SetFrameResume(e.Header(), uint32(resumeRP))
-	rec := w.newRecord(sched.JobTag(w.curJob))
+	tag := sched.JobTag(w.curJob)
+	rec := w.newRecord(tag)
 	// The child's handle lands in the parent's frame BEFORE the
 	// continuation is published, so a migrated parent finds it.
 	e.SetHandle(handleSlot, rec)
@@ -504,7 +487,7 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 	if w.rt.lot.count.Load() > 0 {
 		w.rt.lot.wakeOne()
 	}
-	return w.newFrame(fid, localsLen, rec)
+	return w.newFrame(fid, localsLen, rec, tag)
 }
 
 // ExecSpawnRun runs the child inline, then pops the continuation — a
@@ -538,7 +521,7 @@ func (w *Worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 		panic("rt: join on invalid handle")
 	}
 	r := w.rt.workers[h.Rank()].records.Get(sched.RecordIndex(h))
-	if r.Done.Load() != 0 {
+	if r.IsDone() {
 		w.stats.JoinsFast++
 		v := r.Result
 		w.releaseRecord(h)
@@ -548,7 +531,7 @@ func (w *Worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	// that misses our waiter store must have stored done before our
 	// recheck loads it, and vice versa.
 	r.Waiter.Store(int64(w.rank) + 1)
-	if r.Done.Load() != 0 {
+	if r.IsDone() {
 		r.Waiter.Store(0)
 		w.stats.JoinsFast++
 		v := r.Result
@@ -569,14 +552,15 @@ func (w *Worker) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, boo
 	return 0, false
 }
 
-// newRecord allocates a record on this worker's pool, tagged with its
-// job before the handle can escape to another worker.
+// newRecord allocates a record on this worker's pool and opens it
+// pending under its job's tag before the handle can escape to another
+// worker.
 func (w *Worker) newRecord(jobTag uint64) core.Handle {
 	idx, err := w.records.Alloc()
 	if err != nil {
 		panic(err)
 	}
-	w.records.Get(idx).Job.Store(jobTag)
+	w.records.Get(idx).Job.Store(sched.RecordPending(jobTag))
 	return sched.RecordHandle(w.rank, idx)
 }
 

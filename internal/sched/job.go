@@ -8,14 +8,15 @@ import (
 
 // Jobs give a persistent worker pool many concurrent task trees over
 // one set of arenas/deques/record tables. Each admitted job owns a
-// *slot* in a flat JobTable; every record a job's tasks allocate is
-// tagged with slot+1 (Record.Job), so any worker holding a frame can
-// map it back to its job, and a canceled job's leaked records can be
-// swept by tag. Like Deque and Table, the JobTable is a fixed byte
-// layout over a caller-provided region so it can later live inside a
-// shared segment and ride the network fabric unchanged.
+// *slot* in a flat JobTable; every frame of the job carries slot+1 in
+// its header, so any worker holding a frame knows its job, and every
+// record its tasks allocate is opened under the same tag (Record.Job),
+// so a canceled job's leaked records can be swept by tag. Like Deque and
+// Table, the JobTable is a fixed byte layout over a caller-provided
+// region so it can later live inside a shared segment and ride the
+// network fabric unchanged.
 //
-// Job lifecycle (State):
+// Job lifecycle (the phase half of State):
 //
 //	JobFree ──dispatch──▶ JobRunning ──root completes──▶ JobDone ──▶ JobFree
 //	                          │                            ▲
@@ -23,8 +24,11 @@ import (
 //	                          ▼                            │
 //	                      JobDraining ──last task drains───┘
 //
-// All transitions after dispatch are CASes, so a root completion racing
-// a cancel resolves to exactly one finalizer.
+// All transitions after dispatch are CASes on the whole word — tenant
+// and phase (JobSlot.Advance) — so a root completion racing a cancel
+// resolves to exactly one finalizer, and a transition attempted for a
+// job that has since left the slot fails whatever phase its successor
+// is in.
 const (
 	JobFree uint64 = iota
 	// JobRunning: dispatched; tasks executing.
@@ -40,7 +44,15 @@ const (
 // JobSlot is the shared per-job word block. Spawn/executed counts are
 // NOT here: they are per-worker (JobCounters) so the spawn hot path
 // never touches a cache line another worker writes.
+//
+// The slot is recycled, and a completer's last look at it (the drain
+// check after its Executed bump, see JobCount) can come after its job
+// was finalized and the slot handed on. So State names its tenant, and
+// the stale look finds its own job gone. Every other slot access by a
+// task precedes that task's bump, which the finalizer waits for.
 type JobSlot struct {
+	// State is id<<2 | phase (JobState): the tenant's unique job id and
+	// one of JobFree/Running/Draining/Done. 0 is a free slot.
 	State atomic.Uint64
 	// Root holds the packed core.Handle of the job's root record (set
 	// before State becomes JobRunning); a completer compares its record
@@ -59,6 +71,18 @@ type JobSlot struct {
 }
 
 const jobSlotBytes = uint64(unsafe.Sizeof(JobSlot{}))
+
+// JobState packs a tenant id and a phase into a State word.
+func JobState(id, phase uint64) uint64 { return id<<2 | phase }
+
+// JobPhase extracts the phase from a State word.
+func JobPhase(state uint64) uint64 { return state & 3 }
+
+// Advance moves job id's slot from one phase to the next, failing if the
+// slot is in any other phase or holds any other job.
+func (s *JobSlot) Advance(id, from, to uint64) bool {
+	return s.State.CompareAndSwap(JobState(id, from), JobState(id, to))
+}
 
 // JobTableBytes returns the region footprint of a job table with the
 // given slot capacity.
@@ -100,28 +124,29 @@ func (t *JobTable) Get(idx uint32) *JobSlot { return &t.slots[idx] }
 // Cap returns the number of slots.
 func (t *JobTable) Cap() int { return len(t.slots) }
 
-// JobTag is the Record.Job value for a job in slot idx (0 is reserved
-// for "no job / released").
+// JobTag is the tag of the job in slot idx, carried by its frames'
+// headers and its records' lifecycle words (0 is reserved for "no job").
 func JobTag(idx uint32) uint64 { return uint64(idx) + 1 }
 
 // JobCount is one worker's spawn/executed pair for one job slot, padded
 // to a cache line: each worker writes only its own JobCounters, so the
 // per-task counter bumps are uncontended; cross-worker sums happen only
-// on the rare quiescence/drain checks.
+// on the rare quiescence/drain checks — concurrently with the bumps,
+// which is why both are atomic adds and not plain words.
+//
+// A job is quiescent when ΣExecuted == ΣSpawns+1, and only then may its
+// slot be finalized and its records swept. A completer bumps Executed
+// LAST — after its record's Result and done stores, the waiter wake and,
+// for the root, the slot's Result store and Running→Done CAS — so the
+// count cannot close, and the slot cannot change hands, under any of
+// those accesses; closure in turn means every store to the job's
+// records has retired.
 type JobCount struct {
 	Spawns   atomic.Uint64
 	Executed atomic.Uint64
-	// Pending brackets one in-flight completion on this worker: +1
-	// before the Executed bump, -1 after the completion's record stores
-	// AND its finalize/drain dispatch have retired. A finalizer that
-	// observed the quiescence count close must wait for ΣPending to
-	// drain before it may sweep the job's records or recycle the slot —
-	// closure alone only proves every Executed bump landed, not that the
-	// Result/Done stores ordered after those bumps did (see
-	// rt.Runtime.waitJobSettled). Unlike its siblings Pending is NEVER
-	// reset between jobs: a completer may still be inside its bracket
-	// when the finalizer (which itself holds a bracket) frees the slot,
-	// and its trailing -1 must land on whatever value it incremented.
+	// Pending is touched by nothing in the runtime: it bracketed each
+	// completion until counting last made that unnecessary, and stays
+	// because the frozen probe sched.jobcount_bracket_ns still adds to it.
 	Pending atomic.Int64
 	_       [64 - 3*8]byte
 }
@@ -166,9 +191,9 @@ func (c *JobCounters) Get(idx uint32) *JobCount { return &c.cnt[idx] }
 // Called by the dispatching worker before the slot's State becomes
 // JobRunning (no task of the new job exists yet, and the old job's
 // finalizer has already read its final values), so atomic stores
-// suffice. Pending is deliberately NOT reset: the previous tenant's
-// finalizer may still be inside its own completion bracket when the
-// slot is reused, and zeroing under it would drive the gauge negative.
+// suffice. A straggling completer of the old job may still SUM the pair
+// (its drain check) and read a mix of tenants; the tenant id in the
+// State word it then CASes is what makes that harmless.
 func (c *JobCounters) Reset(idx uint32) {
 	c.cnt[idx].Spawns.Store(0)
 	c.cnt[idx].Executed.Store(0)

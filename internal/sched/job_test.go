@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -28,16 +30,25 @@ func TestJobTableAttachAndTags(t *testing.T) {
 	}
 	// Fresh slots are JobFree; a second view over the same region sees
 	// state stored through the first.
-	jt.Get(2).State.Store(JobRunning)
+	jt.Get(2).State.Store(JobState(41, JobRunning))
 	jt2, err := NewJobTableAt(region, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := jt2.Get(2).State.Load(); got != JobRunning {
-		t.Fatalf("second view sees state %d, want JobRunning", got)
+	if got := jt2.Get(2).State.Load(); got != JobState(41, JobRunning) || JobPhase(got) != JobRunning {
+		t.Fatalf("second view sees state %#x, want job 41 running", got)
 	}
 	if jt2.Get(0).State.Load() != JobFree {
 		t.Fatal("fresh slot not JobFree")
+	}
+	// A transition names its tenant: the right phase under another id,
+	// and the right id in another phase, both refuse.
+	js := jt.Get(2)
+	if js.Advance(40, JobRunning, JobDone) || js.Advance(41, JobDraining, JobDone) {
+		t.Fatal("Advance moved a slot it did not name")
+	}
+	if !js.Advance(41, JobRunning, JobDraining) || js.State.Load() != JobState(41, JobDraining) {
+		t.Fatalf("Advance(41, running→draining) left state %#x", js.State.Load())
 	}
 	if JobTag(0) == 0 {
 		t.Fatal("JobTag(0) must be nonzero (0 means untagged)")
@@ -68,8 +79,8 @@ func TestJobCountersResetAndSum(t *testing.T) {
 }
 
 // TestSweepJobReclaimsExactlyTaggedRecords: sweep must free records
-// carrying the tag, skip already-released ones, and never double-free
-// when two sweepers race.
+// carrying the tag in either phase, skip already-released ones, and
+// never double-free when two sweepers race.
 func TestSweepJobReclaimsExactlyTaggedRecords(t *testing.T) {
 	tb := NewTable(8)
 	var idxs []uint32
@@ -80,17 +91,18 @@ func TestSweepJobReclaimsExactlyTaggedRecords(t *testing.T) {
 		}
 		idxs = append(idxs, idx)
 	}
-	// Tag four records as job slot 1, two as job slot 2.
-	for _, i := range idxs[:4] {
-		tb.Get(i).Job.Store(JobTag(1))
+	// Four records of job slot 1 (two still pending, two done), two of
+	// job slot 2.
+	for k, i := range idxs[:4] {
+		tb.Get(i).Job.Store(RecordPending(JobTag(1)) | uint64(k&1))
 	}
-	for _, i := range idxs[4:] {
-		tb.Get(i).Job.Store(JobTag(2))
+	for k, i := range idxs[4:] {
+		tb.Get(i).Job.Store(RecordPending(JobTag(2)) | uint64(k&1))
 	}
-	// A normal release clears the tag, so the sweep skips it.
+	// A normal release clears the word, so the sweep skips it.
 	tb.Release(idxs[0])
 	if got := tb.Get(idxs[0]).Job.Load(); got != 0 {
-		t.Fatalf("Release left tag %d", got)
+		t.Fatalf("Release left lifecycle word %#x", got)
 	}
 	if n := tb.SweepJob(JobTag(1)); n != 3 {
 		t.Fatalf("sweep reclaimed %d records, want 3", n)
@@ -99,12 +111,52 @@ func TestSweepJobReclaimsExactlyTaggedRecords(t *testing.T) {
 		t.Fatalf("second sweep reclaimed %d records, want 0", n)
 	}
 	// Job 2's records are untouched.
-	for _, i := range idxs[4:] {
-		if got := tb.Get(i).Job.Load(); got != JobTag(2) {
-			t.Fatalf("sweep disturbed other job's record %d: tag %d", i, got)
+	for k, i := range idxs[4:] {
+		if got := tb.Get(i).Job.Load(); got != RecordPending(JobTag(2))|uint64(k&1) {
+			t.Fatalf("sweep disturbed other job's record %d: word %#x", i, got)
 		}
 	}
 	if live := tb.Live(); live != 2 {
 		t.Fatalf("Live() = %d after sweep, want 2", live)
+	}
+}
+
+// TestSweepJobRacesRootRelease: a drain finalizer sweeps its job's tag
+// while the slot's root release (ReleaseTagged on the root's index, what
+// finalizeSlot does) claims the same record. Whatever phase the record
+// was left in, exactly one of the two frees it, and the neighbouring
+// job's record with the same index arithmetic is never taken.
+func TestSweepJobRacesRootRelease(t *testing.T) {
+	rounds := 2000
+	if testing.Short() {
+		rounds = 200
+	}
+	for round := 0; round < rounds; round++ {
+		tb := NewTable(4)
+		root, _ := tb.Alloc()
+		other, _ := tb.Alloc()
+		tag := JobTag(uint32(round % 5))
+		tb.Get(root).Job.Store(RecordPending(tag) | uint64(round&1)) // both phases
+		tb.Get(other).Job.Store(RecordDone(tag + 1))
+		var swept, released atomic.Int64
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			swept.Store(int64(tb.SweepJob(tag)))
+		}()
+		go func() {
+			defer wg.Done()
+			if tb.ReleaseTagged(root, tag) {
+				released.Store(1)
+			}
+		}()
+		wg.Wait()
+		if swept.Load()+released.Load() != 1 {
+			t.Fatalf("round %d: sweep claimed %d and root release %d, want exactly one claim", round, swept.Load(), released.Load())
+		}
+		if tb.Live() != 1 || tb.Get(root).Job.Load() != 0 || tb.Get(other).Job.Load() != RecordDone(tag+1) {
+			t.Fatalf("round %d: live %d, root word %#x, other word %#x", round, tb.Live(), tb.Get(root).Job.Load(), tb.Get(other).Job.Load())
+		}
 	}
 }

@@ -228,7 +228,7 @@ func TestDequePlainSlotsStress(t *testing.T) {
 // TestRecordPlainResultStress recycles ONE record between a joiner (the
 // table's owner: Alloc, join, ReleaseLocal) and a completer on another
 // goroutine, with Result a function of the epoch: a joiner that read
-// Result before the Done edge, or a completer that wrote into a record
+// Result before the done edge, or a completer that wrote into a record
 // still being read, shows as a wrong value (and as a race under -race).
 func TestRecordPlainResultStress(t *testing.T) {
 	epochs := uint64(200000)
@@ -250,7 +250,7 @@ func TestRecordPlainResultStress(t *testing.T) {
 				runtime.Gosched()
 			}
 			r.Result = result(epoch)
-			r.Done.Store(1)
+			r.Job.Store(RecordDone(0))
 		}
 	}()
 	for epoch := uint64(1); epoch <= epochs; epoch++ {
@@ -259,11 +259,11 @@ func TestRecordPlainResultStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		r := tb.Get(idx)
-		if r.Done.Load() != 0 {
+		if r.IsDone() {
 			t.Fatalf("epoch %d: recycled record still done", epoch)
 		}
 		posted.Store(epoch)
-		for r.Done.Load() == 0 {
+		for !r.IsDone() {
 			runtime.Gosched()
 		}
 		if got := r.Result; got != result(epoch) {

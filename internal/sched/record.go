@@ -24,25 +24,35 @@ const (
 	RecordBytes         = uint64(unsafe.Sizeof(Record{}))
 )
 
-// Record is one completion record. Done transitions 0→1 exactly once
-// per allocation; Result is a plain word written before the seq-cst
-// Done store and read only after a Done load returned non-zero, so a
-// joiner that loads Done==1 also observes the result — the same
-// publish order the simulator's 16-byte RDMA WRITE provides by landing
-// atomically. A recycled record's Result is rewritten only after its
-// Alloc, which follows the previous joiner's release (program order for
-// ReleaseLocal, the release stack's CAS→Swap for Release).
+// Record is one completion record. Job is its lifecycle word,
+// tag<<1 | done with 0 = free, and a record's whole life is three
+// stores to it: the allocator opens it pending under its job's tag
+// (RecordPending, before the handle escapes; dist never tags, so its
+// pending word is the 0 Release left and it stores nothing), the
+// completer marks it done (RecordDone), the joiner's release clears it.
+// All three are seq-cst because the word is read concurrently: a joiner
+// polls the done bit, and after a cancel SweepJob scans every record for
+// the tag, claiming by CAS so a record freed and reused is never taken
+// for a leaked one.
+//
+// Result is a plain word written before the done store and read only
+// after a load saw the done bit, so a joiner that sees done also
+// observes the result — the same publish order the simulator's 16-byte
+// RDMA WRITE provides by landing atomically. A recycled record's Result
+// is rewritten only after its Alloc, which follows the previous joiner's
+// release (program order for ReleaseLocal, the release stack's CAS→Swap
+// for Release).
 //
 // The next field threads the record through the table's shared release
 // stack; it is only meaningful while the record sits on that stack.
-// Embedding it in the record (rather than a parallel array, as rt once
-// did) keeps the Table a single flat region.
+// Embedding it in the record keeps the Table a single flat region. 32
+// bytes: two records per cache line.
 type Record struct {
-	Done   atomic.Uint64
+	Job    atomic.Uint64
 	Result uint64
 	// Waiter publishes which worker suspended at a join on this record:
-	// rank+1, 0 = none. The joiner stores Waiter BEFORE re-checking Done
-	// (ExecJoin); the completer stores Done BEFORE loading Waiter
+	// rank+1, 0 = none. The joiner stores Waiter BEFORE re-checking done
+	// (ExecJoin); the completer stores done BEFORE loading Waiter
 	// (ExecComplete). Under seq-cst ordering at least one side observes
 	// the other, so a suspended joiner is always either resumed by its
 	// own recheck or woken precisely by the completer — never silently
@@ -53,17 +63,18 @@ type Record struct {
 	// completion of the recycled record through the parking-lot mutex,
 	// and would index out of range in a runtime with fewer workers.
 	Waiter atomic.Int64
-	// Job tags the record with its owning job while allocated: slot+1
-	// (see JobTag), 0 when free or outside a persistent pool. The
-	// allocator stores it before the record's handle is published and
-	// Release/ReleaseLocal clear it before the index re-enters a free
-	// list, so SweepJob can reclaim exactly the records a canceled job
-	// leaked — and never one that was already freed and reused.
-	Job atomic.Uint64
 	// next holds idx+1 of the record below this one on the release
 	// stack (0 = end of chain).
 	next atomic.Uint64
 }
+
+// RecordPending and RecordDone are the lifecycle word's two live values
+// for a record of the job tagged tag (JobTag; 0 = untagged).
+func RecordPending(tag uint64) uint64 { return tag << 1 }
+func RecordDone(tag uint64) uint64    { return tag<<1 | 1 }
+
+// IsDone reports whether the record's task has completed.
+func (r *Record) IsDone() bool { return r.Job.Load()&1 != 0 }
 
 // tableHdr is the shared word block at the start of a table region.
 type tableHdr struct {
@@ -146,9 +157,10 @@ func NewTable(capacity uint64) *Table {
 	return t
 }
 
-// Alloc returns a record index whose Done field is zeroed. Owner-only:
-// called by the spawning worker (and once by the runtime for the root,
-// before any worker starts).
+// Alloc returns the index of a free record (lifecycle word 0: a fresh
+// one, or one whose Release cleared it), which the caller opens under
+// its job's tag. Owner-only: called by the spawning worker (and once by
+// the runtime for the root, before any worker starts).
 func (t *Table) Alloc() (uint32, error) {
 	if len(t.localFree) == 0 {
 		// Drain everything joiners have released since the last refill.
@@ -170,13 +182,10 @@ func (t *Table) Alloc() (uint32, error) {
 	if n := len(t.localFree); n > 0 {
 		idx = t.localFree[n-1]
 		t.localFree = t.localFree[:n-1]
-		// Only Done needs resetting for reuse. Result is always stored
-		// by the completer before it stores Done=1, so the new epoch's
-		// joiner can never read the old value; Waiter is already 0 where
-		// anyone reads it — an rt joiner that set it cleared it again
-		// before releasing the record (see Record.Waiter), and dist
-		// never acts on it.
-		t.recs[idx].Done.Store(0)
+		// Nothing to reset: Release cleared the lifecycle word, Result is
+		// stored by the completer before its done store, and Waiter is
+		// already 0 where anyone reads it — an rt joiner that set it
+		// cleared it before releasing the record, dist never acts on it.
 	} else if uint64(t.nextFresh) < uint64(len(t.recs)) {
 		idx = t.nextFresh
 		t.nextFresh++
@@ -210,19 +219,34 @@ func (t *Table) ReleaseLocal(idx uint32) {
 	t.freedLoc++
 }
 
+// ReleaseTagged releases record idx if it still belongs to the job
+// tagged tag, pending or done, and reports whether it did. The CAS on
+// the lifecycle word claims the record exactly once among racing callers
+// (a finalizer's root release and a cancel sweep), and never takes one
+// that was freed, or freed and reused by another job. Only for a job
+// whose count has closed: a completion between load and CAS would miss.
+func (t *Table) ReleaseTagged(idx uint32, tag uint64) bool {
+	r := &t.recs[idx]
+	w := r.Job.Load()
+	if w>>1 != tag || !r.Job.CompareAndSwap(w, 0) {
+		return false
+	}
+	t.Release(idx)
+	return true
+}
+
 // SweepJob releases every record still tagged with the given job tag
 // and returns how many it reclaimed. Called (from any worker) after a
-// canceled job's per-job quiescence count has closed: no task of the
-// job is running, so the only records still carrying the tag are the
-// ones drained frames abandoned — suspended joins that were completed
-// without their parent ever running the release, and child handles in
-// frames that were completed without running their bodies. The CAS
-// claims each record exactly once even if two sweepers race.
+// canceled job's per-job quiescence count has closed: every task of the
+// job has ended and, because a completer counts last, every store to
+// the job's records has retired. The records still carrying the tag are
+// the ones drained frames abandoned — suspended joins that were
+// completed without their parent ever running the release, and child
+// handles in frames that were completed without running their bodies.
 func (t *Table) SweepJob(tag uint64) int {
 	n := 0
 	for i := range t.recs {
-		if t.recs[i].Job.Load() == tag && t.recs[i].Job.CompareAndSwap(tag, 0) {
-			t.Release(uint32(i))
+		if t.ReleaseTagged(uint32(i), tag) {
 			n++
 		}
 	}

@@ -7,11 +7,11 @@ import (
 
 func TestRecordLayoutIsStable(t *testing.T) {
 	// The flat layout is an ABI between processes: Record must stay at
-	// its documented 40-byte stride (Done, Result, Waiter, Job, next)
-	// and the header on two cache lines; the deque header is lock, top
-	// and bottom, one line each.
-	if RecordBytes != 40 {
-		t.Fatalf("Record is %d bytes, want 40", RecordBytes)
+	// its documented 32-byte stride (lifecycle word Job, Result, Waiter,
+	// next: two records per cache line) and the header on two cache
+	// lines; the deque header is lock, top and bottom, one line each.
+	if unsafe.Sizeof(Record{}) != 32 || RecordBytes != 32 {
+		t.Fatalf("Record is %d bytes (RecordBytes %d), want 32", unsafe.Sizeof(Record{}), RecordBytes)
 	}
 	if tableHdrBytes != 128 {
 		t.Fatalf("table header is %d bytes, want 128", tableHdrBytes)
@@ -38,7 +38,7 @@ func TestTableAllocReleaseRecycles(t *testing.T) {
 		t.Fatal("alloc beyond capacity succeeded")
 	}
 	// Remote-style release via the Treiber stack, then realloc.
-	tb.Get(2).Done.Store(1)
+	tb.Get(2).Job.Store(RecordDone(JobTag(3)))
 	tb.Release(2)
 	idx, err := tb.Alloc()
 	if err != nil {
@@ -47,8 +47,8 @@ func TestTableAllocReleaseRecycles(t *testing.T) {
 	if idx != 2 {
 		t.Fatalf("realloc returned %d, want recycled 2", idx)
 	}
-	if tb.Get(idx).Done.Load() != 0 {
-		t.Fatal("recycled record's Done not reset")
+	if tb.Get(idx).IsDone() || tb.Get(idx).Job.Load() != 0 {
+		t.Fatalf("recycled record's lifecycle word is %#x, want 0 (free)", tb.Get(idx).Job.Load())
 	}
 	if live := tb.Live(); live != 4 {
 		t.Fatalf("Live() = %d, want 4", live)
@@ -74,9 +74,9 @@ func TestTableSharedRegionTwoViews(t *testing.T) {
 		t.Fatal(err)
 	}
 	owner.Get(idx).Result = 77
-	owner.Get(idx).Done.Store(1)
-	if got := remote.Get(idx).Result; got != 77 || remote.Get(idx).Done.Load() != 1 {
-		t.Fatalf("remote view sees result %d done %d", got, remote.Get(idx).Done.Load())
+	owner.Get(idx).Job.Store(RecordDone(0))
+	if got := remote.Get(idx).Result; got != 77 || !remote.Get(idx).IsDone() {
+		t.Fatalf("remote view sees result %d done %v", got, remote.Get(idx).IsDone())
 	}
 	remote.Release(idx)
 	// The owner's Live() must account the remote free (shared counter).

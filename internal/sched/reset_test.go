@@ -226,8 +226,8 @@ func driveTable(tb *Table, seed int64, steps int) []string {
 				continue
 			}
 			r := tb.Get(idx)
-			say("alloc = %d done %d waiter %d job %d", idx, r.Done.Load(), r.Waiter.Load(), r.Job.Load())
-			r.Job.Store(JobTag(uint32(rng.Intn(3))))
+			say("alloc = %d life %#x waiter %d", idx, r.Job.Load(), r.Waiter.Load())
+			r.Job.Store(RecordPending(JobTag(uint32(rng.Intn(3)))))
 			live = append(live, idx)
 		case op < 9 && len(live) > 0:
 			k := rng.Intn(len(live))
@@ -241,7 +241,7 @@ func driveTable(tb *Table, seed int64, steps int) []string {
 				r.Waiter.Store(int64(1 + rng.Intn(4)))
 			}
 			r.Result = uint64(i)
-			r.Done.Store(1)
+			r.Job.Store(r.Job.Load() | 1)
 			if suspended {
 				r.Waiter.Store(0)
 			}
@@ -283,10 +283,9 @@ func TestTableResetMatchesFresh(t *testing.T) {
 				break // the random prefix left fewer than 12 free: use what there is
 			}
 			r := used.Get(idx)
-			r.Done.Store(1)
+			r.Job.Store(RecordDone(JobTag(1)))
 			r.Result = 99
 			r.Waiter.Store(3)
-			r.Job.Store(JobTag(1))
 			idxs = append(idxs, idx)
 		}
 		if len(idxs) < 6 {
@@ -303,7 +302,7 @@ func TestTableResetMatchesFresh(t *testing.T) {
 			t.Fatalf("after Reset: live %d waiters %d release head %d", used.Live(), used.Waiters(), used.hdr.releaseHead.Load())
 		}
 		for i := range used.recs {
-			if r := &used.recs[i]; r.Done.Load() != 0 || r.Result != 0 || r.Waiter.Load() != 0 || r.Job.Load() != 0 || r.next.Load() != 0 {
+			if r := &used.recs[i]; r.Result != 0 || r.Waiter.Load() != 0 || r.Job.Load() != 0 || r.next.Load() != 0 {
 				t.Fatalf("after Reset: record %d is not zero", i)
 			}
 		}
