@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 
-	"uniaddr/internal/gas"
 	"uniaddr/internal/mem"
 )
 
@@ -12,14 +11,15 @@ import (
 // backend decides what a spawn, a join or a completion actually does.
 // Frame memory is NOT behind this interface: the backend hands the Env a
 // byte view of the frame at (re-)entry and slot accesses index it. Two
-// implementations exist:
+// kinds of implementation exist:
 //
 //   - *Worker (this package): the deterministic virtual-time simulator,
 //     where memory is a simulated AddressSpace and every operation
 //     advances a discrete-event clock.
-//   - internal/rt's worker: the real-parallelism runtime, where frames
-//     live in per-worker byte-slice arenas, the deque runs on real
-//     sync/atomic operations and time is wall-clock time.
+//   - internal/rt's and internal/dist's workers: the real backends,
+//     where frames live in per-worker byte arenas, the deque runs on
+//     real sync/atomic operations and time is wall-clock time. Both
+//     embed sched.Engine, which supplies the methods they share.
 //
 // The split keeps the simulator the semantic oracle: both backends run
 // the exact same registered task functions, so a differential harness
@@ -41,14 +41,6 @@ type Exec interface {
 	ExecSpawnRun(e, child *Env) bool
 	// ExecJoin runs the join protocol for e; see Env.Join.
 	ExecJoin(e *Env, resumeRP int, h Handle) (uint64, bool)
-	// Gas operations (§5.1 global references). Backends without a
-	// global heap panic with a descriptive message.
-	ExecGasHeap() *gas.Heap
-	ExecGasGet(r gas.Ref, buf []byte)
-	ExecGasPut(r gas.Ref, buf []byte)
-	ExecGasGetU64(r gas.Ref) uint64
-	ExecGasPutU64(r gas.Ref, v uint64)
-	ExecGasAlloc(n uint64) gas.Ref
 	// ExecGrain returns the configured task-granularity cutoff (see
 	// Config.Grain / GrainAuto): 0 = no coalescing, GrainAuto = let the
 	// workload pick a cutoff and gate it on ExecCoalesce.
@@ -59,7 +51,8 @@ type Exec interface {
 	// plenty of unstolen work"), so it is cheap and advisory.
 	ExecCoalesce() bool
 	// SimWorker returns the simulated worker executing the task, or nil
-	// when the backend is not the simulator.
+	// when the backend is not the simulator. The global heap (§5.1) is
+	// reached through it: only the simulator has one.
 	SimWorker() *Worker
 }
 
@@ -87,32 +80,6 @@ func (w *Worker) ExecWork(cycles uint64) {
 // ExecComplete publishes a result through the record protocol (local
 // write or one-sided RDMA WRITE).
 func (w *Worker) ExecComplete(rec Handle, result uint64) { w.completeRecord(rec, result) }
-
-func (w *Worker) mustGas() *gas.Heap {
-	if w.gas == nil {
-		panic("core: global heap disabled (Config.GasSize = 0)")
-	}
-	return w.gas
-}
-
-// ExecGasHeap returns the worker's global-heap handle (nil when
-// disabled).
-func (w *Worker) ExecGasHeap() *gas.Heap { return w.gas }
-
-// ExecGasGet dereferences a global reference into buf.
-func (w *Worker) ExecGasGet(r gas.Ref, buf []byte) { w.mustGas().Get(w.proc, r, buf) }
-
-// ExecGasPut stores buf through a global reference.
-func (w *Worker) ExecGasPut(r gas.Ref, buf []byte) { w.mustGas().Put(w.proc, r, buf) }
-
-// ExecGasGetU64 loads one word through a global reference.
-func (w *Worker) ExecGasGetU64(r gas.Ref) uint64 { return w.mustGas().GetU64(w.proc, r) }
-
-// ExecGasPutU64 stores one word through a global reference.
-func (w *Worker) ExecGasPutU64(r gas.Ref, v uint64) { w.mustGas().PutU64(w.proc, r, v) }
-
-// ExecGasAlloc allocates on this worker's global-heap segment.
-func (w *Worker) ExecGasAlloc(n uint64) gas.Ref { return w.mustGas().MustAlloc(w.proc, n) }
 
 // ExecGrain returns the machine's configured granularity cutoff.
 func (w *Worker) ExecGrain() uint64 { return w.m.cfg.Grain }

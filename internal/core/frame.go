@@ -421,32 +421,38 @@ func (e *Env) Bytes(off, n int) []byte {
 	return e.locals[off : off+n : off+n]
 }
 
+// gasWorker returns the simulated worker whose global heap serves e.
+func (e *Env) gasWorker() *Worker {
+	w := e.x.SimWorker()
+	if w == nil {
+		panic("core: global heap (gas) operations are supported on the simulator backend only; run this workload there")
+	}
+	if w.gas == nil {
+		panic("core: global heap disabled (Config.GasSize = 0)")
+	}
+	return w
+}
+
 // Gas returns the global heap for cross-thread data. Refs obtained
 // from it are plain integers: store them in frame slots with SetU64
 // and they migrate with the thread.
-func (e *Env) Gas() *gas.Heap {
-	h := e.x.ExecGasHeap()
-	if h == nil {
-		panic("core: global heap disabled (Config.GasSize = 0)")
-	}
-	return h
-}
+func (e *Env) Gas() *gas.Heap { return e.gasWorker().gas }
 
 // GasGet dereferences a global reference into buf, charging local-copy
 // or RDMA cost as appropriate.
-func (e *Env) GasGet(r gas.Ref, buf []byte) { e.x.ExecGasGet(r, buf) }
+func (e *Env) GasGet(r gas.Ref, buf []byte) { w := e.gasWorker(); w.gas.Get(w.proc, r, buf) }
 
 // GasPut stores buf through a global reference.
-func (e *Env) GasPut(r gas.Ref, buf []byte) { e.x.ExecGasPut(r, buf) }
+func (e *Env) GasPut(r gas.Ref, buf []byte) { w := e.gasWorker(); w.gas.Put(w.proc, r, buf) }
 
 // GasGetU64 loads one word through a global reference.
-func (e *Env) GasGetU64(r gas.Ref) uint64 { return e.x.ExecGasGetU64(r) }
+func (e *Env) GasGetU64(r gas.Ref) uint64 { w := e.gasWorker(); return w.gas.GetU64(w.proc, r) }
 
 // GasPutU64 stores one word through a global reference.
-func (e *Env) GasPutU64(r gas.Ref, v uint64) { e.x.ExecGasPutU64(r, v) }
+func (e *Env) GasPutU64(r gas.Ref, v uint64) { w := e.gasWorker(); w.gas.PutU64(w.proc, r, v) }
 
 // GasAlloc allocates on this worker's segment of the global heap.
-func (e *Env) GasAlloc(n uint64) gas.Ref { return e.x.ExecGasAlloc(n) }
+func (e *Env) GasAlloc(n uint64) gas.Ref { w := e.gasWorker(); return w.gas.MustAlloc(w.proc, n) }
 
 // Work charges cycles of task computation: simulated time on the
 // simulator (scaled on straggler workers), a calibrated spin on the

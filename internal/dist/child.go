@@ -242,9 +242,9 @@ func childMain(spec childSpec) int {
 		}()
 	}
 
-	w := newWorker(seg, spec.Rank, spec.Seed, plan, &hung, tuning{grain: spec.Grain, stealBatch: spec.StealBatch, tierGroup: spec.TierGroup})
+	w := newWorker(seg, spec.Rank, spec.Seed, spec.Grain, spec.StealBatch, spec.TierGroup, plan, &hung)
 	runErr := w.run()
-	bye := byeMsg{Rank: spec.Rank, Stats: w.stats}
+	bye := byeMsg{Rank: spec.Rank, Stats: w.FinalStats()}
 	if runErr != nil {
 		// Publish failure through the segment FIRST so sibling spins
 		// unwedge even if the control plane is slow, then report it.

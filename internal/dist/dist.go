@@ -32,36 +32,7 @@ type Result struct {
 func (r *Result) TotalStats() Stats {
 	var t Stats
 	for _, s := range r.PerWorker {
-		t.TasksExecuted += s.TasksExecuted
-		t.Spawns += s.Spawns
-		t.JoinsFast += s.JoinsFast
-		t.JoinsMiss += s.JoinsMiss
-		t.Suspends += s.Suspends
-		t.ResumesLocal += s.ResumesLocal
-		t.ResumesWait += s.ResumesWait
-		t.ParentStolen += s.ParentStolen
-		t.StealAttempts += s.StealAttempts
-		t.StealsOK += s.StealsOK
-		t.StealAbortEmpty += s.StealAbortEmpty
-		t.StealAbortLock += s.StealAbortLock
-		t.BytesStolen += s.BytesStolen
-		t.StealBatches += s.StealBatches
-		t.StealBatchEntries += s.StealBatchEntries
-		t.StealHintProbes += s.StealHintProbes
-		t.StealCacheProbes += s.StealCacheProbes
-		t.StealBlindProbes += s.StealBlindProbes
-		t.IdleSleeps += s.IdleSleeps
-		t.WorkCycles += s.WorkCycles
-		t.RecordsLive += s.RecordsLive
-		t.StealFaults += s.StealFaults
-		t.StealRetries += s.StealRetries
-		t.StealRollbacks += s.StealRollbacks
-		t.StealAbortsFault += s.StealAbortsFault
-		t.VictimBlacklists += s.VictimBlacklists
-		t.FaultBackoffNS += s.FaultBackoffNS
-		if s.MaxStackUsed > t.MaxStackUsed {
-			t.MaxStackUsed = s.MaxStackUsed
-		}
+		t.Add(s)
 	}
 	return t
 }
@@ -234,7 +205,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 	}
 
 	// --- root record + start barrier ---------------------------------
-	rootIdx, err := seg.tables[0].Alloc()
+	rootIdx, err := seg.peers[0].Records.Alloc()
 	if err != nil {
 		return abortRun(err)
 	}
@@ -364,7 +335,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 	}
 
 	start := time.Now()
-	w0 := newWorker(seg, 0, cfg.Seed, plan, nil, tuning{grain: cfg.Grain, stealBatch: cfg.StealBatch, tierGroup: cfg.TierGroup})
+	w0 := newWorker(seg, 0, cfg.Seed, cfg.Grain, cfg.StealBatch, cfg.TierGroup, plan, nil)
 	w0.rootFid, w0.rootLocals, w0.rootInit = fid, localsLen, init
 	if runErr := w0.run(); runErr != nil {
 		seg.failStore(1)
@@ -406,7 +377,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 		PerWorker: make([]Stats, cfg.Workers),
 		Obs:       obsExport,
 	}
-	res.PerWorker[0] = w0.stats
+	res.PerWorker[0] = w0.FinalStats()
 	for _, c := range children {
 		// A reaped child can reach here with no bye and no recorded
 		// error; surface it as a structured crash rather than reading
@@ -424,7 +395,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 	// parent's views now that all processes have passed their byes) and
 	// exactly one record — the never-joined root's — still live.
 	for r := 0; r < cfg.Workers; r++ {
-		if n := seg.deques[r].Size(); n != 0 {
+		if n := seg.peers[r].Deque.Size(); n != 0 {
 			return Result{Obs: obsExport}, fmt.Errorf("dist: rank %d deque holds %d entries after completion", r, n)
 		}
 	}

@@ -58,13 +58,12 @@ type segment struct {
 	bytes []byte
 	lay   layout
 	ctl   *ctlHdr
-	// deques[r], tables[r], arenas[r] are THIS process's views of rank
-	// r's structures. A view is just (pointer into segment, layout);
-	// only rank r's process uses the owner-side operations.
-	deques []*sched.Deque
-	tables []*sched.Table
-	arenas []*sched.Arena
-	hb     []hbSlot
+	// peers[r] is THIS process's views of rank r's arena, deque and
+	// record table — what every worker's Engine.Peers is. A view is just
+	// (pointer into segment, layout); only rank r's process uses the
+	// owner-side operations.
+	peers []sched.Views
+	hb    []hbSlot
 	// obs[r] is rank r's wall-clock event ring, hosted in the segment so
 	// the coordinator can harvest every rank's trace after the run — even
 	// a rank that was SIGKILLed mid-event (the flat ring decodes around
@@ -83,6 +82,7 @@ func attachSegment(b []byte, lay layout) (*segment, error) {
 		lay:   lay,
 		ctl:   (*ctlHdr)(unsafe.Pointer(&b[0])),
 		hb:    unsafe.Slice((*hbSlot)(unsafe.Pointer(&b[lay.hbOff])), lay.workers),
+		peers: make([]sched.Views, 0, lay.workers),
 	}
 	for r := 0; r < lay.workers; r++ {
 		d, err := sched.NewDequeAt(b[lay.dequeOff[r]:], lay.dequeCap)
@@ -93,9 +93,8 @@ func attachSegment(b []byte, lay layout) (*segment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: rank %d table: %w", r, err)
 		}
-		s.deques = append(s.deques, d)
-		s.tables = append(s.tables, t)
-		s.arenas = append(s.arenas, sched.NewArenaOver(lay.arenaBase, b[lay.arenaOff[r]:lay.arenaOff[r]+lay.arenaSize]))
+		a := sched.NewArenaOver(lay.arenaBase, b[lay.arenaOff[r]:lay.arenaOff[r]+lay.arenaSize])
+		s.peers = append(s.peers, sched.Views{Arena: a, Deque: d, Records: t})
 	}
 	return s, nil
 }

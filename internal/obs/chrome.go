@@ -30,10 +30,10 @@ type ChromeOpts struct {
 }
 
 type chromeArgs struct {
-	Name    string  `json:"name,omitempty"`    // metadata payload
-	Task    uint64  `json:"task,omitempty"`    // TaskID
-	Parent  uint64  `json:"parent,omitempty"`  // parent TaskID
-	Peer    *int32  `json:"peer,omitempty"`    // victim / target rank
+	Name    string  `json:"name,omitempty"`   // metadata payload
+	Task    uint64  `json:"task,omitempty"`   // TaskID
+	Parent  uint64  `json:"parent,omitempty"` // parent TaskID
+	Peer    *int32  `json:"peer,omitempty"`   // victim / target rank
 	Bytes   uint64  `json:"bytes,omitempty"`
 	Depth   *uint64 `json:"depth,omitempty"`
 	Failed  bool    `json:"failed,omitempty"`

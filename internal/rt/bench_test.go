@@ -25,11 +25,11 @@ func BenchmarkNewFrame(b *testing.B) {
 	const size = 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		e := w.newFrame(1, size-core.FrameHeaderBytes, 0, 0)
-		if err := w.arena.FreeLowest(e.FrameBase(), size); err != nil {
+		e := w.NewFrame(1, size-core.FrameHeaderBytes, 0, 0)
+		if err := w.Arena.FreeLowest(e.FrameBase(), size); err != nil {
 			b.Fatal(err)
 		}
-		w.putEnv(e)
+		w.PutEnv(e)
 	}
 }
 
@@ -51,8 +51,8 @@ func BenchmarkArenaWriteU64(b *testing.B) {
 }
 
 func BenchmarkDequePushPop(b *testing.B) {
-	d := NewDeque(1 << 10)
-	e := Entry{FrameBase: 0x1000, FrameSize: 128}
+	d := sched.NewDeque(1 << 10)
+	e := sched.Entry{FrameBase: 0x1000, FrameSize: 128}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := d.Push(e); err != nil {
@@ -71,27 +71,27 @@ func BenchmarkStealRoundTrip(b *testing.B) {
 	r := New(DefaultConfig(2))
 	victim, thief := r.workers[0], r.workers[1]
 	const size = 128
-	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
+	base := victim.NewFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := victim.deque.Push(Entry{FrameBase: base, FrameSize: size}); err != nil {
+		if err := victim.Deque.Push(sched.Entry{FrameBase: base, FrameSize: size}); err != nil {
 			b.Fatal(err)
 		}
-		ent, outcome := victim.deque.StealBegin()
-		if outcome != StealOK {
+		ent, outcome := victim.Deque.StealBegin()
+		if outcome != sched.StealOK {
 			b.Fatalf("steal outcome %v", outcome)
 		}
-		if err := thief.arena.Install(ent.FrameBase, ent.FrameSize); err != nil {
+		if err := thief.Arena.Install(ent.FrameBase, ent.FrameSize); err != nil {
 			b.Fatal(err)
 		}
-		src, err := victim.arena.Slice(ent.FrameBase, ent.FrameSize)
+		src, err := victim.Arena.Slice(ent.FrameBase, ent.FrameSize)
 		if err != nil {
 			b.Fatal(err)
 		}
-		copy(thief.arena.MustSlice(ent.FrameBase, ent.FrameSize), src)
-		victim.deque.StealCommit()
-		thief.arena.Clear()
+		copy(thief.Arena.MustSlice(ent.FrameBase, ent.FrameSize), src)
+		victim.Deque.StealCommit()
+		thief.Arena.Clear()
 	}
 }
 

@@ -22,10 +22,8 @@ type memKey struct {
 
 // workerMem is the memory one worker schedules over.
 type workerMem struct {
-	key     memKey
-	arena   *sched.Arena
-	deque   *sched.Deque
-	records *sched.Table
+	key memKey
+	sched.Views
 }
 
 // memCacheCap bounds the free list, in bundles (~24 MB by default).
@@ -52,20 +50,19 @@ func takeWorkerMem(k memKey) workerMem {
 		}
 	}
 	c.mu.Unlock()
-	return workerMem{
-		key:     k,
-		arena:   sched.NewArena(k.arenaBase, k.arenaSize),
-		deque:   sched.NewDeque(k.dequeCap),
-		records: sched.NewTable(k.recordCap),
-	}
+	return workerMem{k, sched.Views{
+		Arena:   sched.NewArena(k.arenaBase, k.arenaSize),
+		Deque:   sched.NewDeque(k.dequeCap),
+		Records: sched.NewTable(k.recordCap),
+	}}
 }
 
 // putWorkerMem resets a quiescent worker's bundle and shelves it,
 // dropping the oldest when full (a changed layout must not pin the old).
 func putWorkerMem(m workerMem) {
-	m.arena.Reset()
-	m.deque.Reset()
-	m.records.Reset()
+	m.Arena.Reset()
+	m.Deque.Reset()
+	m.Records.Reset()
 	c := &memCache
 	c.mu.Lock()
 	if c.n == memCacheCap {

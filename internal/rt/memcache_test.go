@@ -29,7 +29,7 @@ func memCacheLen() int {
 func poolArenas(p *Pool) map[*sched.Arena]bool {
 	m := map[*sched.Arena]bool{}
 	for _, w := range p.r.workers {
-		m[w.arena] = true
+		m[w.Arena] = true
 	}
 	return m
 }
@@ -125,7 +125,7 @@ func TestFailedPoolIsNotRecycled(t *testing.T) {
 	runOnPool(t, p, workloads.Fib(10, 0))
 	// The one worker allocated the root from its own table: record 0 is
 	// touched, and free. Nothing runs now, so nobody else writes it.
-	p.r.workers[0].records.Get(0).Waiter.Store(1)
+	p.r.workers[0].Records.Get(0).Waiter.Store(1)
 	if err := p.Close(); err == nil || !strings.Contains(err.Error(), "name a waiter") {
 		t.Fatalf("Close over a leftover waiter: got %v, want the quiescence error", err)
 	}
@@ -193,13 +193,13 @@ func TestMemCacheBoundedAndKeyed(t *testing.T) {
 	if got := memCacheLen(); got != memCacheCap {
 		t.Fatalf("shelf holds %d bundles, want the cap %d", got, memCacheCap)
 	}
-	if m := takeWorkerMem(ka); m.arena == oldest.arena {
+	if m := takeWorkerMem(ka); m.Arena == oldest.Arena {
 		t.Error("the oldest bundle survived a full shelf's worth of newer ones")
 	}
 	if got := memCacheLen(); got != memCacheCap {
 		t.Errorf("a miss took a bundle of another layout: %d left of %d", got, memCacheCap)
 	}
-	if m := takeWorkerMem(kb); m.arena != fresh[memCacheCap-1].arena {
+	if m := takeWorkerMem(kb); m.Arena != fresh[memCacheCap-1].Arena {
 		t.Error("a hit did not return the most recently shelved bundle of its layout")
 	}
 }

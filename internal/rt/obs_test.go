@@ -5,6 +5,7 @@ import (
 
 	"uniaddr/internal/core"
 	"uniaddr/internal/obs"
+	"uniaddr/internal/sched"
 	"uniaddr/internal/workloads"
 )
 
@@ -133,23 +134,23 @@ func TestRTObsDisabledPath(t *testing.T) {
 		t.Fatal("recorder allocated with Obs off")
 	}
 	victim, thief := r.workers[0], r.workers[1]
-	if victim.wlog != nil || victim.res.Log != nil {
+	if victim.Wlog != nil || victim.Res.Log != nil {
 		t.Fatal("worker log wired with Obs off")
 	}
 	const size = 128
-	base := victim.newFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
+	base := victim.NewFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
 	allocs := testing.AllocsPerRun(200, func() {
-		if err := victim.deque.Push(Entry{FrameBase: base, FrameSize: size}); err != nil {
+		if err := victim.Deque.Push(sched.Entry{FrameBase: base, FrameSize: size}); err != nil {
 			t.Fatal(err)
 		}
-		ent, outcome := thief.res.StealFrom(0, victim.deque, victim.arena, thief.arena)
-		if outcome != StealOK {
+		ent, outcome := thief.Res.StealFrom(0, victim.Deque, victim.Arena, thief.Arena)
+		if outcome != sched.StealOK {
 			t.Fatalf("steal outcome %v", outcome)
 		}
-		if err := thief.arena.FreeLowest(ent.FrameBase, ent.FrameSize); err != nil {
+		if err := thief.Arena.FreeLowest(ent.FrameBase, ent.FrameSize); err != nil {
 			t.Fatal(err)
 		}
-		thief.arena.Clear()
+		thief.Arena.Clear()
 	})
 	if allocs != 0 {
 		t.Fatalf("instrumented steal round trip allocates %.1f/op with obs off, want 0", allocs)

@@ -153,16 +153,11 @@ func (w *Worker) hasWorkHint() bool {
 		return true
 	}
 	for _, v := range w.rt.workers {
-		if v != w && v.deque.Size() > 0 {
+		if v != w && v.Deque.Size() > 0 {
 			return true
 		}
 	}
-	for i := range w.waitq {
-		if w.waitq[i].rec.IsDone() {
-			return true
-		}
-	}
-	return false
+	return w.HasReadyWaiter()
 }
 
 // park blocks the worker on the lot until a producer, a completer or
@@ -179,14 +174,14 @@ func (w *Worker) park() {
 		// A waker claimed us between register and cancel; its token is
 		// in flight and must be consumed to keep the pairing invariant.
 		<-w.wakeCh
-		w.stats.Wakes++
+		w.Stats.Wakes++
 		return
 	}
-	w.stats.Parks++
-	ps := w.wlog.Clock()
+	w.Stats.Parks++
+	ps := w.Wlog.Clock()
 	<-w.wakeCh
-	w.wlog.Park(ps)
-	w.stats.Wakes++
+	w.Wlog.Park(ps)
+	w.Stats.Wakes++
 }
 
 // idlePark is one round of the idle engine: yield or park, as the

@@ -105,7 +105,7 @@ func TestParkingLotWakeOneLIFO(t *testing.T) {
 	// The remaining workers must still be tracked under correct slots.
 	for _, w := range []*Worker{r.workers[0], r.workers[1]} {
 		if w.parkSlot < 0 || lot.parked[w.parkSlot] != w {
-			t.Fatalf("rank %d slot bookkeeping broken after swap-remove", w.rank)
+			t.Fatalf("rank %d slot bookkeeping broken after swap-remove", w.Rank)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package rt
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -250,25 +249,18 @@ func newRuntime(cfg Config, persistent bool) *Runtime {
 	if cfg.Obs {
 		r.rec = obs.NewWallRecorder(cfg.Workers, cfg.ObsRingCap)
 	}
-	layout := memKey{cfg.ArenaBase, cfg.ArenaSize, cfg.DequeCap, cfg.RecordCap}
-	for i := 0; i < cfg.Workers; i++ {
-		seed := cfg.Seed*0x9e3779b97f4a7c15 + uint64(i)*0xbf58476d1ce4e5b9 + 1
+	// One Peers slice for the whole runtime: every worker sees every
+	// worker's memory, its own included.
+	peers := make([]sched.Views, cfg.Workers)
+	for i := range peers {
+		peers[i] = takeWorkerMem(cfg.memKey()).Views
 		w := &Worker{
-			rt:         r,
-			rank:       i,
-			workerMem:  takeWorkerMem(layout),
-			rng:        rand.New(rand.NewSource(int64(seed))),
-			wakeCh:     make(chan struct{}, 1),
-			parkSlot:   -1,
-			lastVictim: -1,
+			rt:       r,
+			wakeCh:   make(chan struct{}, 1),
+			parkSlot: -1,
 		}
-		w.res = sched.NewResilience(i, sched.DefaultResilienceConfig(), inj)
-		w.wlog = r.rec.Worker(i)
-		w.res.Log = w.wlog
-		w.stopFn = r.stopped
-		w.grain = cfg.Grain
-		w.tiers = sched.BuildTiers(i, cfg.Workers, cfg.TierGroup)
-		w.stealBuf = make([]sched.Entry, stealBatchLimit(cfg.StealBatch, w.deque.MaxClaim()))
+		w.Engine = sched.Engine{X: w, Rank: i, Peers: peers, Grain: cfg.Grain, Wlog: r.rec.Worker(i), StopFn: r.stopped}
+		w.Init(cfg.Seed, cfg.StealBatch, cfg.TierGroup, inj)
 		w.jobCounts = sched.NewJobCounters(uint64(cfg.MaxJobs))
 		w.curJob = ^uint32(0) // force a slot reload on the first invoke
 		r.workers = append(r.workers, w)
@@ -276,17 +268,9 @@ func newRuntime(cfg Config, persistent bool) *Runtime {
 	return r
 }
 
-// stealBatchLimit resolves the Config.StealBatch knob against the
-// deque's claim bound: 0 → maxClaim, otherwise clamp to [1, maxClaim].
-func stealBatchLimit(batch int, maxClaim uint64) int {
-	n := int(maxClaim)
-	if batch > 0 && batch < n {
-		n = batch
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// memKey is the layout of the worker memory c asks for.
+func (c Config) memKey() memKey {
+	return memKey{c.ArenaBase, c.ArenaSize, c.DequeCap, c.RecordCap}
 }
 
 // Run executes the root task fid(localsLen bytes of locals, initialised
@@ -400,38 +384,7 @@ func (r *Runtime) IdleSpins() uint64 {
 func (r *Runtime) TotalStats() Stats {
 	var t Stats
 	for _, w := range r.workers {
-		s := w.Stats()
-		t.TasksExecuted += s.TasksExecuted
-		t.TasksDrained += s.TasksDrained
-		t.Spawns += s.Spawns
-		t.JoinsFast += s.JoinsFast
-		t.JoinsMiss += s.JoinsMiss
-		t.Suspends += s.Suspends
-		t.ResumesLocal += s.ResumesLocal
-		t.ResumesWait += s.ResumesWait
-		t.ParentStolen += s.ParentStolen
-		t.StealAttempts += s.StealAttempts
-		t.StealsOK += s.StealsOK
-		t.StealAbortEmpty += s.StealAbortEmpty
-		t.StealAbortLock += s.StealAbortLock
-		t.BytesStolen += s.BytesStolen
-		t.StealBatches += s.StealBatches
-		t.StealBatchEntries += s.StealBatchEntries
-		t.StealHintProbes += s.StealHintProbes
-		t.StealCacheProbes += s.StealCacheProbes
-		t.StealBlindProbes += s.StealBlindProbes
-		t.Parks += s.Parks
-		t.Wakes += s.Wakes
-		t.WorkCycles += s.WorkCycles
-		t.StealFaults += s.StealFaults
-		t.StealRetries += s.StealRetries
-		t.StealRollbacks += s.StealRollbacks
-		t.StealAbortsFault += s.StealAbortsFault
-		t.VictimBlacklists += s.VictimBlacklists
-		t.FaultBackoffNS += s.FaultBackoffNS
-		if s.MaxStackUsed > t.MaxStackUsed {
-			t.MaxStackUsed = s.MaxStackUsed
-		}
+		t.Add(w.FinalStats())
 	}
 	return t
 }
@@ -444,15 +397,15 @@ func (r *Runtime) CheckQuiescence() error {
 	var executed, spawned uint64
 	live := 0
 	for _, w := range r.workers {
-		executed += w.stats.TasksExecuted
-		spawned += w.stats.Spawns
-		if n := w.deque.Size(); n != 0 {
-			return fmt.Errorf("rt: worker %d deque holds %d entries after completion", w.rank, n)
+		executed += w.Stats.TasksExecuted
+		spawned += w.Stats.Spawns
+		if n := w.Deque.Size(); n != 0 {
+			return fmt.Errorf("rt: worker %d deque holds %d entries after completion", w.Rank, n)
 		}
-		if len(w.waitq) != 0 {
-			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after completion", w.rank, len(w.waitq))
+		if n := w.Suspended(); n != 0 {
+			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after completion", w.Rank, n)
 		}
-		live += w.records.Live()
+		live += w.Records.Live()
 	}
 	if executed != spawned+1 {
 		return fmt.Errorf("rt: %d tasks executed but %d spawned (+1 root)", executed, spawned)

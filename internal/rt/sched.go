@@ -9,30 +9,9 @@
 // so a differential harness (internal/harness) can assert their root
 // results agree.
 //
-// The scheduler data structures themselves — uni-address Arena,
-// THE-protocol Deque, record Table — live in internal/sched, shared
-// with the multi-process dist backend; this file re-exports the names
-// rt's API historically used.
+// The scheduler data structures — uni-address Arena, THE-protocol
+// Deque, record Table — and the scheduling mechanism over them
+// (sched.Engine: frames, join, resume, steal) live in internal/sched,
+// shared with the multi-process dist backend; rt keeps the policy: the
+// parking lot, job multiplexing and the pool.
 package rt
-
-import "uniaddr/internal/sched"
-
-// Deque, Entry and the steal outcomes are sched's, re-exported: rt's
-// deque was factored out unchanged so the dist backend can run the
-// identical protocol over an mmap'd segment.
-type (
-	Deque        = sched.Deque
-	Entry        = sched.Entry
-	StealOutcome = sched.StealOutcome
-)
-
-const (
-	StealOK          = sched.StealOK
-	StealEmpty       = sched.StealEmpty
-	StealLockBusy    = sched.StealLockBusy
-	StealEmptyLocked = sched.StealEmptyLocked
-	StealFaulted     = sched.StealFaulted
-)
-
-// NewDeque allocates a private heap-backed deque (see sched.NewDeque).
-func NewDeque(capacity uint64) *Deque { return sched.NewDeque(capacity) }

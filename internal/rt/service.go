@@ -315,9 +315,10 @@ func (p *Pool) Close() error {
 	if err != nil {
 		return err
 	}
-	for _, w := range r.workers { // quiescent: all the memory's next tenant needs
-		putWorkerMem(w.workerMem)
-		w.workerMem = workerMem{}
+	k := r.cfg.memKey()
+	for i, w := range r.workers { // quiescent: all the memory's next tenant needs
+		putWorkerMem(workerMem{k, w.Views})
+		w.Views, w.Peers[i] = sched.Views{}, sched.Views{}
 	}
 	return nil
 }
@@ -384,7 +385,7 @@ func (w *Worker) startQueuedJob() bool {
 	if pj.t.cancelASAP.Load() {
 		r.cancelRunning(slot, pj.t.id)
 	}
-	e := w.newFrame(pj.fid, pj.locals, rec, tag)
+	e := w.NewFrame(pj.fid, pj.locals, rec, tag)
 	if pj.init != nil {
 		pj.init(e)
 	}
@@ -488,7 +489,7 @@ func (r *Runtime) drainCheck(slot uint32, id uint64) {
 	r.anyCanceled.Add(-1)
 	tag := sched.JobTag(slot)
 	for _, w := range r.workers {
-		w.records.SweepJob(tag)
+		w.Records.SweepJob(tag)
 	}
 	r.finalizeSlot(slot, 0, r.jobMeta[slot].cancelErr)
 }
@@ -502,7 +503,7 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	t := meta.t
 	// Release the root record unless the cancel sweep already claimed it.
 	if h := core.Handle(js.Root.Load()); h.Valid() {
-		r.workers[h.Rank()].records.ReleaseTagged(sched.RecordIndex(h), sched.JobTag(slot))
+		r.workers[h.Rank()].Records.ReleaseTagged(sched.RecordIndex(h), sched.JobTag(slot))
 	}
 	ex, sp := r.jobSums(slot)
 	disp := t.dispatchNS.Load()
@@ -560,15 +561,15 @@ func (r *Runtime) failTickets(err error) {
 func (r *Runtime) checkPoolQuiescence() error {
 	live := 0
 	for _, w := range r.workers {
-		if n := w.deque.Size(); n != 0 {
-			return fmt.Errorf("rt: worker %d deque holds %d entries after pool close", w.rank, n)
+		if n := w.Deque.Size(); n != 0 {
+			return fmt.Errorf("rt: worker %d deque holds %d entries after pool close", w.Rank, n)
 		}
-		if len(w.waitq) != 0 {
-			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after pool close", w.rank, len(w.waitq))
+		if n := w.Suspended(); n != 0 {
+			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after pool close", w.Rank, n)
 		}
-		live += w.records.Live()
-		if n := w.records.Waiters(); n != 0 {
-			return fmt.Errorf("rt: %d of worker %d's records name a waiter after pool close", n, w.rank)
+		live += w.Records.Live()
+		if n := w.Records.Waiters(); n != 0 {
+			return fmt.Errorf("rt: %d of worker %d's records name a waiter after pool close", n, w.Rank)
 		}
 	}
 	if live != 0 {

@@ -103,7 +103,7 @@ func TestStealDuringSpawnInit(t *testing.T) {
 	r := New(cfg)
 	queued := func() (n uint64) {
 		for _, w := range r.workers {
-			n += w.deque.Size()
+			n += w.Deque.Size()
 		}
 		return n
 	}

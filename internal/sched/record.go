@@ -56,10 +56,10 @@ type Record struct {
 	// (ExecComplete). Under seq-cst ordering at least one side observes
 	// the other, so a suspended joiner is always either resumed by its
 	// own recheck or woken precisely by the completer — never silently
-	// left parked (see DESIGN.md §10). An rt joiner stores 0 again when
-	// it stops waiting (a recheck hit, or the resume of its suspended
-	// thread) while it still owns the record, so a record re-enters the
-	// free lists with Waiter == 0: a stale rank would send every later
+	// left parked (see DESIGN.md §10). The joiner stores 0 again when it
+	// stops waiting (Engine.ExecJoin's recheck hit, Engine.ResumeReady)
+	// while it still owns the record, so a record re-enters the free
+	// lists with Waiter == 0: on rt a stale rank would send every later
 	// completion of the recycled record through the parking-lot mutex,
 	// and would index out of range in a runtime with fewer workers.
 	Waiter atomic.Int64

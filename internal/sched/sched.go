@@ -1,6 +1,7 @@
-// Package sched holds the scheduler data structures shared by every
-// real-concurrency backend: the uni-address stack Arena, the
-// THE-protocol work-stealing Deque and the task-record Table.
+// Package sched holds what every real-concurrency backend shares: the
+// scheduler data structures — the uni-address stack Arena, the
+// THE-protocol work-stealing Deque and the task-record Table — and the
+// Engine, the scheduling mechanism that runs over them (engine.go).
 //
 // The package exists because the same three structures must live in two
 // very different kinds of memory:

@@ -11,6 +11,7 @@ import (
 	"uniaddr/internal/fault"
 	"uniaddr/internal/obs"
 	"uniaddr/internal/rt"
+	"uniaddr/internal/sched"
 )
 
 // FaultConfig configures deterministic fault injection (an alias of
@@ -440,10 +441,19 @@ func runRT(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, er
 	if cerr != nil {
 		return Report{}, cerr
 	}
-	ts := s.pool.TotalStats()
-	rep := Report{
-		Backend: BackendRT, Workers: o.workers, Root: jrep.Root,
-		WallNS: jrep.WallNS,
+	rep := wallReport(BackendRT, o.workers, jrep.Root, jrep.WallNS, s.pool.TotalStats())
+	if err := finishObs(&rep, s.pool.Obs().Export(), o.trace); err != nil {
+		return Report{}, err
+	}
+	return rep, nil
+}
+
+// wallReport is a real backend's Report: both count with the shared
+// engine's sched.WorkerStats.
+func wallReport(backend string, workers int, root uint64, wallNS int64, ts sched.WorkerStats) Report {
+	return Report{
+		Backend: backend, Workers: workers, Root: root,
+		WallNS: wallNS,
 		Tasks:  ts.TasksExecuted, Spawns: ts.Spawns, Suspends: ts.Suspends,
 		StealAttempts: ts.StealAttempts, StealsOK: ts.StealsOK,
 		StealBatches: ts.StealBatches,
@@ -452,10 +462,6 @@ func runRT(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, er
 		StealAbortsFault: ts.StealAbortsFault, StealRollbacks: ts.StealRollbacks,
 		VictimBlacklists: ts.VictimBlacklists,
 	}
-	if err := finishObs(&rep, s.pool.Obs().Export(), o.trace); err != nil {
-		return Report{}, err
-	}
-	return rep, nil
 }
 
 func runDist(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
@@ -482,18 +488,7 @@ func runDist(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, 
 		}
 		return Report{}, err
 	}
-	ts := res.TotalStats()
-	rep := Report{
-		Backend: BackendDist, Workers: o.workers, Root: res.Root,
-		WallNS: res.Elapsed.Nanoseconds(),
-		Tasks:  ts.TasksExecuted, Spawns: ts.Spawns, Suspends: ts.Suspends,
-		StealAttempts: ts.StealAttempts, StealsOK: ts.StealsOK,
-		StealBatches: ts.StealBatches,
-		BytesStolen:  ts.BytesStolen, MaxStackUsed: ts.MaxStackUsed,
-		StealFaults: ts.StealFaults, StealRetries: ts.StealRetries,
-		StealAbortsFault: ts.StealAbortsFault, StealRollbacks: ts.StealRollbacks,
-		VictimBlacklists: ts.VictimBlacklists,
-	}
+	rep := wallReport(BackendDist, o.workers, res.Root, res.Elapsed.Nanoseconds(), res.TotalStats())
 	if err := finishObs(&rep, res.Obs, o.trace); err != nil {
 		return Report{}, err
 	}
