@@ -140,16 +140,20 @@ func TestFacadeTrace(t *testing.T) {
 	}
 }
 
-// TestFacadeShimEquivalence pins the deprecated shim to the new entry
-// point: RunConfig(DefaultConfig(n), ...) and Run(..., WithBackend(sim),
-// WithWorkers(n), WithSeed(s)) must drive byte-identical simulations —
-// same root, same counters, same virtual clock.
+// TestFacadeShimEquivalence pins the options entry point to the
+// full-surface one: NewMachine(DefaultConfig(n)).Run(...) and Run(...,
+// WithBackend(sim), WithWorkers(n), WithSeed(s)) must drive
+// byte-identical simulations — same root, same counters, same virtual
+// clock.
 func TestFacadeShimEquivalence(t *testing.T) {
 	const workers, seed = 6, uint64(7)
 	cfg := uniaddr.DefaultConfig(workers)
 	cfg.Seed = seed
-	//lint:ignore SA1019 the test exercises the deprecated shim on purpose
-	oldRoot, m, err := uniaddr.RunConfig(cfg, dblFID, 3*8, func(e *uniaddr.Env) { e.SetU64(0, 50) })
+	m, err := uniaddr.NewMachine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldRoot, err := m.Run(dblFID, 3*8, func(e *uniaddr.Env) { e.SetU64(0, 50) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +162,7 @@ func TestFacadeShimEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if rep.Root != oldRoot {
-		t.Fatalf("roots diverge: shim %d, options %d", oldRoot, rep.Root)
+		t.Fatalf("roots diverge: machine %d, options %d", oldRoot, rep.Root)
 	}
 	st := m.TotalStats()
 	pairs := []struct {
@@ -175,7 +179,7 @@ func TestFacadeShimEquivalence(t *testing.T) {
 	}
 	for _, p := range pairs {
 		if p.old != p.new {
-			t.Errorf("%s diverges: shim %d, options %d", p.name, p.old, p.new)
+			t.Errorf("%s diverges: machine %d, options %d", p.name, p.old, p.new)
 		}
 	}
 }

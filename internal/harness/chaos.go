@@ -160,15 +160,10 @@ type ChaosObserve struct {
 	Summary io.Writer // text summary destination (nil = skip)
 }
 
-// ChaosSweep runs every workload at every fault rate, each point twice
-// with the same seed, asserting the three invariants. It errors out on
-// the first violation.
-func ChaosSweep(workers int, specs []workloads.Spec, rates []float64, seed uint64) ([]ChaosPoint, error) {
-	return ChaosSweepObserved(workers, specs, rates, seed, nil)
-}
-
-// ChaosSweepObserved is ChaosSweep with optional artifact export (see
-// ChaosObserve; nil behaves exactly like ChaosSweep).
+// ChaosSweepObserved runs every workload at every fault rate, each point
+// twice with the same seed, asserting the three invariants. It errors
+// out on the first violation. obsv requests artifact export (see
+// ChaosObserve; nil exports nothing).
 func ChaosSweepObserved(workers int, specs []workloads.Spec, rates []float64, seed uint64, obsv *ChaosObserve) ([]ChaosPoint, error) {
 	if len(rates) == 0 {
 		rates = DefaultChaosRates

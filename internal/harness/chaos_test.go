@@ -14,7 +14,7 @@ import (
 // workload × rate point must return the sequential reference, pass
 // quiescence and replay bit-identically (ChaosSweep errors otherwise).
 func TestChaosSweepTiny(t *testing.T) {
-	pts, err := ChaosSweep(8, ChaosWorkloads("tiny"), DefaultChaosRates, 1)
+	pts, err := ChaosSweepObserved(8, ChaosWorkloads("tiny"), DefaultChaosRates, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestChaosFib30(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fib(30) chaos run takes ~15s")
 	}
-	pts, err := ChaosSweep(8, []workloads.Spec{workloads.Fib(30, 0)}, []float64{0.01}, 1)
+	pts, err := ChaosSweepObserved(8, []workloads.Spec{workloads.Fib(30, 0)}, []float64{0.01}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

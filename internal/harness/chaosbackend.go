@@ -89,6 +89,17 @@ type ChaosCell struct {
 	Deadline time.Duration `json:"-"`
 }
 
+// ctlOnly reports a schedule that injects nothing but control-plane
+// socket faults. Which messages are dropped, truncated or delayed is
+// decided by the seed alone and never by what the workers compute, so
+// every workload would replay the same fault sequence (each drop a
+// multi-second control timeout): the matrix runs such a schedule on one
+// workload per seed.
+func (sch ChaosSchedule) ctlOnly() bool {
+	return len(sch.Fault.CtlKnobs()) > 0 && len(sch.Fault.PlanKnobs()) == 0 &&
+		len(sch.Kill) == 0 && sch.Hang == 0
+}
+
 // chaosLongSpec is the workload for WantErr schedules: heavy enough
 // that the run cannot complete before a ~50ms injection fires.
 func chaosLongSpec() workloads.Spec { return workloads.Fib(30, 2000) }
@@ -109,8 +120,11 @@ func RunChaosMatrix(b ChaosBackend, workers int, seeds []uint64, schedules []Cha
 			continue
 		}
 		specs := ChaosWorkloads(scale)
-		if sch.Long {
+		switch {
+		case sch.Long:
 			specs = []workloads.Spec{chaosLongSpec()}
+		case sch.ctlOnly():
+			specs = specs[:1]
 		}
 		for _, spec := range specs {
 			if b.SkipSpec != nil {
@@ -253,10 +267,7 @@ func DistChaosSchedules() []ChaosSchedule {
 			},
 			Deadline: 60 * time.Second,
 		},
-		ChaosSchedule{
-			Name: "kill-rank1", Kill: []int{1}, After: 50 * time.Millisecond,
-			WantErr: true, Long: true, Deadline: 15 * time.Second,
-		},
+		killRank1Schedule(),
 		ChaosSchedule{
 			Name: "double-kill", Kill: []int{1, 2}, After: 50 * time.Millisecond,
 			WantErr: true, Long: true, Deadline: 15 * time.Second,
@@ -268,6 +279,28 @@ func DistChaosSchedules() []ChaosSchedule {
 		},
 	)
 	return s
+}
+
+// killRank1Schedule SIGKILLs child rank 1 50 ms into a run that cannot
+// finish by then: the cell must end in a WorkerCrashError blaming rank 1
+// (distChaosCheck), never in the MaxWall watchdog's error.
+func killRank1Schedule() ChaosSchedule {
+	return ChaosSchedule{
+		Name: "kill-rank1", Kill: []int{1}, After: 50 * time.Millisecond,
+		WantErr: true, Long: true, Deadline: 15 * time.Second,
+	}
+}
+
+// DistCrashProbe runs the kill-rank1 cell on its own and returns its
+// verdict: nil iff the SIGKILLed worker surfaced as a prompt,
+// structured *dist.WorkerCrashError attributing the right rank — not a
+// hang, not a silent wrong answer.
+func DistCrashProbe(workers int, seed uint64) error {
+	cell := runChaosCell(DistChaosBackend(), chaosLongSpec(), workers, seed, killRank1Schedule())
+	if !cell.Pass {
+		return fmt.Errorf("dist crash probe: %s: %s", cell.Outcome, cell.Err)
+	}
+	return nil
 }
 
 // SimChaosBackend adapts the virtual-time simulator.

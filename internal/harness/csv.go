@@ -121,17 +121,6 @@ func EnsureWritableDir(dir string) error {
 	return os.Remove(name)
 }
 
-// MaybeCSV runs fn when dir is non-empty, creating the directory first.
-func MaybeCSV(dir string, fn func() error) error {
-	if dir == "" {
-		return nil
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return fn()
-}
-
 // FprintCSVNote tells the user where files landed.
 func FprintCSVNote(w io.Writer, dir string) {
 	if dir != "" {

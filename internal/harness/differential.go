@@ -42,11 +42,21 @@ func DiffWorkloads() []DiffWorkload {
 }
 
 // RTSkipReason explains why a Spec cannot run on the rt backend, or ""
-// if it can. Centralised so the differential harness and the rt bench
-// report identical reasons.
+// if it can. Centralised so the differential and chaos matrices report
+// identical reasons.
 func RTSkipReason(s workloads.Spec) string {
 	if s.Setup != nil {
 		return "requires machine Setup (global-heap staging); sim-only until rt grows a shared heap"
+	}
+	return ""
+}
+
+// DistSkipReason is RTSkipReason for the dist backend: the same
+// constraint, gas-staged workloads need a machine-global heap neither
+// real backend has yet.
+func DistSkipReason(s workloads.Spec) string {
+	if s.Setup != nil {
+		return "requires machine Setup (global-heap staging); sim-only until dist grows a shared heap"
 	}
 	return ""
 }
@@ -86,17 +96,27 @@ type DiffBackend struct {
 	Run  func(spec workloads.Spec, workers int, seed uint64) (uint64, error)
 }
 
-// RTDiffBackend is the in-process real-parallelism backend as a
-// differential target: the chaos backend's run under the empty schedule.
-func RTDiffBackend() DiffBackend {
+// diffBackend makes a chaos backend a differential target: its run
+// under the empty schedule.
+func diffBackend(b ChaosBackend) DiffBackend {
 	return DiffBackend{
-		Name: "rt",
-		Skip: RTSkipReason,
+		Name: b.Name,
+		Skip: b.SkipSpec,
 		Run: func(spec workloads.Spec, workers int, seed uint64) (uint64, error) {
-			return RTChaosBackend().Run(spec, workers, seed, ChaosSchedule{})
+			return b.Run(spec, workers, seed, ChaosSchedule{})
 		},
 	}
 }
+
+// RTDiffBackend is the in-process real-parallelism backend as a
+// differential target.
+func RTDiffBackend() DiffBackend { return diffBackend(RTChaosBackend()) }
+
+// DistDiffBackend is the multi-process backend as a differential
+// target: workers = OS processes. Any binary that runs it re-execs
+// itself for the worker processes, so its main / TestMain must call
+// dist.MaybeChild() before anything else.
+func DistDiffBackend() DiffBackend { return diffBackend(DistChaosBackend()) }
 
 // RunDifferentialBackend runs every workload on the sim oracle and on b
 // for every (workers, seed) combination and compares root results.
@@ -140,9 +160,4 @@ func RunDifferentialBackend(b DiffBackend, wls []DiffWorkload, workerCounts []in
 		}
 	}
 	return rep, nil
-}
-
-// RunDifferential is the sim-vs-rt matrix (see RunDifferentialBackend).
-func RunDifferential(wls []DiffWorkload, workerCounts []int, seeds []uint64) (DiffReport, error) {
-	return RunDifferentialBackend(RTDiffBackend(), wls, workerCounts, seeds)
 }

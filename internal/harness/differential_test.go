@@ -1,11 +1,19 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
+	"os"
 	"testing"
+
+	"uniaddr/internal/dist"
 )
+
+// TestMain routes re-exec'd dist worker processes into the child
+// entrypoint before any harness test runs (a no-op for every other
+// invocation of this test binary).
+func TestMain(m *testing.M) {
+	dist.MaybeChild()
+	os.Exit(m.Run())
+}
 
 // TestDifferentialSimVsRT is the acceptance gate for the rt backend:
 // every workload, both backends, 3 seeds × {1,2,4,8} workers, identical
@@ -18,7 +26,7 @@ func TestDifferentialSimVsRT(t *testing.T) {
 		workerCounts = []int{1, 4}
 		seeds = []uint64{1, 2, 3}
 	}
-	rep, err := RunDifferential(DiffWorkloads(), workerCounts, seeds)
+	rep, err := RunDifferentialBackend(RTDiffBackend(), DiffWorkloads(), workerCounts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,38 +75,48 @@ func TestDiffWorkloadsCoverCatalog(t *testing.T) {
 	}
 }
 
-func TestRTBenchReportJSON(t *testing.T) {
-	rep, err := RunRTBench(DiffWorkloads(), []int{1, 2}, 1, 1, BenchTuning{})
+// TestDifferentialSimVsDist is the acceptance gate for the dist
+// backend: every workload at 2 and 4 worker PROCESSES, 3 seeds, root
+// results identical to the sim oracle, with gas-dependent workloads
+// reported (not silently dropped).
+func TestDifferentialSimVsDist(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process differential matrix skipped in -short mode")
+	}
+	rep, err := RunDifferentialBackend(DistDiffBackend(), DiffWorkloads(), []int{2, 4}, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Rows) == 0 {
-		t.Fatal("bench produced no rows")
-	}
-	if len(rep.Skipped) == 0 {
-		t.Error("gas-dependent workloads missing from skipped list")
+	if rep.Backend != "dist" {
+		t.Errorf("report backend %q, want dist", rep.Backend)
 	}
 	for _, row := range rep.Rows {
-		if row.WallNS <= 0 {
-			t.Errorf("%s workers=%d: wall_ns %d", row.Workload, row.Workers, row.WallNS)
+		if row.Skipped {
+			if row.SkipReason == "" {
+				t.Errorf("%s skipped without a reason", row.Workload)
+			}
+			continue
 		}
-		if row.TasksPerSec <= 0 {
-			t.Errorf("%s workers=%d: tasks_per_second %f", row.Workload, row.Workers, row.TasksPerSec)
+		if !row.Match {
+			t.Errorf("%s workers=%d seed=%d: sim=%d dist=%d",
+				row.Workload, row.Workers, row.Seed, row.SimResult, row.GotResult)
 		}
 	}
-	var buf bytes.Buffer
-	if err := WriteRTBenchJSON(&buf, rep); err != nil {
+	if rep.Compared == 0 {
+		t.Fatal("differential sweep compared nothing")
+	}
+	if rep.Skipped == 0 {
+		t.Error("expected gas-dependent workloads to be reported as skipped")
+	}
+}
+
+// TestDistCrashProbe runs the harness-level resilience probe: a
+// SIGKILL'd worker process must surface as a structured error, fast.
+func TestDistCrashProbe(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process crash probe skipped in -short mode")
+	}
+	if err := DistCrashProbe(3, 1); err != nil {
 		t.Fatal(err)
-	}
-	var round RTBenchReport
-	if err := json.Unmarshal(buf.Bytes(), &round); err != nil {
-		t.Fatalf("BENCH_rt.json does not round-trip: %v", err)
-	}
-	if len(round.Rows) != len(rep.Rows) || len(round.Skipped) != len(rep.Skipped) {
-		t.Fatalf("round-trip lost rows: %d/%d vs %d/%d",
-			len(round.Rows), len(round.Skipped), len(rep.Rows), len(rep.Skipped))
-	}
-	if !strings.Contains(buf.String(), "\"reason\"") {
-		t.Error("skip reasons missing from JSON")
 	}
 }

@@ -116,7 +116,8 @@ func TestServiceSimEphemeralJobs(t *testing.T) {
 }
 
 // TestServiceBackpressure pins the typed saturation error on a 1-slot,
-// depth-1 rt service.
+// depth-1 rt service. The first job is the gated task, so it holds the
+// only slot until all three submissions have been answered.
 func TestServiceBackpressure(t *testing.T) {
 	svc, err := uniaddr.NewService(
 		uniaddr.ServiceBackend(uniaddr.BackendRT),
@@ -126,35 +127,30 @@ func TestServiceBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	heavy := workloads.Fib(20, 500)
-	j1, err := svc.Submit(context.Background(), heavy.Fid, heavy.Locals, heavy.Init)
+	gate = make(chan struct{})
+	j1, err := svc.Submit(context.Background(), gateFID, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Admission of the second job means the first was claimed and holds
-	// the only slot; the third must then bounce.
-	var j2 *uniaddr.Job
-	for {
-		j2, err = svc.Submit(context.Background(), heavy.Fid, heavy.Locals, heavy.Init)
-		if err == nil {
-			break
-		}
-		if !errors.Is(err, uniaddr.ErrServiceSaturated) {
-			t.Fatal(err)
-		}
-		time.Sleep(100 * time.Microsecond)
+	// The root is running: the first job was claimed and the queue is
+	// empty, so the second is admitted and the third must bounce.
+	<-gateEntered
+	heavy := workloads.Fib(20, 500)
+	j2, err := svc.Submit(context.Background(), heavy.Fid, heavy.Locals, heavy.Init)
+	if err != nil {
+		close(gate)
+		t.Fatalf("second submit: %v", err)
 	}
-	if _, err := svc.Submit(context.Background(), heavy.Fid, heavy.Locals, heavy.Init); !errors.Is(err, uniaddr.ErrServiceSaturated) {
+	_, err = svc.Submit(context.Background(), heavy.Fid, heavy.Locals, heavy.Init)
+	close(gate)
+	if !errors.Is(err, uniaddr.ErrServiceSaturated) {
 		t.Fatalf("third submit: got %v, want ErrServiceSaturated", err)
 	}
-	for _, j := range []*uniaddr.Job{j1, j2} {
-		rep, err := j.Wait()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Root != heavy.Expected {
-			t.Fatalf("job %d: root %d, want %d", j.ID(), rep.Root, heavy.Expected)
-		}
+	if rep, err := j1.Wait(); err != nil || rep.Root != 7 {
+		t.Fatalf("gate job: root %d err %v, want 7", rep.Root, err)
+	}
+	if rep, err := j2.Wait(); err != nil || rep.Root != heavy.Expected {
+		t.Fatalf("job %d: root %d err %v, want %d", j2.ID(), rep.Root, err, heavy.Expected)
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)

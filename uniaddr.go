@@ -141,24 +141,3 @@ func DefaultNetParams() NetParams { return rdma.DefaultParams() }
 // programs that need direct Machine access (observability recorders,
 // traces, per-worker fabric stats, staged global-heap data).
 func NewMachine(cfg Config) (*Machine, error) { return core.NewMachine(cfg) }
-
-// RunConfig is the pre-options entry point: build a simulator machine
-// from cfg, run a root task of fid with localsLen bytes of frame locals
-// initialised by init, and return the root result together with the
-// machine (for stats).
-//
-// Deprecated: use Run — RunConfig(cfg, ...) is exactly Run(...,
-// WithBackend(BackendSim), WithWorkers(cfg.Workers), WithSeed(cfg.Seed))
-// for a default cfg, and the unified Report replaces poking at the
-// Machine. RunConfig remains so seed-era code keeps compiling.
-func RunConfig(cfg Config, fid FuncID, localsLen uint32, init func(*Env)) (uint64, *Machine, error) {
-	m, err := core.NewMachine(cfg)
-	if err != nil {
-		return 0, nil, err
-	}
-	res, err := m.Run(fid, localsLen, init)
-	if err != nil {
-		return 0, m, err
-	}
-	return res, m, nil
-}
