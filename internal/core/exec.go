@@ -181,6 +181,10 @@ func DecodeFrameHeader(b []byte) FrameHeader {
 	}
 }
 
+// FrameJob reads only the job tag from a raw frame header: what a steal
+// or a resume needs to know about the thread it just moved.
+func FrameJob(b []byte) uint32 { return binary.LittleEndian.Uint32(b[fhJobOff:]) }
+
 // SetFrameResume stamps a resume point into a raw frame header — the
 // backend-side half of Env.setRP for backends that own the frame bytes
 // directly.

@@ -44,16 +44,20 @@ func TestChaosSweepTiny(t *testing.T) {
 	}
 }
 
-// TestChaosFib30 is the headline robustness criterion: fib(30) on 8
-// workers with every fault source firing at 1% completes with the
-// correct result, passes the quiescence check after recovery, and two
-// same-seed runs produce identical traces. ~15s of host time, so
-// skipped under -short.
-func TestChaosFib30(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fib(30) chaos run takes ~15s")
-	}
-	pts, err := ChaosSweepObserved(8, []workloads.Spec{workloads.Fib(30, 0)}, []float64{0.01}, 1, nil)
+// TestChaosFibEverySource is the headline robustness criterion at a size
+// tier-1 and -short can afford: fib(25) on 8 workers at a 1% fault rate
+// is the smallest fib whose (deterministic) run trips EVERY fault source
+// the sweep reports — lost steal ops with their retries, a transfer
+// rollback, an abandoned steal, a victim ban, fabric faults behind the
+// reliable ops' retries, and a software-FAA timeout. It must complete
+// with the correct result, pass the quiescence check after recovery, and
+// replay to an identical trace. The paper-scale fib(30) run (ten times
+// the work, the same sources) is the chaos-smoke CI job's.
+func TestChaosFibEverySource(t *testing.T) {
+	// A deterministic simulator run — virtual time, its own Machine — so it
+	// can share the host with its like.
+	t.Parallel()
+	pts, err := ChaosSweepObserved(8, []workloads.Spec{workloads.Fib(25, 0)}, []float64{0.01}, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +65,14 @@ func TestChaosFib30(t *testing.T) {
 	if !p.Deterministic {
 		t.Error("replay diverged")
 	}
-	if p.InjectedFaults == 0 || p.StealFaults == 0 {
-		t.Errorf("rate 0.01 injected %d fabric faults, %d steal faults — sweep not exercising recovery",
-			p.InjectedFaults, p.StealFaults)
+	for name, n := range map[string]uint64{
+		"StealFaults": p.StealFaults, "StealRetries": p.StealRetries, "StealRollbacks": p.StealRollbacks,
+		"StealAbortsFault": p.StealAbortsFault, "VictimBlacklists": p.VictimBlacklists,
+		"InjectedFaults": p.InjectedFaults, "NetRetries": p.NetRetries, "FAATimeouts": p.FAATimeouts,
+	} {
+		if n == 0 {
+			t.Errorf("rate 0.01 left %s at 0 — the run no longer exercises that recovery path: %+v", name, p)
+		}
 	}
 }
 

@@ -121,6 +121,9 @@ func TestIsoVsUniRatio(t *testing.T) {
 }
 
 func TestTable4SmallScale(t *testing.T) {
+	// A deterministic simulator run — virtual time, its own Machine — so it
+	// can share the host with its like.
+	t.Parallel()
 	rows, err := Table4(30, "tiny", 3)
 	if err != nil {
 		t.Fatal(err)
@@ -148,6 +151,9 @@ func TestTable4SmallScale(t *testing.T) {
 }
 
 func TestScalingSweepEfficiency(t *testing.T) {
+	// A deterministic simulator run — virtual time, its own Machine — so it
+	// can share the host with its like.
+	t.Parallel()
 	spec := workloads.BTC(18, 1, 0) // 524287 tasks
 	pts, err := ScalingSweep(spec, []int{15, 30, 60}, 1, 5, nil)
 	if err != nil {
@@ -325,6 +331,9 @@ func TestAblateHelpFirst(t *testing.T) {
 }
 
 func TestEfficiencyTrendRises(t *testing.T) {
+	// A deterministic simulator run — virtual time, its own Machine — so it
+	// can share the host with its like.
+	t.Parallel()
 	pts, err := EfficiencyTrend([]uint64{13, 17}, 10, 4, 5)
 	if err != nil {
 		t.Fatal(err)

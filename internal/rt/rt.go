@@ -214,7 +214,7 @@ type Runtime struct {
 	// on both counters — otherwise idle workers would busy-spin on a
 	// non-empty queue for as long as every slot stays occupied.
 	freeSlotCount atomic.Int64
-	anyCanceled   atomic.Int64 // jobs currently draining; gates the invoke-path drain check
+	anyCanceled   atomic.Int64 // jobs currently draining; gates enter's drain-at-entry test
 	jobsDone      atomic.Uint64
 	exited        atomic.Uint64 // workers whose goroutine has returned
 	startT        time.Time
@@ -228,7 +228,6 @@ type Runtime struct {
 // jobMeta is the Go-side half of a job slot.
 type jobMeta struct {
 	id        uint64 // global submission sequence; tags obs events
-	single    bool   // classic Runtime.Run: finalize via finish()
 	t         *Ticket
 	cancelErr error // set before the Running→Draining CAS that publishes it
 }
@@ -275,9 +274,9 @@ func newRuntime(cfg Config, persistent bool) *Runtime {
 			wakeCh:   make(chan struct{}, 1),
 			parkSlot: -1,
 		}
-		w.Engine = sched.Engine{X: w, Rank: i, Peers: peers, Grain: cfg.Grain, Wlog: r.rec.Worker(i), StopFn: r.stopped}
+		w.Engine = sched.Engine{X: w, Rank: i, Peers: peers, Grain: cfg.Grain, Wlog: r.rec.Worker(i), StopFn: r.stopped, Jobs: r.jobs}
 		w.Init(cfg.Seed, cfg.StealBatch, cfg.TierGroup, inj)
-		w.jobCounts = sched.NewJobCounters(uint64(cfg.MaxJobs))
+		w.tally = make([]jobTally, cfg.MaxJobs)
 		w.curJob = ^uint32(0) // force a slot reload on the first invoke
 		r.workers = append(r.workers, w)
 	}
@@ -307,13 +306,13 @@ func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (
 	// The single run is job slot 0 of the job machinery the persistent
 	// Pool shares: the root record is allocated and tagged before any
 	// goroutine starts, and its handle published in the slot so every
-	// worker's ExecComplete detects the root completion.
+	// worker's ExecComplete recognises the root.
 	r.rootRec = r.workers[0].newRecord(sched.JobTag(0))
 	js := r.jobs.Get(0)
 	js.Grain.Store(r.cfg.Grain)
 	js.Root.Store(uint64(r.rootRec))
+	js.Live.Store(1) // the root chain, started by rank 0's runRoot
 	js.State.Store(sched.JobState(0, sched.JobRunning))
-	r.jobMeta[0].single = true
 	watchdog := time.AfterFunc(r.cfg.MaxWall, func() {
 		r.fail(&TimeoutError{Budget: r.cfg.MaxWall})
 	})
@@ -339,7 +338,7 @@ func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (
 
 // finish publishes the root result and releases every worker's idle
 // loop, including workers blocked in the parking lot. Called by
-// whichever worker completes the root record.
+// whichever worker ends the run's last chain.
 func (r *Runtime) finish(result uint64) {
 	r.finishOnce.Do(func() {
 		r.rootResult = result

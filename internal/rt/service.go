@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,9 +19,9 @@ import (
 // pool runs. Workers park between jobs on the PR-4 idle ladder instead
 // of exiting; an idle worker dispatches the next admitted job by
 // allocating a tagged root record from its own table and invoking the
-// root frame in its own arena. Per-job isolation and quiescence rest on
-// the job tags (in every frame header and record lifecycle word) and the
-// per-worker counter pairs (sched.JobCounters); see DESIGN.md §15.
+// root frame in its own arena. Per-job isolation rests on the job tags
+// (in every frame header and record lifecycle word), per-job quiescence
+// on the slot's live-chain count (sched.JobSlot.Live); see DESIGN.md §15.
 
 // ErrPoolSaturated is returned by Submit when the bounded admission
 // queue is full — the pool's backpressure signal.
@@ -225,8 +225,8 @@ func (p *Pool) Submit(fid core.FuncID, localsLen uint32, init func(*core.Env), p
 // is removed and finalized immediately; a running job switches to
 // draining — its remaining frames are completed without running their
 // bodies, co-resident jobs are untouched, and the ticket resolves to a
-// JobCanceledError once the job's quiescence count closes. Returns
-// false if the job had already been finalized.
+// JobCanceledError once the job's last chain has ended. Returns false if
+// the job had already been finalized.
 func (p *Pool) Cancel(t *Ticket, cause error) bool { return p.r.cancel(t, cause) }
 
 func (r *Runtime) cancel(t *Ticket, cause error) bool {
@@ -239,13 +239,7 @@ func (r *Runtime) cancel(t *Ticket, cause error) bool {
 		r.jobMu.Unlock()
 		return false
 	case tkQueued:
-		for i, pj := range r.jobQueue {
-			if pj.t == t {
-				r.jobQueue = append(r.jobQueue[:i], r.jobQueue[i+1:]...)
-				break
-			}
-		}
-		r.queuedCount.Store(int64(len(r.jobQueue)))
+		r.unqueue(slices.IndexFunc(r.jobQueue, func(pj *pendingJob) bool { return pj.t == t }))
 		t.state = tkDone
 		delete(r.activeTk, t)
 		r.jobMu.Unlock()
@@ -270,17 +264,15 @@ func (r *Runtime) cancel(t *Ticket, cause error) bool {
 	}
 }
 
-// cancelRunning flips running job id to draining and re-runs the
-// quiescence check (the job may already be quiescent, or may never
-// complete another task — e.g. every remaining frame is suspended). A
-// completer that bumped Executed and read anyCanceled == 0 did both
-// before the Add below, so the check here counts it.
+// cancelRunning flips running job id to draining. Nothing is finalized
+// from here: a job that is still Running has its root frame on some
+// stack or wait queue, so a chain of it is live, and the worker that
+// ends its last one finds the slot Draining (jobQuiesced).
 func (r *Runtime) cancelRunning(slot uint32, id uint64) {
 	if r.jobs.Get(slot).Advance(id, sched.JobRunning, sched.JobDraining) {
 		r.anyCanceled.Add(1)
-		// Parked workers must wake to pop-and-drain the job's frames.
+		// Parked workers must wake to steal-and-drain the job's frames.
 		r.lot.wakeAll()
-		r.drainCheck(slot, id)
 	}
 }
 
@@ -368,17 +360,14 @@ func (w *Worker) startQueuedJob() bool {
 	if !ok {
 		return false
 	}
-	// The previous tenant of this slot fully quiesced before the slot
-	// was freed, so plain atomic stores reset every worker's pair.
-	for _, v := range r.workers {
-		v.jobCounts.Reset(slot)
-	}
 	js := r.jobs.Get(slot)
 	js.Grain.Store(pj.par.Grain)
 	js.Result.Store(0)
 	tag := sched.JobTag(slot)
 	rec := w.newRecord(tag)
 	js.Root.Store(uint64(rec))
+	js.Live.Store(1)
+	w.startChain(slot)
 	js.State.Store(sched.JobState(pj.t.id, sched.JobRunning))
 	// Close the dispatch/cancel race: a Cancel that found the slot not
 	// yet Running set cancelASAP before we stored it (see Ticket).
@@ -408,9 +397,7 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 			best, bestKey = i, k
 		}
 	}
-	pj := r.jobQueue[best]
-	r.jobQueue = append(r.jobQueue[:best], r.jobQueue[best+1:]...)
-	r.queuedCount.Store(int64(len(r.jobQueue)))
+	pj := r.unqueue(best)
 	n := len(r.freeSlots) - 1
 	slot := r.freeSlots[n]
 	r.freeSlots = r.freeSlots[:n]
@@ -419,7 +406,6 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 	meta.id = pj.t.id
 	meta.t = pj.t
 	meta.cancelErr = nil
-	meta.single = false
 	pj.t.state = tkRunning
 	pj.t.slot = slot
 	// The budget runs from dispatch, so it is armed here — BEFORE the
@@ -431,72 +417,49 @@ func (r *Runtime) claimJob() (*pendingJob, uint32, bool) {
 	return pj, slot, true
 }
 
-// rootFinalize runs in the ExecComplete that completed a job's root
-// record and won the slot's Running→Done CAS, after its Executed bump.
-// The winner waits for closure: joined children's bumps may trail their
-// done stores by an instruction, and until the last one lands its
-// completer may still be reading the slot. A root that leaked an
-// unjoined child thus delays finalization until the child ends (or
-// MaxWall fails the pool) instead of recycling the slot under it.
-func (r *Runtime) rootFinalize(slot uint32, result uint64) {
-	if r.jobMeta[slot].single {
-		r.finish(result)
-		return
-	}
-	for ex, sp := r.jobSums(slot); ex != sp+1; ex, sp = r.jobSums(slot) {
-		if r.stopped() {
+// unqueue removes and returns admission-queue entry i (jobMu held).
+// slices.Delete zeroes the vacated tail slot, so the backing array does
+// not keep the last entry's init closure and ticket alive.
+func (r *Runtime) unqueue(i int) *pendingJob {
+	pj := r.jobQueue[i]
+	r.jobQueue = slices.Delete(r.jobQueue, i, i+1)
+	r.queuedCount.Store(int64(len(r.jobQueue)))
+	return pj
+}
+
+// jobQuiesced runs on the worker that retired the last live-chain token
+// of the job in slot: no frame of it is left on any stack or wait queue,
+// and every store its tasks made to the slot and to their records
+// precedes, through the RMW chain on Live, the retire that got here. The
+// root's completer settled the outcome (Done) unless a cancel beat it
+// (Draining); in that case the records the drained frames abandoned are
+// swept by tag before the cancellation is delivered.
+func (r *Runtime) jobQuiesced(slot uint32) {
+	js := r.jobs.Get(slot)
+	meta := &r.jobMeta[slot]
+	switch st := js.State.Load(); {
+	case st == sched.JobState(meta.id, sched.JobDone):
+		if !r.persistent {
+			r.finish(js.Result.Load())
 			return
 		}
-		runtime.Gosched()
+		r.finalizeSlot(slot, js.Result.Load(), nil)
+	case js.Advance(meta.id, sched.JobDraining, sched.JobDone):
+		r.anyCanceled.Add(-1)
+		tag := sched.JobTag(slot)
+		for _, w := range r.workers {
+			w.Records.SweepJob(tag)
+		}
+		r.finalizeSlot(slot, 0, meta.cancelErr)
+	default:
+		// Still Running: the root never completed, so a frame was lost.
+		panic(fmt.Sprintf("rt: job %d's last chain ended with its slot in state %#x", meta.id, st))
 	}
-	r.finalizeSlot(slot, result, nil)
-}
-
-// jobSums returns the job's cross-worker (executed, spawned) totals.
-// All Executed counters are read BEFORE any Spawns counter: a spawn is
-// counted before its child can execute, so reading in this order can
-// only over-count spawns relative to executions — executed == spawns+1
-// is therefore never observed early, and is exact once the job is
-// quiescent.
-func (r *Runtime) jobSums(slot uint32) (ex, sp uint64) {
-	for _, w := range r.workers {
-		ex += w.jobCounts.Get(slot).Executed.Load()
-	}
-	for _, w := range r.workers {
-		sp += w.jobCounts.Get(slot).Spawns.Load()
-	}
-	return ex, sp
-}
-
-// drainCheck finalizes draining job id once its quiescence count
-// closes: sweep the record tables for the tags the drained frames
-// abandoned, then deliver the cancellation. Runs after every
-// ExecComplete while some job is draining and once from Cancel itself
-// (the job may already be quiescent when the cancel lands). A caller
-// whose bump already landed may find job id finalized and the slot
-// re-tenanted at any point in here, so the sums can mix two tenants and
-// look closed. The CAS settles it: it succeeds only if id still holds
-// the slot and is draining — id was never finalized, and the sums were
-// its own (DESIGN.md §15 has the straddle a phase-only CAS let through).
-func (r *Runtime) drainCheck(slot uint32, id uint64) {
-	js := r.jobs.Get(slot)
-	if js.State.Load() != sched.JobState(id, sched.JobDraining) {
-		return
-	}
-	if ex, sp := r.jobSums(slot); ex != sp+1 || !js.Advance(id, sched.JobDraining, sched.JobDone) {
-		return
-	}
-	r.anyCanceled.Add(-1)
-	tag := sched.JobTag(slot)
-	for _, w := range r.workers {
-		w.Records.SweepJob(tag)
-	}
-	r.finalizeSlot(slot, 0, r.jobMeta[slot].cancelErr)
 }
 
 // finalizeSlot releases the job's root record, delivers the ticket and
-// recycles the slot. Called exactly once per dispatched job, by
-// whichever goroutine won the JobDone CAS, after the job's count closed.
+// recycles the slot. Called exactly once per dispatched job, from
+// jobQuiesced.
 func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	js := r.jobs.Get(slot)
 	meta := &r.jobMeta[slot]
@@ -505,12 +468,19 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	if h := core.Handle(js.Root.Load()); h.Valid() {
 		r.workers[h.Rank()].Records.ReleaseTagged(sched.RecordIndex(h), sched.JobTag(slot))
 	}
-	ex, sp := r.jobSums(slot)
+	// Every chain of the job has ended, so every worker's tally for the
+	// slot is final and nobody else reads or writes it (Worker.tally).
+	var sum jobTally
+	for _, w := range r.workers {
+		sum.tasks += w.tally[slot].tasks
+		sum.spawns += w.tally[slot].spawns
+		w.tally[slot] = jobTally{}
+	}
 	disp := t.dispatchNS.Load()
 	res := JobResult{
 		Result:  result,
-		Tasks:   ex,
-		Spawns:  sp,
+		Tasks:   sum.tasks,
+		Spawns:  sum.spawns,
 		QueueNS: disp - t.submitNS,
 		ExecNS:  nowNS() - disp,
 	}

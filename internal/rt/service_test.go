@@ -302,10 +302,11 @@ func TestPoolCancelRunningIsolation(t *testing.T) {
 // window: rounds of co-resident jobs where most are canceled at
 // staggered points mid-run while a bystander races to completion. The
 // drain finalizer must never sweep-and-recycle a record whose completer
-// is still mid-store (the completion-bracket protocol in ExecComplete /
-// waitJobSettled) — corruption would surface as a bystander oracle
-// miss, a conservation-law violation in a canceled report, or leaked /
-// double-released records failing the Close quiescence check.
+// is still mid-store — it runs only once the job's last chain token is
+// retired, and a completer holds one. Corruption would surface as a
+// bystander oracle miss, a conservation-law violation in a canceled
+// report, or leaked / double-released records failing the Close
+// quiescence check.
 func TestPoolCancelCompleteRaceStorm(t *testing.T) {
 	cfg := rt.DefaultConfig(4)
 	cfg.MaxJobs = 4
@@ -585,7 +586,7 @@ func TestFrameKeepsJobTagAcrossMigration(t *testing.T) {
 	for attempt := 0; attempt < 20; attempt++ {
 		cfg := rt.DefaultConfig(2)
 		cfg.MaxJobs = 2
-		cfg.MaxWall = 30 * time.Second // a lost tag never closes its job's count
+		cfg.MaxWall = 30 * time.Second // a frame under the wrong tag retires the wrong job's token
 		cfg.Seed = uint64(attempt) + 1
 		p := newPool(t, cfg)
 		var tks [2]*rt.Ticket
@@ -627,9 +628,9 @@ func TestFrameKeepsJobTagAcrossMigration(t *testing.T) {
 
 // TestPoolLeakedChildDelaysFinalization: a root that returns without
 // joining a child it spawned does not get its slot recycled under the
-// running child. The completer that took the job to Done waits for the
-// count to close, so the ticket resolves only when the leaked task ends —
-// with an exact report — and never before.
+// running child. The worker inside the child still holds a live chain of
+// the job, so the ticket resolves only when the leaked task ends — with
+// an exact report — and never before.
 func TestPoolLeakedChildDelaysFinalization(t *testing.T) {
 	cfg := rt.DefaultConfig(2)
 	cfg.MaxJobs = 1

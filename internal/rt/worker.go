@@ -32,10 +32,15 @@ type Worker struct {
 	// sample it mid-run to prove parked workers have stopped spinning.
 	idleSpins atomic.Uint64
 
-	// jobCounts is this worker's per-job-slot spawn/executed pairs: the
-	// per-task bumps land on lines only this worker writes, and the
-	// rare per-job quiescence checks sum across workers (sched.JobCount).
-	jobCounts *sched.JobCounters
+	// tally is this worker's share of each job slot's Report counts,
+	// and tallied what Stats read when its last chain ended. Plain words:
+	// endChain adds a chain's Stats delta to the slot's tally BEFORE it
+	// retires the chain's token, and the finalizer reads (and zeroes)
+	// every worker's tally only after it took JobSlot.Live to 0 — the
+	// RMW chain on Live is the happens-before edge. Nothing on the task
+	// path counts for a job.
+	tally   []jobTally
+	tallied jobTally
 	// curJob / curJobID / curSlot cache the job the last invoked frame
 	// belonged to (owner-only; ^uint32(0) = none yet). curJobID guards
 	// against a slot being recycled to a new job between two frames.
@@ -46,6 +51,9 @@ type Worker struct {
 	curJobID uint64
 	curSlot  *sched.JobSlot
 }
+
+// jobTally is one worker's executed/spawned counts for one job.
+type jobTally struct{ tasks, spawns uint64 }
 
 // run is the worker goroutine body: start the root (rank 0), then the
 // idle engine — pop local work, else clear dead stacks, resume a READY
@@ -75,6 +83,10 @@ func (w *Worker) run() {
 		if !w.ClearDead() {
 			return
 		}
+		// The Pop above settled "empty" under the deque lock: our stack
+		// has run dry, so whatever chain we held ends here. That may
+		// finish the run.
+		w.endChain()
 		if w.rt.stopped() {
 			return
 		}
@@ -112,11 +124,42 @@ func (w *Worker) run() {
 // of the simulator's newThread on rank 0). The root record was
 // pre-allocated by Runtime.Run before goroutines started.
 func (w *Worker) runRoot() {
+	w.startChain(0)
 	e := w.NewFrame(w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec, sched.JobTag(0))
 	if w.rt.rootInit != nil {
 		w.rt.rootInit(e)
 	}
 	w.enter(e)
+}
+
+// startChain records that this worker's stack now belongs to the job in
+// slot, whose JobSlot.Live the dispatcher stored 1 into: the root chain's
+// token.
+func (w *Worker) startChain(slot uint32) {
+	w.Chain = uint32(sched.JobTag(slot))
+	w.Stats.ChainTokens++
+}
+
+// endChain retires the token of the chain this worker held, if any. Its
+// caller's Pop answered "empty" under the deque lock — the same lock
+// inside which a thief mints before it commits — so every chain split
+// off this one already holds a token of its own, and Live can reach 0
+// only when no frame of the job is left on any stack or wait queue.
+// Whoever takes it there finalizes the job.
+func (w *Worker) endChain() {
+	if w.Chain == 0 {
+		return
+	}
+	slot := w.Chain - 1
+	w.Chain = 0
+	t := &w.tally[slot]
+	t.tasks += w.Stats.TasksExecuted - w.tallied.tasks
+	t.spawns += w.Stats.Spawns - w.tallied.spawns
+	w.tallied = jobTally{w.Stats.TasksExecuted, w.Stats.Spawns}
+	w.Stats.ChainEnds++
+	if w.rt.jobs.Get(slot).Live.Add(-1) == 0 {
+		w.rt.jobQuiesced(slot)
+	}
 }
 
 // invoke runs (or resumes) the thread whose stack starts at base. On
@@ -144,11 +187,11 @@ func (w *Worker) enter(e *core.Env) core.Status {
 	}
 	// Canceled job: complete the frame without running its body. Every
 	// task of a draining job is reached exactly once — it is popped,
-	// stolen or resumed like any other frame — so the per-job executed
-	// count still closes exactly, and completing the record here is what
-	// unblocks (and in turn drains) any parent suspended on it. Records
-	// the frame held references to are reclaimed by the post-quiescence
-	// sweep (Table.SweepJob).
+	// stolen or resumed like any other frame — so its chains still run
+	// dry one by one, and completing the record here is what unblocks
+	// (and in turn drains) any parent suspended on it. Records the frame
+	// held references to are reclaimed by the post-quiescence sweep
+	// (Table.SweepJob).
 	if w.rt.anyCanceled.Load() > 0 && sched.JobPhase(w.curSlot.State.Load()) == sched.JobDraining {
 		w.ExecComplete(h.Record, 0)
 		w.Stats.TasksExecuted++
@@ -187,32 +230,24 @@ func (w *Worker) enter(e *core.Env) core.Status {
 // least one side always sees the other (DESIGN.md §10).
 //
 // The completing frame is the one this worker is running, so its job is
-// w.curJob. The completion is COUNTED LAST (sched.JobCount): until the
-// Executed bump lands the job's count cannot close, so neither finalizer
-// can sweep this record or recycle the slot under the stores above it.
-// After the bump nothing of the job is touched except through a CAS that
-// names it: the root's winner waits for closure and finalizes, anyone
-// else re-runs the drain check if some job is canceled (DESIGN.md §15).
+// w.curJob, and this worker holds one of that job's live-chain tokens
+// until its stack runs dry (endChain) — which is what keeps the slot and
+// the record from being finalized, swept or recycled under the accesses
+// below. No job word is modified here except by the root, which settles
+// the outcome: a root that loses the CAS lost it to a cancel, and the job
+// reports canceled. Delivery waits for the job's last chain to end
+// (DESIGN.md §15).
 func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 	r := w.Record(rec)
-	slot, js, id := w.curJob, w.curSlot, w.curJobID
+	js := w.curSlot
 	r.Result = result
-	r.Job.Store(sched.RecordDone(sched.JobTag(slot)))
+	r.Job.Store(sched.RecordDone(sched.JobTag(w.curJob)))
 	if wr := r.Waiter.Load(); wr != 0 {
 		w.rt.lot.wakeWorker(w.rt.workers[wr-1])
 	}
-	// A root that loses the CAS lost it to a cancel: the job reports
-	// canceled, and the drain arithmetic closes it.
-	won := false
 	if uint64(rec) == js.Root.Load() {
 		js.Result.Store(result)
-		won = js.Advance(id, sched.JobRunning, sched.JobDone)
-	}
-	w.jobCounts.Get(slot).Executed.Add(1)
-	if won {
-		w.rt.rootFinalize(slot, result)
-	} else if w.rt.anyCanceled.Load() > 0 {
-		w.rt.drainCheck(slot, id)
+		js.Advance(w.curJobID, sched.JobRunning, sched.JobDone)
 	}
 }
 
@@ -222,11 +257,9 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 // thief may take the parent, so init must not write it.
 func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.Stats.Spawns++
-	// The spawn is counted (and the child's record and frame tagged)
-	// against the spawning frame's job — w.curJob, set by the invoke that
-	// entered this task — BEFORE any other worker can see the child.
-	w.jobCounts.Get(w.curJob).Spawns.Add(1)
 	core.SetFrameResume(e.Header(), uint32(resumeRP))
+	// The child's record and frame carry the spawning frame's job:
+	// w.curJob, set by the enter that started this task.
 	tag := sched.JobTag(w.curJob)
 	rec := w.newRecord(tag)
 	// The child's handle lands in the parent's frame BEFORE the

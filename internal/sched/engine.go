@@ -51,6 +51,19 @@ type Engine struct {
 	// Grain is the current job's granularity cutoff (ExecGrain).
 	Grain uint64
 
+	// Jobs resolves a frame's job tag to its slot for the live-chain
+	// accounting (JobSlot.Live). nil on a backend whose frames all carry
+	// tag 0: every step below that touches it is a no-op for that tag.
+	Jobs *JobTable
+	// Chain is the tag of the job whose live-chain token this worker
+	// holds, 0 when its stack is empty. A stack is started only from the
+	// idle loop, on an empty deque and a cleared arena — by a dispatch
+	// (the backend sets Chain), a steal or a resume (set here from the
+	// frame's header) — and every frame that then runs on it belongs to
+	// that job. The backend's scheduler loop retires the token when its
+	// Pop answers a settled "empty".
+	Chain uint32
+
 	waitq []savedCtx
 	// Per-worker free lists (owner-only): suspended-context buffers and
 	// task Envs, recycled instead of heap-allocated per use.
@@ -126,6 +139,13 @@ type WorkerStats struct {
 	Wakes      uint64
 	IdleSleeps uint64
 
+	// ChainTokens counts the live-chain tokens this worker minted on a
+	// JobSlot.Live (one per dispatch, successful steal batch and suspend
+	// of a job-tagged frame), ChainEnds the ones it retired; the sums are
+	// equal at quiescence, and neither moves on the task path.
+	ChainTokens uint64
+	ChainEnds   uint64
+
 	WorkCycles   uint64
 	MaxStackUsed uint64
 	// RecordsLive is the owner-table live count sampled by FinalStats;
@@ -168,6 +188,8 @@ func (t *WorkerStats) Add(s WorkerStats) {
 	t.Parks += s.Parks
 	t.Wakes += s.Wakes
 	t.IdleSleeps += s.IdleSleeps
+	t.ChainTokens += s.ChainTokens
+	t.ChainEnds += s.ChainEnds
 	t.WorkCycles += s.WorkCycles
 	t.MaxStackUsed = max(t.MaxStackUsed, s.MaxStackUsed)
 	t.RecordsLive += s.RecordsLive
@@ -201,14 +223,14 @@ const (
 	envPoolCap = 64
 )
 
-// Init completes an Engine whose X, Rank, Peers, Grain, Wlog and StopFn
-// the backend has set. seed drives victim selection (each rank derives
-// its own stream); stealBatch bounds the entries one steal round trip
-// may move — 0 selects the deque's own bound (MaxClaim, the steal-half
-// default), anything else is clamped to [1, MaxClaim]; tierGroup is the
-// rank-block width of the victim tiers (<= 0: DefaultTierGroup). inj
-// must be a nil INTERFACE, not a typed nil, for the resilience fast
-// path to collapse.
+// Init completes an Engine whose X, Rank, Peers, Grain, Wlog, StopFn and
+// (if its frames carry job tags) Jobs the backend has set. seed drives
+// victim selection (each rank derives its own stream); stealBatch bounds
+// the entries one steal round trip may move — 0 selects the deque's own
+// bound (MaxClaim, the steal-half default), anything else is clamped to
+// [1, MaxClaim]; tierGroup is the rank-block width of the victim tiers
+// (<= 0: DefaultTierGroup). inj must be a nil INTERFACE, not a typed nil,
+// for the resilience fast path to collapse.
 func (en *Engine) Init(seed uint64, stealBatch, tierGroup int, inj StealInjector) {
 	en.Views = en.Peers[en.Rank]
 	en.rng = seed*0x9e3779b97f4a7c15 + uint64(en.Rank)*0xbf58476d1ce4e5b9 + 1
@@ -221,6 +243,7 @@ func (en *Engine) Init(seed uint64, stealBatch, tierGroup int, inj StealInjector
 	en.stealBuf = make([]Entry, max(n, 1))
 	en.Res = NewResilience(en.Rank, DefaultResilienceConfig(), inj)
 	en.Res.Log = en.Wlog
+	en.Res.Jobs = en.Jobs
 }
 
 // intn draws from [0, n): one splitmix64 step, reduced by
@@ -351,7 +374,10 @@ func (en *Engine) ExecWork(cycles uint64) {
 // on the owning rank's table); on a miss, record ourselves as the
 // waiter, re-check (the Dekker handshake with ExecComplete — see
 // Record.Waiter), then swap the frame out to a pooled heap buffer and
-// park it on the wait queue. rt's completer wakes the recorded waiter
+// park it on the wait queue. The parked frame is a second place where
+// its job is live, so it takes a token of its own (JobSlot.Live) — minted
+// here, while this worker still holds the chain's, and inherited by the
+// ResumeReady that restarts it. rt's completer wakes the recorded waiter
 // precisely; dist has no cross-process wake, so its idle loop re-polls
 // the queue between steal rounds.
 func (en *Engine) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, bool) {
@@ -378,6 +404,10 @@ func (en *Engine) ExecJoin(e *core.Env, resumeRP int, h core.Handle) (uint64, bo
 	}
 	en.Stats.JoinsMiss++
 	en.Stats.Suspends++
+	if en.Chain != 0 {
+		en.Jobs.Get(en.Chain - 1).Live.Add(1)
+		en.Stats.ChainTokens++
+	}
 	core.SetFrameResume(e.Header(), uint32(resumeRP))
 	buf := en.getCtxBuf(e.FrameSize())
 	ss := en.Wlog.Clock()
@@ -403,22 +433,23 @@ func (en *Engine) SimWorker() *core.Worker { return nil }
 
 // --- the idle side: reclaim, resume, steal -----------------------------
 
-// ClearDead empties the arena of dead stolen-thread copies; the caller's
-// deque is empty and nothing is running. Unlike the simulator's
-// clearDead this must synchronise: a thief that claimed our LAST entry
-// may still be mid-copy of its frame bytes. Winning the deque lock once
-// (thieves hold it across the whole copy) guarantees every in-flight
-// copy has committed before the arena can be rewritten by an install or
-// fresh frame; claims arriving later find bottom <= top and retreat
-// without copying — whether the thief is a goroutine or another
-// process. (The empty Pop before us won the same lock unless shutdown
-// aborted it; this round does not lean on that.) Returns false only
-// when shutdown interrupted the lock spin.
+// ClearDead empties the arena of dead stolen-thread copies. Call it
+// right after the scheduler loop's Pop answered "empty", with nothing
+// running. Unlike the simulator's clearDead this must synchronise: a
+// thief that claimed our LAST entry may still be mid-copy of its frame
+// bytes. Pop decides "empty" only under the deque lock, and thieves hold
+// that lock across the whole copy, so a settled empty answer means every
+// in-flight copy has committed before the arena can be rewritten by an
+// install or fresh frame; claims arriving later find bottom <= top and
+// retreat without copying — whether the thief is a goroutine or another
+// process. The one empty answer that settled nothing is a Pop whose lock
+// spin StopFn aborted; StopFn never turns false again, so asking it once
+// more tells the two apart. Returns false, the arena untouched, on that
+// shutdown.
 func (en *Engine) ClearDead() bool {
-	if !en.Deque.LockOwner(en.StopFn) {
+	if en.StopFn() {
 		return false
 	}
-	en.Deque.Unlock()
 	en.Arena.Clear()
 	return true
 }
@@ -464,6 +495,8 @@ func (en *Engine) ResumeReady() (base mem.VA, size uint64, ok bool) {
 			panic(err)
 		}
 		copy(en.Arena.MustSlice(sc.base, sc.size), sc.buf)
+		// The token the suspend minted is this new chain's.
+		en.Chain = core.FrameJob(sc.buf)
 		en.putCtxBuf(sc.buf)
 		en.Stats.ResumesWait++
 		return sc.base, sc.size, true
@@ -598,6 +631,11 @@ func (en *Engine) stealFrom(vi int) int {
 		// already emitted the fault/retry/abandon events.)
 		en.lastVictim = -1
 		return 0
+	}
+	// The steal minted this new chain's token before it committed.
+	newest := en.stealBuf[n-1]
+	if en.Chain = core.FrameJob(en.Arena.MustSlice(newest.FrameBase, newest.FrameSize)); en.Chain != 0 {
+		en.Stats.ChainTokens++
 	}
 	var total uint64
 	for i := 0; i < n; i++ {

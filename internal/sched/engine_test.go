@@ -41,8 +41,13 @@ const (
 
 func never() bool { return false }
 
-// newEngines builds n stub backends over fresh heap memory.
-func newEngines(n int) []*stubExec {
+// newEngines builds n stub backends over fresh heap memory whose frames
+// carry no job tag: dist's shape.
+func newEngines(n int) []*stubExec { return newEnginesOn(n, nil) }
+
+// newEnginesOn is newEngines with a job table for tagged frames (nil:
+// none), rt's shape.
+func newEnginesOn(n int, jobs *JobTable) []*stubExec {
 	peers := make([]Views, n)
 	for i := range peers {
 		peers[i] = Views{NewArena(testArenaBase, 1<<14), NewDeque(64), NewTable(64)}
@@ -50,7 +55,7 @@ func newEngines(n int) []*stubExec {
 	ws := make([]*stubExec, n)
 	for i := range ws {
 		w := &stubExec{}
-		w.Engine = Engine{X: w, Rank: i, Peers: peers, StopFn: never}
+		w.Engine = Engine{X: w, Rank: i, Peers: peers, StopFn: never, Jobs: jobs}
 		w.Init(1, 0, 0, nil)
 		ws[i] = w
 	}
@@ -58,7 +63,7 @@ func newEngines(n int) []*stubExec {
 }
 
 // spawn plays ExecSpawnBegin on w for the thread running in e: publish
-// e's continuation, build the child under a fresh record.
+// e's continuation, build the child — of e's job — under a fresh record.
 func spawn(t *testing.T, w *stubExec, e *core.Env) *core.Env {
 	t.Helper()
 	idx, err := w.Records.Alloc()
@@ -68,7 +73,7 @@ func spawn(t *testing.T, w *stubExec, e *core.Env) *core.Env {
 	if err := w.Deque.Push(Entry{FrameBase: e.FrameBase(), FrameSize: e.FrameSize()}); err != nil {
 		t.Fatal(err)
 	}
-	return w.NewFrame(1, testLocals, RecordHandle(w.Rank, idx), 0)
+	return w.NewFrame(1, testLocals, RecordHandle(w.Rank, idx), uint64(core.FrameJob(e.Header())))
 }
 
 func frameBytes(w *stubExec, ent Entry) []byte {
@@ -77,14 +82,42 @@ func frameBytes(w *stubExec, ent Entry) []byte {
 
 // TestEngineStealSuspendResume walks one thread tree through every
 // Engine step: four spawns on the owner, a steal-half by the thief, the
-// owner's failed pop, two join misses on the thief, and their resumes.
+// owner's failed pop, two join misses on the thief, and their resumes —
+// once on untagged frames, where no live-chain step may do anything, and
+// once on frames of a job, where the steal and each suspend mint a token
+// and the steal and each resume tell the worker whose chain it holds.
 func TestEngineStealSuspendResume(t *testing.T) {
-	ws := newEngines(2)
+	t.Run("untagged", func(t *testing.T) { engineStealSuspendResume(t, nil) })
+	t.Run("tagged", func(t *testing.T) { engineStealSuspendResume(t, NewJobTable(2)) })
+}
+
+func engineStealSuspendResume(t *testing.T, jobs *JobTable) {
+	ws := newEnginesOn(2, jobs)
 	owner, thief := ws[0], ws[1]
+	// The tree is the job in slot 1, its one chain the owner's. chain
+	// checks the thief's side of the accounting after each step.
+	var tag uint32
+	live := func() int64 { return 0 }
+	if jobs != nil {
+		tag = uint32(JobTag(1))
+		jobs.Get(1).Live.Store(1)
+		owner.Chain = tag
+		live = jobs.Get(1).Live.Load
+	}
+	chain := func(step string, tokens uint64, wantLive int64) {
+		t.Helper()
+		if jobs == nil {
+			tokens, wantLive = 0, 0
+		}
+		if thief.Chain != tag || thief.Stats.ChainTokens != tokens || thief.Stats.ChainEnds != 0 || live() != wantLive {
+			t.Fatalf("%s: thief.Chain %d, ChainTokens %d, ChainEnds %d, Live %d; want %d, %d, 0, %d",
+				step, thief.Chain, thief.Stats.ChainTokens, thief.Stats.ChainEnds, live(), tag, tokens, wantLive)
+		}
+	}
 
 	// f[0] spawns f[1] spawns … f[4]: the deque holds f[0..3], f[4] runs.
 	const k = 4
-	f := []*core.Env{owner.NewFrame(1, testLocals, 0, 0)}
+	f := []*core.Env{owner.NewFrame(1, testLocals, 0, uint64(tag))}
 	for i := 0; i < k; i++ {
 		f[i].SetU64(0, 0xf00+uint64(i)) // something to recognise the bytes by
 		f = append(f, spawn(t, owner, f[i]))
@@ -102,6 +135,7 @@ func TestEngineStealSuspendResume(t *testing.T) {
 		st.StealHintProbes != 1 || st.StealCacheProbes+st.StealBlindProbes != 0 {
 		t.Fatalf("thief stats after one batch: %+v", st)
 	}
+	chain("after the steal", 1, 2) // one token for the batch of two
 	if thief.Deque.Size() != 2 || owner.Deque.Size() != 2 {
 		t.Fatalf("deque sizes thief %d owner %d, want 2 and 2", thief.Deque.Size(), owner.Deque.Size())
 	}
@@ -136,6 +170,7 @@ func TestEngineStealSuspendResume(t *testing.T) {
 		return want
 	}
 	want1 := suspend(1, 7)
+	chain("after the first suspend", 2, 3)
 	if thief.HasReadyWaiter() {
 		t.Fatal("HasReadyWaiter with every join target pending")
 	}
@@ -143,6 +178,8 @@ func TestEngineStealSuspendResume(t *testing.T) {
 		t.Fatal("ResumeReady resumed a thread whose record is pending")
 	}
 	want0 := suspend(0, 9)
+	chain("after the second suspend", 3, 4)
+	thief.Chain = 0 // the thief's stack is empty: its loop would retire the steal's token here
 	if st := thief.Stats; st.JoinsMiss != 2 || st.Suspends != 2 || thief.Suspended() != 2 || !thief.Arena.Empty() {
 		t.Fatalf("after two suspends: %+v, %d waiting", st, thief.Suspended())
 	}
@@ -162,6 +199,13 @@ func TestEngineStealSuspendResume(t *testing.T) {
 			t.Fatalf("owner popped %+v: f[1] was stolen", got)
 		}
 	}
+	// A stop-aborted Pop settles nothing, so ClearDead after one must
+	// leave the arena alone.
+	owner.StopFn = func() bool { return true }
+	if owner.ClearDead() || owner.Arena.Empty() {
+		t.Fatal("ClearDead cleared the arena after a Pop that shutdown may have aborted")
+	}
+	owner.StopFn = never
 	if !owner.ClearDead() || !owner.Arena.Empty() {
 		t.Fatal("ClearDead left the owner's arena occupied")
 	}
@@ -181,6 +225,8 @@ func TestEngineStealSuspendResume(t *testing.T) {
 		if !ok || (Entry{base, size}) != ent(c.i) {
 			t.Fatalf("ResumeReady = %#x/%d %v, want f[%d]", base, size, ok, c.i)
 		}
+		chain("after a resume", 3, 4) // the resumed chain inherits the suspend's token
+		thief.Chain = 0
 		if !bytes.Equal(thief.Arena.MustSlice(base, size), c.want) {
 			t.Fatalf("f[%d] came back with different bytes", c.i)
 		}

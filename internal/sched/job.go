@@ -18,15 +18,15 @@ import (
 //
 // Job lifecycle (the phase half of State):
 //
-//	JobFree ──dispatch──▶ JobRunning ──root completes──▶ JobDone ──▶ JobFree
+//	JobFree ──dispatch──▶ JobRunning ──root completes──▶ JobDone ──last chain ends──▶ JobFree
 //	                          │                            ▲
 //	                       cancel                          │
 //	                          ▼                            │
-//	                      JobDraining ──last task drains───┘
+//	                      JobDraining ──last chain ends────┘
 //
 // All transitions after dispatch are CASes on the whole word — tenant
 // and phase (JobSlot.Advance) — so a root completion racing a cancel
-// resolves to exactly one finalizer, and a transition attempted for a
+// resolves to exactly one outcome, and a transition attempted for a
 // job that has since left the slot fails whatever phase its successor
 // is in.
 const (
@@ -34,40 +34,51 @@ const (
 	// JobRunning: dispatched; tasks executing.
 	JobRunning
 	// JobDraining: canceled; remaining frames complete-without-running
-	// until the per-job quiescence count closes.
+	// until the job's last chain ends.
 	JobDraining
-	// JobDone: finalized (result or cancellation delivered); the slot
-	// is recycled by the pool once the ticket has been signaled.
+	// JobDone: the outcome is settled (the root's result, or the
+	// cancellation); whoever retires the job's last chain token delivers
+	// it and recycles the slot.
 	JobDone
 )
 
-// JobSlot is the shared per-job word block. Spawn/executed counts are
-// NOT here: they are per-worker (JobCounters) so the spawn hot path
-// never touches a cache line another worker writes.
+// JobSlot is the shared per-job word block.
 //
-// The slot is recycled, and a completer's last look at it (the drain
-// check after its Executed bump, see JobCount) can come after its job
-// was finalized and the slot handed on. So State names its tenant, and
-// the stale look finds its own job gone. Every other slot access by a
-// task precedes that task's bump, which the finalizer waits for.
+// Quiescence is counted in CHAINS, not tasks. A worker's stack — its
+// deque entries plus the running frame — always belongs to one job, and
+// a task that spawns, runs its child and pops its continuation back
+// changes nothing a finalizer needs to know: the parent is still there,
+// keeping the job open. Only three events create a second place where
+// the job is live, and each mints one token on Live: a dispatch starts
+// the root chain, a steal splits a chain, a suspend parks a frame on a
+// wait queue (the worker that resumes it inherits that token). A worker
+// retires its chain's token when its stack runs empty, and whoever takes
+// Live to 0 finalizes the job. Every access a task makes to the slot or
+// to its records is made by a worker that holds a token, so the slot
+// cannot be finalized — or recycled — under any of them (DESIGN.md §15).
 type JobSlot struct {
 	// State is id<<2 | phase (JobState): the tenant's unique job id and
-	// one of JobFree/Running/Draining/Done. 0 is a free slot.
+	// one of JobFree/Running/Draining/Done. 0 is a free slot. The id is
+	// what makes a late Cancel of a job that has left the slot fail
+	// instead of draining its successor.
 	State atomic.Uint64
 	// Root holds the packed core.Handle of the job's root record (set
 	// before State becomes JobRunning); a completer compares its record
-	// handle against this to detect per-job quiescence on the normal
-	// path.
+	// handle against this to recognise the root.
 	Root atomic.Uint64
-	// Result is the root task's result, stored by the finalizer before
-	// the JobDone transition.
+	// Result is the root task's result, stored by the root's completer
+	// before the Running→Done transition.
 	Result atomic.Uint64
 	// Grain is the job's sequential-cutoff knob (see rt.Config.Grain);
 	// workers reload it when an invoked frame switches them onto this
 	// job.
 	Grain atomic.Uint64
-	// Pad to a cache line pair so adjacent jobs never share a line.
-	_ [128 - 4*8]byte
+	_     [64 - 4*8]byte
+	// Live counts the job's live chains. It has the slot's second cache
+	// line to itself: Root is loaded by every completion, and a steal's
+	// mint must not invalidate that line.
+	Live atomic.Int64
+	_    [64 - 8]byte
 }
 
 const jobSlotBytes = uint64(unsafe.Sizeof(JobSlot{}))
@@ -128,27 +139,16 @@ func (t *JobTable) Cap() int { return len(t.slots) }
 // headers and its records' lifecycle words (0 is reserved for "no job").
 func JobTag(idx uint32) uint64 { return uint64(idx) + 1 }
 
-// JobCount is one worker's spawn/executed pair for one job slot, padded
-// to a cache line: each worker writes only its own JobCounters, so the
-// per-task counter bumps are uncontended; cross-worker sums happen only
-// on the rare quiescence/drain checks — concurrently with the bumps,
-// which is why both are atomic adds and not plain words.
-//
-// A job is quiescent when ΣExecuted == ΣSpawns+1, and only then may its
-// slot be finalized and its records swept. A completer bumps Executed
-// LAST — after its record's Result and done stores, the waiter wake and,
-// for the root, the slot's Result store and Running→Done CAS — so the
-// count cannot close, and the slot cannot change hands, under any of
-// those accesses; closure in turn means every store to the job's
-// records has retired.
+// JobCount and JobCounters are allocated by nothing in the runtime: job
+// accounting is JobSlot.Live plus plain per-worker tallies. They stay,
+// verbatim, only because the frozen probe sched.jobcount_bracket_ns
+// still times four adds on one, and go with it (ROADMAP item 6's queued
+// benchmark issue).
 type JobCount struct {
 	Spawns   atomic.Uint64
 	Executed atomic.Uint64
-	// Pending is touched by nothing in the runtime: it bracketed each
-	// completion until counting last made that unnecessary, and stays
-	// because the frozen probe sched.jobcount_bracket_ns still adds to it.
-	Pending atomic.Int64
-	_       [64 - 3*8]byte
+	Pending  atomic.Int64
+	_        [64 - 3*8]byte
 }
 
 const jobCountBytes = uint64(unsafe.Sizeof(JobCount{}))
@@ -186,15 +186,3 @@ func NewJobCounters(capacity uint64) *JobCounters {
 
 // Get returns the counter pair for slot idx.
 func (c *JobCounters) Get(idx uint32) *JobCount { return &c.cnt[idx] }
-
-// Reset zeroes slot idx's spawn/executed pair for reuse by a new job.
-// Called by the dispatching worker before the slot's State becomes
-// JobRunning (no task of the new job exists yet, and the old job's
-// finalizer has already read its final values), so atomic stores
-// suffice. A straggling completer of the old job may still SUM the pair
-// (its drain check) and read a mix of tenants; the tenant id in the
-// State word it then CASes is what makes that harmless.
-func (c *JobCounters) Reset(idx uint32) {
-	c.cnt[idx].Spawns.Store(0)
-	c.cnt[idx].Executed.Store(0)
-}

@@ -224,7 +224,8 @@ func (t *Table) ReleaseLocal(idx uint32) {
 // the lifecycle word claims the record exactly once among racing callers
 // (a finalizer's root release and a cancel sweep), and never takes one
 // that was freed, or freed and reused by another job. Only for a job
-// whose count has closed: a completion between load and CAS would miss.
+// whose last chain has ended: a completion between load and CAS would
+// miss.
 func (t *Table) ReleaseTagged(idx uint32, tag uint64) bool {
 	r := &t.recs[idx]
 	w := r.Job.Load()
@@ -236,9 +237,9 @@ func (t *Table) ReleaseTagged(idx uint32, tag uint64) bool {
 }
 
 // SweepJob releases every record still tagged with the given job tag
-// and returns how many it reclaimed. Called (from any worker) after a
-// canceled job's per-job quiescence count has closed: every task of the
-// job has ended and, because a completer counts last, every store to
+// and returns how many it reclaimed. Called by the worker that retired a
+// canceled job's last live-chain token (JobSlot.Live): every task of the
+// job has ended and, because a completer holds a token, every store to
 // the job's records has retired. The records still carrying the tag are
 // the ones drained frames abandoned — suspended joins that were
 // completed without their parent ever running the release, and child

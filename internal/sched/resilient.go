@@ -3,6 +3,7 @@ package sched
 import (
 	"time"
 
+	"uniaddr/internal/core"
 	"uniaddr/internal/obs"
 )
 
@@ -99,6 +100,10 @@ type Resilience struct {
 	// default) disables event emission at the cost of one pointer
 	// compare per call. Set by the backend after construction.
 	Log *obs.WallLog
+	// Jobs resolves the job tag of a stolen frame to the slot whose
+	// live-chain token the steal mints (StealBatchFrom). Left nil where
+	// every frame carries tag 0. Set by the backend after construction.
+	Jobs *JobTable
 }
 
 // NewResilience builds the state machine for one worker. inj may be
@@ -166,17 +171,32 @@ func (r *Resilience) backoff(attempt int) time.Duration {
 	return d
 }
 
-// StealFrom runs one resilient steal against victim's deque vd,
-// copying the stolen frame from the victim's arena view src into the
-// thief's own arena dst (same VA — the uni-address invariant). On
-// StealOK the entry is installed and copied into dst and the caller
-// runs it. StealFaulted means the fault budget was exhausted; the
-// caller treats it like a failed probe (no retry against this victim
-// this round). Other outcomes are the usual THE results.
+// StealBatchFrom runs one resilient steal-half round trip against
+// victim's deque vd: claim up to len(buf) entries (StealBeginBatch), move
+// them from the victim's arena view src into the thief's own arena dst
+// (same VA — the uni-address invariant) with a SINGLE memcpy — the batch
+// is one contiguous byte range, see the deque's chain-contiguity
+// argument — and commit. The fault model amortises with the batch: one
+// claim consult gates the whole claim, one copy consult gates the whole
+// transfer, and a transfer fault rolls back ALL claimed entries
+// (FreeLowest of the combined range, StealAbortBatch) — a lost RDMA READ
+// loses the whole message, not one frame of it. StealFaulted means the
+// fault budget was exhausted; the caller treats it like a failed probe
+// (no retry against this victim this round). Other outcomes are the
+// usual THE results.
 //
-// With a nil injector this is exactly the pre-fault steal sequence:
-// one StealBegin, one copy, one StealCommit.
-func (r *Resilience) StealFrom(victim int, vd *Deque, src, dst *Arena) (Entry, StealOutcome) {
+// Before it commits, still inside the victim's lock, the thief mints the
+// live-chain token of the job it is taking a piece of (JobSlot.Live; the
+// tag rides in the header of every copied frame, and tag 0 — every dist
+// frame — has no slot). The victim can only find its stack empty, and
+// retire its own token, under that same lock, so the count cannot touch
+// zero between the split and the mint.
+//
+// On StealOK buf[0..n) holds the stolen entries in deque order
+// (buf[0] oldest / highest VA, buf[n-1] newest / lowest VA) and the
+// frames are installed in dst. With a nil injector this is exactly
+// one StealBeginBatch, one copy, one mint, one StealCommit.
+func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf []Entry) (int, StealOutcome) {
 	for attempt := 0; ; attempt++ {
 		if r.inj != nil {
 			stall, fail := r.inj.StealClaim(r.rank, victim)
@@ -186,93 +206,6 @@ func (r *Resilience) StealFrom(victim int, vd *Deque, src, dst *Arena) (Entry, S
 			if fail {
 				// Lost claim op: nothing happened on the victim, so
 				// retry or abandon — never roll back.
-				r.Log.Instant(obs.KStealFault, 0, 0, victim)
-				r.noteFault(victim)
-				if attempt >= r.cfg.MaxRetries || r.Banned(victim) {
-					r.Stats.StealAbortsFault++
-					r.Log.Instant(obs.KStealAbandon, 0, 0, victim)
-					return Entry{}, StealFaulted
-				}
-				r.Stats.StealRetries++
-				bs := r.Log.Clock()
-				d := r.backoff(attempt)
-				r.Log.Emit(obs.KStealRetry, bs, uint64(d), uint64(attempt), 0, victim)
-				continue
-			}
-		}
-		ent, outcome := vd.StealBegin()
-		if outcome != StealOK {
-			return Entry{}, outcome
-		}
-		// Claimed; the victim's lock is held, so the victim cannot
-		// recycle these bytes until we commit or abort. Copy the stack
-		// to the same VA in our arena.
-		if err := dst.Install(ent.FrameBase, ent.FrameSize); err != nil {
-			panic(err)
-		}
-		sb, err := src.Slice(ent.FrameBase, ent.FrameSize)
-		if err != nil {
-			panic(err)
-		}
-		cs := r.Log.Clock()
-		copy(dst.MustSlice(ent.FrameBase, ent.FrameSize), sb)
-		r.Log.Copy(cs, ent.FrameSize, victim)
-		if r.inj != nil {
-			stall, fail := r.inj.StealCopy(r.rank, victim)
-			if stall > 0 {
-				// Injected transfer stall (an ODP page-fault style
-				// delay). The victim's lock is held across it, exactly
-				// as a slow RDMA READ would hold it — THE tolerates
-				// this; chaos schedules keep the stall bounded.
-				r.sleep(stall)
-			}
-			if fail {
-				// Transfer failed AFTER the bytes moved: the full THE
-				// rollback. Free our copy, hand the entry back, walk
-				// away — the transfer consumed real time and the
-				// victim's state has moved on, so no same-steal retry.
-				if err := dst.FreeLowest(ent.FrameBase, ent.FrameSize); err != nil {
-					panic(err)
-				}
-				vd.StealAbort()
-				r.Stats.StealRollbacks++
-				r.Log.Instant(obs.KStealRollback, 0, 0, victim)
-				r.noteFault(victim)
-				r.Stats.StealAbortsFault++
-				return Entry{}, StealFaulted
-			}
-		}
-		vd.StealCommit()
-		if r.fails != nil {
-			// Success clears the victim's consecutive-fault streak.
-			delete(r.fails, victim)
-		}
-		return ent, StealOK
-	}
-}
-
-// StealBatchFrom is StealFrom generalised to the steal-half batch: one
-// resilient round trip that claims up to len(buf) entries
-// (StealBeginBatch), moves them with a SINGLE cross-arena memcpy — the
-// batch is one contiguous byte range, see the deque's chain-contiguity
-// argument — and commits. The fault model amortises with the batch:
-// one claim consult gates the whole claim, one copy consult gates the
-// whole transfer, and a transfer fault rolls back ALL claimed entries
-// (FreeLowest of the combined range, StealAbortBatch) — a lost RDMA
-// READ loses the whole message, not one frame of it.
-//
-// On StealOK buf[0..n) holds the stolen entries in deque order
-// (buf[0] oldest / highest VA, buf[n-1] newest / lowest VA) and the
-// frames are installed in dst. With a nil injector this is exactly
-// one StealBeginBatch, one copy, one StealCommit.
-func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf []Entry) (int, StealOutcome) {
-	for attempt := 0; ; attempt++ {
-		if r.inj != nil {
-			stall, fail := r.inj.StealClaim(r.rank, victim)
-			if stall > 0 {
-				r.sleep(stall)
-			}
-			if fail {
 				r.Log.Instant(obs.KStealFault, 0, 0, victim)
 				r.noteFault(victim)
 				if attempt >= r.cfg.MaxRetries || r.Banned(victim) {
@@ -303,12 +236,17 @@ func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf 
 		if err != nil {
 			panic(err)
 		}
+		db := dst.MustSlice(low, total)
 		cs := r.Log.Clock()
-		copy(dst.MustSlice(low, total), sb)
+		copy(db, sb)
 		r.Log.Copy(cs, total, victim)
 		if r.inj != nil {
 			stall, fail := r.inj.StealCopy(r.rank, victim)
 			if stall > 0 {
+				// Injected transfer stall (an ODP page-fault style
+				// delay). The victim's lock is held across it, exactly
+				// as a slow RDMA READ would hold it — THE tolerates
+				// this; chaos schedules keep the stall bounded.
 				r.sleep(stall)
 			}
 			if fail {
@@ -326,10 +264,21 @@ func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf 
 				return 0, StealFaulted
 			}
 		}
+		if tag := core.FrameJob(db); tag != 0 {
+			r.Jobs.Get(tag - 1).Live.Add(1)
+		}
 		vd.StealCommit()
 		if r.fails != nil {
+			// Success clears the victim's consecutive-fault streak.
 			delete(r.fails, victim)
 		}
 		return n, StealOK
 	}
+}
+
+// StealFrom is StealBatchFrom for a single entry.
+func (r *Resilience) StealFrom(victim int, vd *Deque, src, dst *Arena) (Entry, StealOutcome) {
+	var buf [1]Entry
+	_, outcome := r.StealBatchFrom(victim, vd, src, dst, buf[:])
+	return buf[0], outcome
 }

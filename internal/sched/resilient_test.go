@@ -1,10 +1,13 @@
 package sched
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
+	"uniaddr/internal/core"
 	"uniaddr/internal/mem"
 )
 
@@ -33,11 +36,32 @@ func (s *scriptInjector) StealCopy(thief, victim int) (time.Duration, bool) {
 }
 
 // testRig builds a victim deque+arena with one pushed frame and an
-// empty thief arena at the same base.
+// empty thief arena at the same base. The frames belong to the job in
+// slot 0 of jobs, so a steal that commits mints one live-chain token
+// there and one that rolls back mints none.
 type testRig struct {
 	vd       *Deque
 	src, dst *Arena
 	ent      Entry
+	jobs     *JobTable
+}
+
+// res is NewResilience wired to the rig's job table.
+func (rig *testRig) res(rank int, cfg ResilienceConfig, inj StealInjector) *Resilience {
+	r := NewResilience(rank, cfg, inj)
+	r.Jobs = rig.jobs
+	return r
+}
+
+func (rig *testRig) live() int64 { return rig.jobs.Get(0).Live.Load() }
+
+// fillFrame makes b a frame of job slot 0: a header carrying its tag,
+// then locals filled by pattern.
+func fillFrame(b []byte, pattern func(j int) byte) {
+	for j := range b {
+		b[j] = pattern(j)
+	}
+	core.EncodeFrameHeader(b, 1, uint32(len(b))-core.FrameHeaderBytes, uint32(JobTag(0)), 0)
 }
 
 func newTestRig(t *testing.T) *testRig {
@@ -49,16 +73,13 @@ func newTestRig(t *testing.T) *testRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := src.MustSlice(fb, 256)
-	for i := range b {
-		b[i] = byte(i)
-	}
+	fillFrame(src.MustSlice(fb, 256), func(j int) byte { return byte(j) })
 	vd := NewDeque(8)
 	ent := Entry{FrameBase: fb, FrameSize: 256}
 	if err := vd.Push(ent); err != nil {
 		t.Fatal(err)
 	}
-	return &testRig{vd: vd, src: src, dst: dst, ent: ent}
+	return &testRig{vd: vd, src: src, dst: dst, ent: ent, jobs: NewJobTable(1)}
 }
 
 func fastCfg() ResilienceConfig {
@@ -67,25 +88,68 @@ func fastCfg() ResilienceConfig {
 
 func TestResilienceNilInjectorIsPlainSteal(t *testing.T) {
 	rig := newTestRig(t)
-	r := NewResilience(1, fastCfg(), nil)
+	r := rig.res(1, fastCfg(), nil)
 	ent, out := r.StealFrom(0, rig.vd, rig.src, rig.dst)
 	if out != StealOK || ent != rig.ent {
 		t.Fatalf("got (%+v, %v), want (%+v, ok)", ent, out, rig.ent)
 	}
-	got := rig.dst.MustSlice(ent.FrameBase, ent.FrameSize)
-	for i, b := range got {
-		if b != byte(i) {
-			t.Fatalf("byte %d = %d after steal copy", i, b)
-		}
+	if !bytes.Equal(rig.dst.MustSlice(ent.FrameBase, ent.FrameSize), rig.src.MustSlice(ent.FrameBase, ent.FrameSize)) {
+		t.Fatal("stolen frame's bytes differ from the victim's")
 	}
 	if r.Stats != (ResilienceStats{}) {
 		t.Fatalf("fault counters moved without injector: %+v", r.Stats)
+	}
+	if rig.live() != 1 {
+		t.Fatalf("Live = %d after one committed steal, want 1", rig.live())
+	}
+}
+
+// TestStealMintsInsideVictimLock pins WHERE the steal's live-chain mint
+// sits, which no stress run can see (the window a late mint opens is one
+// instruction wide): the victim may find its stack empty, and retire its
+// own token, as soon as the thief releases the deque lock, so the mint
+// must already have landed. The FAA lock makes the order observable: its
+// release stores 0, absorbing every increment made while it was held. So
+// the job table is laid over the deque region with slot 0's Live word ON
+// the victim's lock word — a mint inside the lock is absorbed by the
+// commit, one after it is left standing.
+func TestStealMintsInsideVictimLock(t *testing.T) {
+	const base, size = mem.VA(0x1000), uint64(1 << 16)
+	liveOff := uint64(unsafe.Offsetof(JobSlot{}.Live))
+	region := heapRegion(liveOff + DequeBytes(8))
+	jobs, err := NewJobTableAt(region, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vd, err := NewDequeAt(region[liveOff:], 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unsafe.Pointer(&jobs.Get(0).Live) != unsafe.Pointer(&vd.hdr.lock) {
+		t.Fatal("slot 0's Live word is not the deque's lock word; the overlay is mis-built")
+	}
+	src, dst := NewArena(base, size), NewArena(base, size)
+	fb, err := src.AllocBelow(256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillFrame(src.MustSlice(fb, 256), func(j int) byte { return byte(j) })
+	if err := vd.Push(Entry{FrameBase: fb, FrameSize: 256}); err != nil {
+		t.Fatal(err)
+	}
+	r := NewResilience(1, fastCfg(), nil)
+	r.Jobs = jobs
+	if _, out := r.StealFrom(0, vd, src, dst); out != StealOK {
+		t.Fatalf("steal: %v", out)
+	}
+	if word := vd.hdr.lock.Load(); word != 0 {
+		t.Fatalf("the shared lock/Live word reads %d after the steal: the mint landed after StealCommit released the victim's lock", word)
 	}
 }
 
 func TestResilienceClaimRetriesThenSucceeds(t *testing.T) {
 	rig := newTestRig(t)
-	r := NewResilience(1, fastCfg(), &scriptInjector{claimFails: 2})
+	r := rig.res(1, fastCfg(), &scriptInjector{claimFails: 2})
 	var slept time.Duration
 	r.sleep = func(d time.Duration) { slept += d }
 	ent, out := r.StealFrom(0, rig.vd, rig.src, rig.dst)
@@ -107,7 +171,7 @@ func TestResilienceClaimRetriesThenSucceeds(t *testing.T) {
 
 func TestResilienceClaimExhaustionAbandons(t *testing.T) {
 	rig := newTestRig(t)
-	r := NewResilience(1, fastCfg(), &scriptInjector{claimFails: 100})
+	r := rig.res(1, fastCfg(), &scriptInjector{claimFails: 100})
 	r.sleep = func(time.Duration) {}
 	_, out := r.StealFrom(0, rig.vd, rig.src, rig.dst)
 	if out != StealFaulted {
@@ -130,7 +194,7 @@ func TestResilienceClaimExhaustionAbandons(t *testing.T) {
 
 func TestResilienceCopyFaultRollsBack(t *testing.T) {
 	rig := newTestRig(t)
-	r := NewResilience(1, fastCfg(), &scriptInjector{copyFails: 1})
+	r := rig.res(1, fastCfg(), &scriptInjector{copyFails: 1})
 	r.sleep = func(time.Duration) {}
 	_, out := r.StealFrom(0, rig.vd, rig.src, rig.dst)
 	if out != StealFaulted {
@@ -146,22 +210,28 @@ func TestResilienceCopyFaultRollsBack(t *testing.T) {
 	if !rig.dst.Empty() {
 		t.Fatal("thief arena not empty after rollback")
 	}
+	if rig.live() != 0 {
+		t.Fatalf("Live = %d after a rolled-back steal, want 0: the mint must follow the copy-fault check", rig.live())
+	}
 	// The same entry is still stealable (fresh resilience, no faults).
-	r2 := NewResilience(2, fastCfg(), nil)
+	r2 := rig.res(2, fastCfg(), nil)
 	ent, out := r2.StealFrom(0, rig.vd, rig.src, rig.dst)
 	if out != StealOK || ent != rig.ent {
 		t.Fatalf("re-steal after rollback: (%+v, %v)", ent, out)
+	}
+	if rig.live() != 1 {
+		t.Fatalf("Live = %d after the re-steal, want 1", rig.live())
 	}
 }
 
 func TestResilienceBanExpires(t *testing.T) {
 	cfg := fastCfg()
 	cfg.BlacklistFor = time.Millisecond
-	r := NewResilience(1, cfg, &scriptInjector{claimFails: 100})
+	rig := newTestRig(t)
+	r := rig.res(1, cfg, &scriptInjector{claimFails: 100})
 	r.sleep = func(time.Duration) {}
 	now := time.Now()
 	r.now = func() time.Time { return now }
-	rig := newTestRig(t)
 	r.StealFrom(0, rig.vd, rig.src, rig.dst)
 	if !r.Banned(0) {
 		t.Fatal("victim not banned after fault burst")
@@ -188,10 +258,7 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := src.MustSlice(fb, 128)
-		for j := range b {
-			b[j] = byte(i)
-		}
+		fillFrame(src.MustSlice(fb, 128), func(int) byte { return byte(i) })
 		if err := vd.Push(Entry{FrameBase: fb, FrameSize: 128}); err != nil {
 			t.Fatal(err)
 		}
@@ -200,6 +267,7 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 		mu     sync.Mutex
 		stolen = map[mem.VA]int{}
 		wg     sync.WaitGroup
+		jobs   = NewJobTable(1)
 	)
 	for th := 0; th < thieves; th++ {
 		th := th
@@ -211,6 +279,7 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 			// with commits across racing thieves.
 			inj := &everyNthCopy{n: 5}
 			r := NewResilience(th+1, fastCfg(), inj)
+			r.Jobs = jobs
 			for {
 				ent, out := r.StealFrom(0, vd, src, dst)
 				switch out {
@@ -239,6 +308,10 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 		if n != 1 {
 			t.Fatalf("entry %#x stolen %d times", fb, n)
 		}
+	}
+	// One token per committed steal, none for the rollbacks in between.
+	if live := jobs.Get(0).Live.Load(); live != entries {
+		t.Fatalf("Live = %d after %d committed steals", live, entries)
 	}
 }
 
@@ -272,22 +345,19 @@ func newBatchRig(t *testing.T) *testRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b := src.MustSlice(fb, 256)
-		for j := range b {
-			b[j] = byte(16*i + j%16)
-		}
+		fillFrame(src.MustSlice(fb, 256), func(j int) byte { return byte(16*i + j%16) })
 		if err := vd.Push(Entry{FrameBase: fb, FrameSize: 256}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return &testRig{vd: vd, src: src, dst: dst}
+	return &testRig{vd: vd, src: src, dst: dst, jobs: NewJobTable(1)}
 }
 
 // TestResilienceBatchMovesBlock: a fault-free batched steal moves the
 // claimed frames as one contiguous block, bytes intact.
 func TestResilienceBatchMovesBlock(t *testing.T) {
 	rig := newBatchRig(t)
-	r := NewResilience(1, fastCfg(), nil)
+	r := rig.res(1, fastCfg(), nil)
 	buf := make([]Entry, rig.vd.MaxClaim())
 	n, out := r.StealBatchFrom(0, rig.vd, rig.src, rig.dst, buf)
 	if out != StealOK || n != 2 {
@@ -310,6 +380,9 @@ func TestResilienceBatchMovesBlock(t *testing.T) {
 	if r.Stats != (ResilienceStats{}) {
 		t.Fatalf("fault counters moved without injector: %+v", r.Stats)
 	}
+	if rig.live() != 1 {
+		t.Fatalf("Live = %d after a batch of %d, want 1: one token per batch, not per entry", rig.live(), n)
+	}
 }
 
 // TestResilienceBatchCopyFaultRollsBack: a copy fault mid-batch hands
@@ -317,7 +390,7 @@ func TestResilienceBatchMovesBlock(t *testing.T) {
 // abort generalised to the batch.
 func TestResilienceBatchCopyFaultRollsBack(t *testing.T) {
 	rig := newBatchRig(t)
-	r := NewResilience(1, fastCfg(), &scriptInjector{copyFails: 1})
+	r := rig.res(1, fastCfg(), &scriptInjector{copyFails: 1})
 	r.sleep = func(time.Duration) {}
 	buf := make([]Entry, rig.vd.MaxClaim())
 	n, out := r.StealBatchFrom(0, rig.vd, rig.src, rig.dst, buf)
@@ -333,8 +406,11 @@ func TestResilienceBatchCopyFaultRollsBack(t *testing.T) {
 	if !rig.dst.Empty() {
 		t.Fatal("thief arena not empty after batch rollback")
 	}
+	if rig.live() != 0 {
+		t.Fatalf("Live = %d after a rolled-back batch, want 0", rig.live())
+	}
 	// The block is still stealable by a healthy thief.
-	r2 := NewResilience(2, fastCfg(), nil)
+	r2 := rig.res(2, fastCfg(), nil)
 	if n, out := r2.StealBatchFrom(0, rig.vd, rig.src, rig.dst, buf); out != StealOK || n != 2 {
 		t.Fatalf("re-steal after rollback: n=%d %v", n, out)
 	}
@@ -344,7 +420,7 @@ func TestResilienceBatchCopyFaultRollsBack(t *testing.T) {
 // in the single-entry path, then the batch proceeds.
 func TestResilienceBatchClaimRetries(t *testing.T) {
 	rig := newBatchRig(t)
-	r := NewResilience(1, fastCfg(), &scriptInjector{claimFails: 2})
+	r := rig.res(1, fastCfg(), &scriptInjector{claimFails: 2})
 	r.sleep = func(time.Duration) {}
 	buf := make([]Entry, rig.vd.MaxClaim())
 	n, out := r.StealBatchFrom(0, rig.vd, rig.src, rig.dst, buf)

@@ -29,7 +29,7 @@ import (
 // On the rt backend the pool is REAL: one set of arenas, deques and
 // record tables serves every job, workers park on the idle ladder
 // between jobs instead of exiting, task records carry job tags, and
-// each job's Report comes from exact per-job quiescence counters. On
+// each job's Report comes from exact per-job task tallies. On
 // sim and dist the segment layout still ties a world to one root task,
 // so the Service runs each job in an ephemeral world behind the same
 // facade — admission, backpressure and per-job Reports behave
