@@ -28,8 +28,9 @@ func mustPanic(t *testing.T, what, want string, f func()) {
 }
 
 // The job tag took the header's reserved word: the header stays 32
-// bytes, the tag decodes with the rest, and neither a resume-point
-// stamp nor a write to the last local slot disturbs it.
+// bytes, the tag is read with the rest of what a task entry needs, and
+// neither a resume-point stamp nor a write to the last local slot
+// disturbs it.
 func TestFrameHeaderCarriesJob(t *testing.T) {
 	if core.FrameHeaderBytes != 32 {
 		t.Fatalf("frame header is %d bytes, want 32", core.FrameHeaderBytes)
@@ -40,9 +41,12 @@ func TestFrameHeaderCarriesJob(t *testing.T) {
 	core.SetFrameResume(frame, 5)
 	e := core.NewEnv(nil, 0x1000, frame, 0)
 	e.SetU64(1, ^uint64(0))
-	want := core.FrameHeader{Fid: 9, Resume: 5, LocalsLen: 16, Job: 0xabcd1234, Record: rec}
-	if got := core.DecodeFrameHeader(e.Header()); got != want {
-		t.Fatalf("decoded %+v, want %+v", got, want)
+	fid, resume, job, self := core.FrameEntry(e.Header())
+	if fid != 9 || resume != 5 || job != 0xabcd1234 || self != rec || core.FrameJob(e.Header()) != job {
+		t.Fatalf("entry reads fid %d resume %d job %#x record %#x, want 9, 5, 0xabcd1234, %#x", fid, resume, job, self, rec)
+	}
+	if e.Self() != rec || e.FrameSize() != core.FrameBytes(16) {
+		t.Fatalf("Env reads record %#x size %d, want %#x and %d", e.Self(), e.FrameSize(), rec, core.FrameBytes(16))
 	}
 }
 

@@ -28,7 +28,10 @@ type Exec interface {
 	// ExecWork charges cycles of task computation (virtual time on the
 	// simulator; a calibrated spin on real hardware).
 	ExecWork(cycles uint64)
-	// ExecComplete publishes a task's result into its record.
+	// ExecComplete records a task's result in its record. The simulator
+	// publishes it there and then; the real backends publish it when the
+	// task's entry returns, the shared way only if another worker may
+	// hold the record's handle (DESIGN.md §9).
 	ExecComplete(rec Handle, result uint64)
 	// ExecSpawnBegin and ExecSpawnRun are the spawn protocol cut where
 	// the child's init runs: Env.Spawn calls init between them, so the
@@ -155,30 +158,18 @@ func TaskFn(id FuncID) Fn { return lookupFn(id) }
 // thread stack; the locals area follows it.
 const FrameHeaderBytes = frameHdrSize
 
-// FrameHeader is the decoded fixed-size header at the base of a
-// thread's stack (see frame.go for the byte layout).
-type FrameHeader struct {
-	Fid       FuncID
-	Resume    uint32
-	LocalsLen uint32
-	// Job is the tag of the job the thread belongs to (sched.JobTag:
-	// slot+1), 0 on backends that run one job at a time.
-	Job    uint32
-	Record Handle
-	TaskID uint64
-}
-
-// DecodeFrameHeader parses the header from the first FrameHeaderBytes
-// of a frame.
-func DecodeFrameHeader(b []byte) FrameHeader {
-	return FrameHeader{
-		Fid:       FuncID(binary.LittleEndian.Uint32(b[fhFuncIDOff:])),
-		Resume:    binary.LittleEndian.Uint32(b[fhResumeOff:]),
-		LocalsLen: binary.LittleEndian.Uint32(b[fhLocalsLenOff:]),
-		Job:       binary.LittleEndian.Uint32(b[fhJobOff:]),
-		Record:    Handle(binary.LittleEndian.Uint64(b[fhRecordOff:])),
-		TaskID:    binary.LittleEndian.Uint64(b[fhTaskIDOff:]),
-	}
+// FrameEntry reads what a backend needs to enter a thread from the first
+// FrameHeaderBytes of its frame (see frame.go for the byte layout): the
+// task function, the resume point, the tag of the job it belongs to
+// (sched.JobTag: slot+1; 0 on backends that run one job at a time) and
+// its record. Separate results, not a struct: a header value built in
+// four 4-byte stack stores and reloaded as one 16-byte load stalls store
+// forwarding on every task entry.
+func FrameEntry(b []byte) (fid FuncID, resume, job uint32, rec Handle) {
+	return FuncID(binary.LittleEndian.Uint32(b[fhFuncIDOff:])),
+		binary.LittleEndian.Uint32(b[fhResumeOff:]),
+		binary.LittleEndian.Uint32(b[fhJobOff:]),
+		Handle(binary.LittleEndian.Uint64(b[fhRecordOff:]))
 }
 
 // FrameJob reads only the job tag from a raw frame header: what a steal

@@ -149,7 +149,7 @@ func (w *worker) runRoot() {
 	if w.rootInit != nil {
 		w.rootInit(e)
 	}
-	w.enter(e)
+	w.enterShared(e)
 }
 
 // abortRun is the sentinel unwound through task frames when the run
@@ -161,12 +161,24 @@ type abortRun struct{}
 
 // invoke runs (or resumes) the thread whose stack starts at base.
 func (w *worker) invoke(base mem.VA, size uint64) core.Status {
-	return w.enter(w.GetEnv(base, w.Arena.MustSlice(base, size), 0))
+	return w.enterShared(w.GetEnv(base, w.Arena.MustSlice(base, size), 0))
+}
+
+// enterShared enters a thread that is not an inline child (the root, or
+// a frame the scheduler loop popped, stole or resumed) and publishes its
+// completion the shared way (rt's carries the commentary).
+func (w *worker) enterShared(e *core.Env) core.Status {
+	st, rec := w.enter(e)
+	if st == core.Done {
+		w.publish(rec)
+	}
+	return st
 }
 
 // enter is invoke on a pooled Env already addressing the frame (a spawned
-// child runs in the Env its init wrote through); it recycles e.
-func (w *worker) enter(e *core.Env) core.Status {
+// child runs in the Env its init wrote through); it recycles e. A Done
+// thread's result is recorded, and publishing it left to the caller.
+func (w *worker) enter(e *core.Env) (core.Status, core.Handle) {
 	base, size := e.FrameBase(), e.FrameSize()
 	if w.seg.ctl.fail.Load() != 0 {
 		panic(abortRun{})
@@ -181,14 +193,14 @@ func (w *worker) enter(e *core.Env) core.Status {
 			time.Sleep(time.Hour)
 		}
 	}
-	h := core.DecodeFrameHeader(e.Header())
-	e.Rearm(h.Resume)
+	fid, resume, _, rec := core.FrameEntry(e.Header())
+	e.Rearm(resume)
 	ts := w.Wlog.Clock()
-	st := core.TaskFn(h.Fid)(e)
-	w.Wlog.Emit(obs.KTask, ts, w.Wlog.Clock()-ts, uint64(h.Fid), 0, -1)
+	st := core.TaskFn(fid)(e)
+	w.Wlog.Emit(obs.KTask, ts, w.Wlog.Clock()-ts, uint64(fid), 0, -1)
 	if st == core.Done {
 		if !e.Returned() {
-			w.ExecComplete(e.Self(), 0)
+			w.ExecComplete(rec, 0)
 		}
 		w.Stats.TasksExecuted++
 		if err := w.Arena.FreeLowest(base, size); err != nil {
@@ -196,25 +208,35 @@ func (w *worker) enter(e *core.Env) core.Status {
 		}
 	}
 	w.PutEnv(e)
-	return st
+	return st, rec
 }
+
+// publish stores a completion's done word (seq-cst) into its record — a
+// one-sided write into the owning rank's table region, wherever that
+// process lives. There is no cross-process wake to deliver: a suspended
+// joiner's idle loop polls. Completing the ROOT record additionally
+// publishes the result and the done word on the control page, which is
+// what terminates every process's scheduler loop.
+func (w *worker) publish(rec core.Handle) {
+	r := w.Record(rec)
+	r.Job.Store(sched.RecordDone(0))
+	w.Stats.SharedPublishes++
+	if rec == rootRec() {
+		w.seg.ctl.result.Store(r.Result)
+		w.seg.ctl.done.Store(1)
+	}
+}
+
+// publishLocal is the plain done store of an inline child whose parent's
+// Pop won (rt's carries the commentary).
+func (w *worker) publishLocal(rec core.Handle) { w.Record(rec).StorePlain(sched.RecordDone(0)) }
 
 // --- core.Exec, the half that bears dist's policy ----------------------
 
-// ExecComplete publishes a task's result into its record — a one-sided
-// write into the owning rank's table region, wherever that process
-// lives. There is no cross-process wake to deliver: a suspended joiner's
-// idle loop polls. Completing the ROOT record additionally publishes the
-// result and the done word on the control page, which is what
-// terminates every process's scheduler loop.
+// ExecComplete records a task's result in its record; enter's caller
+// publishes it.
 func (w *worker) ExecComplete(rec core.Handle, result uint64) {
-	r := w.Record(rec)
-	r.Result = result
-	r.Job.Store(sched.RecordDone(0))
-	if rec == rootRec() {
-		w.seg.ctl.result.Store(result)
-		w.seg.ctl.done.Store(1)
-	}
+	w.Record(rec).Result = result
 }
 
 // ExecSpawnBegin/ExecSpawnRun are the child-first spawn (Fig. 4; rt's
@@ -232,13 +254,19 @@ func (w *worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 }
 
 func (w *worker) ExecSpawnRun(e, child *core.Env) bool {
-	w.enter(child)
+	st, rec := w.enter(child)
 	if ent, ok := w.Deque.Pop(w.StopFn); ok {
 		if ent.FrameBase != e.FrameBase() || ent.FrameSize != e.FrameSize() {
 			panic(fmt.Sprintf("dist: deque corruption: popped %#x/%d, expected %#x/%d",
 				ent.FrameBase, ent.FrameSize, e.FrameBase(), e.FrameSize()))
 		}
+		if st == core.Done {
+			w.publishLocal(rec)
+		}
 		return true
+	}
+	if st == core.Done {
+		w.publish(rec)
 	}
 	w.Stats.ParentStolen++
 	if err := w.Arena.FreeLowest(e.FrameBase(), e.FrameSize()); err != nil {

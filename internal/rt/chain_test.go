@@ -143,3 +143,48 @@ func TestJobWordsMoveOnlyAtChainEdges(t *testing.T) {
 	}
 	t.Logf("%d tasks, %d steal batches, %d suspends, %d tokens", st.TasksExecuted, st.StealBatches, st.Suspends, st.ChainTokens)
 }
+
+// TestSharedPublishesOnlyWhereAHandleCanEscape is the guard on the record
+// half of the task path: a completion pays the shared publish (a seq-cst
+// done store, the Waiter load, the root check) only where another worker
+// can hold its record's handle — a root, a frame the scheduler loop
+// entered (stolen, resumed, or left on the deque by a steal batch), an
+// inline child whose parent was stolen. Every other completion is plain
+// stores, so a task that spawns, runs its child and pops its parent back
+// makes no serialising store to its record.
+func TestSharedPublishesOnlyWhereAHandleCanEscape(t *testing.T) {
+	// One worker: nothing escapes but the root.
+	fib := workloads.Fib(20, 0)
+	p := newPool(t, rt.DefaultConfig(1))
+	res := waitSpec(t, submitSpec(t, p, fib, rt.JobParams{}), fib)
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st := p.TotalStats(); st.SharedPublishes != 1 {
+		t.Errorf("a one-worker job of %d tasks: %d shared publishes, want 1 (the root)", res.Tasks, st.SharedPublishes)
+	}
+
+	// Two workers on an unbalanced tree: every shared publish is a root or
+	// follows a counted event.
+	const jobs = 4
+	uts := workloads.UTS(1, 11, workloads.DefaultUTSB0, 100)
+	cfg := rt.DefaultConfig(2)
+	cfg.MaxJobs = 2
+	p = newPool(t, cfg)
+	var tks [jobs]*rt.Ticket
+	for i := range tks {
+		tks[i] = submitSpec(t, p, uts, rt.JobParams{})
+	}
+	for _, tk := range tks {
+		waitSpec(t, tk, uts)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st := p.TotalStats()
+	if bound := st.StealsOK + st.ResumesWait + st.ParentStolen + jobs; st.SharedPublishes < jobs || st.SharedPublishes > bound {
+		t.Errorf("%d shared publishes, want between %d jobs and %d steals + %d resumes + %d stolen parents + %d jobs",
+			st.SharedPublishes, jobs, st.StealsOK, st.ResumesWait, st.ParentStolen, jobs)
+	}
+	t.Logf("%d tasks, %d shared publishes", st.TasksExecuted, st.SharedPublishes)
+}

@@ -220,6 +220,12 @@ type Runtime struct {
 	startT        time.Time
 	watchdog      *time.Timer
 
+	// sweeps holds, per worker, the canceled tenants whose abandoned
+	// records that worker must reclaim from its own table (postSweep,
+	// Worker.sweep); nil until the pool's first cancel.
+	sweepMu sync.Mutex
+	sweeps  [][]uint64
+
 	ran     bool
 	elapsed time.Duration
 	total   Stats // Pool.Close's snapshot of TotalStats
@@ -306,8 +312,8 @@ func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (
 	// The single run is job slot 0 of the job machinery the persistent
 	// Pool shares: the root record is allocated and tagged before any
 	// goroutine starts, and its handle published in the slot so every
-	// worker's ExecComplete recognises the root.
-	r.rootRec = r.workers[0].newRecord(sched.JobTag(0))
+	// worker's shared publish recognises the root.
+	r.rootRec = r.workers[0].newRecord(sched.Tenant(0))
 	js := r.jobs.Get(0)
 	js.Grain.Store(r.cfg.Grain)
 	js.Root.Store(uint64(r.rootRec))

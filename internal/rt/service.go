@@ -20,8 +20,9 @@ import (
 // of exiting; an idle worker dispatches the next admitted job by
 // allocating a tagged root record from its own table and invoking the
 // root frame in its own arena. Per-job isolation rests on the job tags
-// (in every frame header and record lifecycle word), per-job quiescence
-// on the slot's live-chain count (sched.JobSlot.Live); see DESIGN.md §15.
+// in every frame header and the tenants in every record lifecycle word,
+// per-job quiescence on the slot's live-chain count (sched.JobSlot.Live);
+// see DESIGN.md §15.
 
 // ErrPoolSaturated is returned by Submit when the bounded admission
 // queue is full — the pool's backpressure signal.
@@ -293,6 +294,11 @@ func (p *Pool) Close() error {
 	r.done.Store(true)
 	r.lot.wakeAll()
 	r.wg.Wait()
+	// A worker that was parked or busy since a cancel's post has not
+	// swept its table yet; every worker has stopped, so do it for them.
+	for _, w := range r.workers {
+		w.sweep()
+	}
 	if r.watchdog != nil {
 		r.watchdog.Stop()
 	}
@@ -364,7 +370,7 @@ func (w *Worker) startQueuedJob() bool {
 	js.Grain.Store(pj.par.Grain)
 	js.Result.Store(0)
 	tag := sched.JobTag(slot)
-	rec := w.newRecord(tag)
+	rec := w.newRecord(sched.Tenant(pj.t.id))
 	js.Root.Store(uint64(rec))
 	js.Live.Store(1)
 	w.startChain(slot)
@@ -378,7 +384,7 @@ func (w *Worker) startQueuedJob() bool {
 	if pj.init != nil {
 		pj.init(e)
 	}
-	w.enter(e)
+	w.enterShared(e)
 	return true
 }
 
@@ -432,8 +438,10 @@ func (r *Runtime) unqueue(i int) *pendingJob {
 // and every store its tasks made to the slot and to their records
 // precedes, through the RMW chain on Live, the retire that got here. The
 // root's completer settled the outcome (Done) unless a cancel beat it
-// (Draining); in that case the records the drained frames abandoned are
-// swept by tag before the cancellation is delivered.
+// (Draining); in that case the cancellation is delivered at once, and the
+// records the drained frames abandoned — still tagged with the job's
+// tenant, in the tables of the workers that spawned them — are posted to
+// those workers to sweep (postSweep).
 func (r *Runtime) jobQuiesced(slot uint32) {
 	js := r.jobs.Get(slot)
 	meta := &r.jobMeta[slot]
@@ -446,11 +454,9 @@ func (r *Runtime) jobQuiesced(slot uint32) {
 		r.finalizeSlot(slot, js.Result.Load(), nil)
 	case js.Advance(meta.id, sched.JobDraining, sched.JobDone):
 		r.anyCanceled.Add(-1)
-		tag := sched.JobTag(slot)
-		for _, w := range r.workers {
-			w.Records.SweepJob(tag)
-		}
+		tenant := sched.Tenant(meta.id) // before finalizeSlot lets the slot go
 		r.finalizeSlot(slot, 0, meta.cancelErr)
+		r.postSweep(tenant)
 	default:
 		// Still Running: the root never completed, so a frame was lost.
 		panic(fmt.Sprintf("rt: job %d's last chain ended with its slot in state %#x", meta.id, st))
@@ -464,10 +470,10 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	js := r.jobs.Get(slot)
 	meta := &r.jobMeta[slot]
 	t := meta.t
-	// Release the root record unless the cancel sweep already claimed it.
-	if h := core.Handle(js.Root.Load()); h.Valid() {
-		r.workers[h.Rank()].Records.ReleaseTagged(sched.RecordIndex(h), sched.JobTag(slot))
-	}
+	// Release the root record: nobody joins a root, and a sweep of the
+	// job's tenant is posted only after this.
+	h := core.Handle(js.Root.Load())
+	r.workers[h.Rank()].Records.Release(sched.RecordIndex(h))
 	// Every chain of the job has ended, so every worker's tally for the
 	// slot is final and nobody else reads or writes it (Worker.tally).
 	var sum jobTally
@@ -503,6 +509,27 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 		r.lot.wakeOne()
 	}
 	t.deliver(r, res, jobErr)
+}
+
+// postSweep asks every worker to reclaim, from its own table, the records
+// still tagged with a canceled job's tenant. Legal only once the job has
+// quiesced and finalizeSlot has released its root: from then on nobody
+// holds a handle to those records, and every store any task made to them
+// precedes, through Live and sweepMu, the owner's sweep.
+// No worker scans a table it does not own, so the owners' own stores to
+// their records can stay plain (sched.Record). A parked worker is not
+// woken for this: it sweeps when its idle loop next comes round, or
+// Pool.Close sweeps for it.
+func (r *Runtime) postSweep(tenant uint64) {
+	r.sweepMu.Lock()
+	if r.sweeps == nil {
+		r.sweeps = make([][]uint64, len(r.workers))
+	}
+	for i, w := range r.workers {
+		r.sweeps[i] = append(r.sweeps[i], tenant)
+		w.sweepPosted.Store(true)
+	}
+	r.sweepMu.Unlock()
 }
 
 // failTickets resolves every outstanding ticket with the pool error so

@@ -28,6 +28,11 @@ type Worker struct {
 	idle     idleState
 	wakeCh   chan struct{} // 1-buffered wake token; see parkingLot
 	parkSlot int32         // index in lot.parked; -1 when not registered
+	// sweepPosted says Runtime.sweeps holds canceled tenants for this
+	// worker to sweep (postSweep), without the lock, for the idle loop.
+	// It shares parkSlot's 8-byte word, which keeps Worker in its
+	// allocation size class.
+	sweepPosted atomic.Bool
 	// idleSpins counts idle-loop rounds. Atomic because quiescence tests
 	// sample it mid-run to prove parked workers have stopped spinning.
 	idleSpins atomic.Uint64
@@ -85,8 +90,10 @@ func (w *Worker) run() {
 		}
 		// The Pop above settled "empty" under the deque lock: our stack
 		// has run dry, so whatever chain we held ends here. That may
-		// finish the run.
+		// finish the run. Then reclaim our records of any canceled job
+		// posted to us since the last round.
 		w.endChain()
+		w.sweep()
 		if w.rt.stopped() {
 			return
 		}
@@ -129,7 +136,7 @@ func (w *Worker) runRoot() {
 	if w.rt.rootInit != nil {
 		w.rt.rootInit(e)
 	}
-	w.enter(e)
+	w.enterShared(e)
 }
 
 // startChain records that this worker's stack now belongs to the job in
@@ -162,23 +169,51 @@ func (w *Worker) endChain() {
 	}
 }
 
+// sweep reclaims this worker's records of the canceled tenants posted to
+// it, if any: the owner's half of a drain (Runtime.postSweep). Called
+// from the idle loop and by Pool.Close once the workers have stopped.
+func (w *Worker) sweep() {
+	if !w.sweepPosted.Load() {
+		return
+	}
+	r := w.rt
+	r.sweepMu.Lock()
+	w.Records.SweepTenants(r.sweeps[w.Rank])
+	r.sweeps[w.Rank] = r.sweeps[w.Rank][:0]
+	w.sweepPosted.Store(false)
+	r.sweepMu.Unlock()
+}
+
 // invoke runs (or resumes) the thread whose stack starts at base. On
 // return the stack is no longer occupied here: Done threads are
 // retired; Unwound threads were swapped out by a suspend or released
 // after a steal, inside ExecJoin/ExecSpawnRun.
 func (w *Worker) invoke(base mem.VA, size uint64) core.Status {
-	return w.enter(w.GetEnv(base, w.Arena.MustSlice(base, size), 0))
+	return w.enterShared(w.GetEnv(base, w.Arena.MustSlice(base, size), 0))
+}
+
+// enterShared enters a thread that is not an inline child — a root, or a
+// frame the scheduler loop popped, stole or resumed — and publishes its
+// completion the shared way: its record's handle may be anywhere.
+func (w *Worker) enterShared(e *core.Env) core.Status {
+	st, rec := w.enter(e)
+	if st == core.Done {
+		w.publish(rec)
+	}
+	return st
 }
 
 // enter is invoke on a pooled Env already addressing the frame (a spawned
-// child runs in the Env its init wrote through); it recycles e.
-func (w *Worker) enter(e *core.Env) core.Status {
+// child runs in the Env its init wrote through); it recycles e. It
+// returns the thread's record with its status: a Done thread's result is
+// recorded (ExecComplete) but not yet published — that is the caller's.
+func (w *Worker) enter(e *core.Env) (core.Status, core.Handle) {
 	base, size := e.FrameBase(), e.FrameSize()
-	h := core.DecodeFrameHeader(e.Header())
+	fid, resume, job, rec := core.FrameEntry(e.Header())
 	// Switch this worker's cached job context if the frame belongs to
 	// another job (steals interleave jobs on one worker). The id recheck
 	// catches a slot recycled to a new job between two frames.
-	if slot := h.Job - 1; slot != w.curJob || w.rt.jobMeta[slot].id != w.curJobID {
+	if slot := job - 1; slot != w.curJob || w.rt.jobMeta[slot].id != w.curJobID {
 		w.curJob = slot
 		w.curJobID = w.rt.jobMeta[slot].id
 		w.curSlot = w.rt.jobs.Get(slot)
@@ -190,25 +225,25 @@ func (w *Worker) enter(e *core.Env) core.Status {
 	// stolen or resumed like any other frame — so its chains still run
 	// dry one by one, and completing the record here is what unblocks
 	// (and in turn drains) any parent suspended on it. Records the frame
-	// held references to are reclaimed by the post-quiescence sweep
-	// (Table.SweepJob).
+	// held handles to are reclaimed by their owners once the job has
+	// quiesced (Runtime.postSweep).
 	if w.rt.anyCanceled.Load() > 0 && sched.JobPhase(w.curSlot.State.Load()) == sched.JobDraining {
-		w.ExecComplete(h.Record, 0)
+		w.ExecComplete(rec, 0)
 		w.Stats.TasksExecuted++
 		w.Stats.TasksDrained++
 		if err := w.Arena.FreeLowest(base, size); err != nil {
 			panic(err)
 		}
 		w.PutEnv(e)
-		return core.Done
+		return core.Done, rec
 	}
-	e.Rearm(h.Resume)
+	e.Rearm(resume)
 	ts := w.Wlog.Clock()
-	st := core.TaskFn(h.Fid)(e)
-	w.Wlog.Emit(obs.KTask, ts, w.Wlog.Clock()-ts, uint64(h.Fid), 0, -1)
+	st := core.TaskFn(fid)(e)
+	w.Wlog.Emit(obs.KTask, ts, w.Wlog.Clock()-ts, uint64(fid), 0, -1)
 	if st == core.Done {
 		if !e.Returned() {
-			w.ExecComplete(e.Self(), 0)
+			w.ExecComplete(rec, 0)
 		}
 		w.Stats.TasksExecuted++
 		if err := w.Arena.FreeLowest(base, size); err != nil {
@@ -216,20 +251,18 @@ func (w *Worker) enter(e *core.Env) core.Status {
 		}
 	}
 	w.PutEnv(e)
-	return st
+	return st, rec
 }
 
-// --- core.Exec, the half that bears rt's policy ------------------------
-
-// ExecComplete publishes a task's result: write result (a plain word),
-// then store done (seq-cst), so any joiner observing done observes the
-// result.
-// If a joiner recorded itself as the record's waiter before we stored
-// done, wake that worker precisely; the seq-cst done-store→waiter-load
-// order pairs with the joiner's waiter-store→done-load recheck so at
-// least one side always sees the other (DESIGN.md §10).
+// publish makes a completion visible to a joiner that may be on another
+// worker: store done (seq-cst) after the result ExecComplete wrote, so
+// any joiner observing done observes the result. If a joiner recorded
+// itself as the record's waiter before we stored done, wake that worker
+// precisely; the seq-cst done-store→waiter-load order pairs with the
+// joiner's waiter-store→done-load recheck so at least one side always
+// sees the other (DESIGN.md §10).
 //
-// The completing frame is the one this worker is running, so its job is
+// The completing frame is the one this worker just ran, so its job is
 // w.curJob, and this worker holds one of that job's live-chain tokens
 // until its stack runs dry (endChain) — which is what keeps the slot and
 // the record from being finalized, swept or recycled under the accesses
@@ -237,18 +270,39 @@ func (w *Worker) enter(e *core.Env) core.Status {
 // the outcome: a root that loses the CAS lost it to a cancel, and the job
 // reports canceled. Delivery waits for the job's last chain to end
 // (DESIGN.md §15).
-func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
+func (w *Worker) publish(rec core.Handle) {
 	r := w.Record(rec)
 	js := w.curSlot
-	r.Result = result
-	r.Job.Store(sched.RecordDone(sched.JobTag(w.curJob)))
+	r.Job.Store(sched.RecordDone(sched.Tenant(w.curJobID)))
+	w.Stats.SharedPublishes++
 	if wr := r.Waiter.Load(); wr != 0 {
 		w.rt.lot.wakeWorker(w.rt.workers[wr-1])
 	}
 	if uint64(rec) == js.Root.Load() {
-		js.Result.Store(result)
+		// Nobody joins a root: its record is still ours to read.
+		js.Result.Store(r.Result)
 		js.Advance(w.curJobID, sched.JobRunning, sched.JobDone)
 	}
+}
+
+// publishLocal publishes the completion of an inline child whose
+// parent's Pop won: the parent's frame — the one place the child's
+// handle lives — never left this worker, so nobody else can be polling
+// the record, waiting on it or comparing it with a root. A plain store;
+// the next Push's bottom store publishes it to any thief that later takes
+// the parent, with the deque slots (DESIGN.md §9).
+func (w *Worker) publishLocal(rec core.Handle) {
+	w.Record(rec).StorePlain(sched.RecordDone(sched.Tenant(w.curJobID)))
+}
+
+// --- core.Exec, the half that bears rt's policy ------------------------
+
+// ExecComplete records a task's result in its record: a plain word, read
+// by a joiner only after it saw the done bit. Publishing it is left to
+// enter's caller, which knows whether anyone else can be looking
+// (publish, publishLocal).
+func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
+	w.Record(rec).Result = result
 }
 
 // ExecSpawnBegin is the child-first spawn (Fig. 4) on real concurrency
@@ -258,10 +312,10 @@ func (w *Worker) ExecComplete(rec core.Handle, result uint64) {
 func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.FuncID, localsLen uint32, _ bool) *core.Env {
 	w.Stats.Spawns++
 	core.SetFrameResume(e.Header(), uint32(resumeRP))
-	// The child's record and frame carry the spawning frame's job:
-	// w.curJob, set by the enter that started this task.
-	tag := sched.JobTag(w.curJob)
-	rec := w.newRecord(tag)
+	// The child's record and frame carry the spawning frame's job (its
+	// tenant and its slot's tag), cached by the enter that started this
+	// task.
+	rec := w.newRecord(sched.Tenant(w.curJobID))
 	// The child's handle lands in the parent's frame BEFORE the
 	// continuation is published, so a migrated parent finds it.
 	e.SetHandle(handleSlot, rec)
@@ -274,24 +328,32 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 	if w.rt.lot.count.Load() > 0 {
 		w.rt.lot.wakeOne()
 	}
-	return w.NewFrame(fid, localsLen, rec, tag)
+	return w.NewFrame(fid, localsLen, rec, sched.JobTag(w.curJob))
 }
 
 // ExecSpawnRun runs the child inline, then pops the continuation — a
-// failed pop means a real concurrent thief took the parent.
+// failed pop means a real concurrent thief took the parent — and only
+// then publishes the child's completion: plainly if the Pop won, the
+// shared way if the parent, and the child's handle with it, was stolen.
 func (w *Worker) ExecSpawnRun(e, child *core.Env) bool {
-	w.enter(child)
+	st, rec := w.enter(child)
 	// Pop the continuation we pushed (Fig. 4 line 14).
 	if ent, ok := w.Deque.Pop(w.StopFn); ok {
 		if ent.FrameBase != e.FrameBase() || ent.FrameSize != e.FrameSize() {
 			panic(fmt.Sprintf("rt: deque corruption: popped %#x/%d, expected %#x/%d",
 				ent.FrameBase, ent.FrameSize, e.FrameBase(), e.FrameSize()))
 		}
+		if st == core.Done {
+			w.publishLocal(rec)
+		}
 		return true
 	}
 	// The continuation (and, by FIFO order, every ancestor's) was
 	// stolen by a genuinely concurrent thief. Release the dead local
 	// copy and unwind to the scheduler.
+	if st == core.Done {
+		w.publish(rec)
+	}
 	w.Stats.ParentStolen++
 	if err := w.Arena.FreeLowest(e.FrameBase(), e.FrameSize()); err != nil {
 		panic(err)
@@ -300,13 +362,13 @@ func (w *Worker) ExecSpawnRun(e, child *core.Env) bool {
 }
 
 // newRecord allocates a record on this worker's pool and opens it
-// pending under its job's tag before the handle can escape to another
-// worker.
-func (w *Worker) newRecord(jobTag uint64) core.Handle {
+// pending under its job's tenant — a plain store, made before the handle
+// can escape to another worker.
+func (w *Worker) newRecord(tenant uint64) core.Handle {
 	idx, err := w.Records.Alloc()
 	if err != nil {
 		panic(err)
 	}
-	w.Records.Get(idx).Job.Store(sched.RecordPending(jobTag))
+	w.Records.Get(idx).StorePlain(sched.RecordPending(tenant))
 	return sched.RecordHandle(w.Rank, idx)
 }

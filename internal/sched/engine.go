@@ -18,11 +18,11 @@ import (
 //
 // A backend embeds an Engine BY VALUE in its worker and keeps the POLICY
 // in its own file: the scheduler loop (what "stopped" and "idle" mean),
-// runRoot, enter, ExecSpawnBegin, ExecSpawnRun, ExecComplete and
-// newRecord. The Engine never calls up — it holds no interface,
+// runRoot, enter, ExecSpawnBegin, ExecSpawnRun, ExecComplete, the shared
+// publish and newRecord. The Engine never calls up — it holds no interface,
 // type parameter or func-valued hook for the backend's half, and task
 // Envs dispatch straight to the backend worker (X), with the methods
-// below promoted into its core.Exec through the embedding. The ~45
+// below promoted into its core.Exec through the embedding. The ~55
 // lines the two backends' policy functions still share are duplicated
 // on purpose: owning them here puts one non-inlined call per half on
 // every task (measured: +8.5 ns/task for five), and a type parameter
@@ -63,6 +63,10 @@ type Engine struct {
 	// that job. The backend's scheduler loop retires the token when its
 	// Pop answers a settled "empty".
 	Chain uint32
+	// lastVictim caches the rank of the last successful steal victim (-1
+	// none); owner-only. Declared beside Chain so the two share one 8-byte
+	// word: a word more would move rt's Worker up an allocation size class.
+	lastVictim int32
 
 	waitq []savedCtx
 	// Per-worker free lists (owner-only): suspended-context buffers and
@@ -70,13 +74,11 @@ type Engine struct {
 	ctxFree [][]byte
 	envFree []*core.Env
 
-	// lastVictim caches the rank of the last successful steal victim
-	// (-1 none); tiers orders the other ranks by rank-group distance
-	// (BuildTiers); stealBuf is the reusable batch buffer, sized to the
-	// per-steal entry bound. All owner-only.
-	lastVictim int32
-	tiers      [NumTiers][]int
-	stealBuf   []Entry
+	// tiers orders the other ranks by rank-group distance (BuildTiers);
+	// stealBuf is the reusable batch buffer, sized to the per-steal entry
+	// bound. Both owner-only.
+	tiers    [NumTiers][]int
+	stealBuf []Entry
 	// rng is the victim-choice state: one word, not a heap math/rand
 	// source — victim choice needs spread, not quality.
 	rng  uint64
@@ -145,6 +147,13 @@ type WorkerStats struct {
 	// equal at quiescence, and neither moves on the task path.
 	ChainTokens uint64
 	ChainEnds   uint64
+	// SharedPublishes counts completions published the shared way: a
+	// seq-cst done store and the root check (on rt also the Waiter
+	// handshake). Only a root, a frame entered from the scheduler loop
+	// (stolen, resumed, or left on the deque by a steal batch) and an
+	// inline child whose parent's Pop lost pay it; every other completion
+	// is plain stores.
+	SharedPublishes uint64
 
 	WorkCycles   uint64
 	MaxStackUsed uint64
@@ -190,6 +199,7 @@ func (t *WorkerStats) Add(s WorkerStats) {
 	t.IdleSleeps += s.IdleSleeps
 	t.ChainTokens += s.ChainTokens
 	t.ChainEnds += s.ChainEnds
+	t.SharedPublishes += s.SharedPublishes
 	t.WorkCycles += s.WorkCycles
 	t.MaxStackUsed = max(t.MaxStackUsed, s.MaxStackUsed)
 	t.RecordsLive += s.RecordsLive
@@ -372,8 +382,8 @@ func (en *Engine) ExecWork(cycles uint64) {
 
 // ExecJoin is Fig. 7's join: poll the record (on dist a one-sided load
 // on the owning rank's table); on a miss, record ourselves as the
-// waiter, re-check (the Dekker handshake with ExecComplete — see
-// Record.Waiter), then swap the frame out to a pooled heap buffer and
+// waiter, re-check (the Dekker handshake with the completer's shared
+// publish — see Record.Waiter), then swap the frame out to a pooled heap buffer and
 // park it on the wait queue. The parked frame is a second place where
 // its job is live, so it takes a token of its own (JobSlot.Live) — minted
 // here, while this worker still holds the chain's, and inherited by the

@@ -8,15 +8,18 @@ import (
 )
 
 // An exhaustive interleaving explorer for the job-completion protocol
-// (DESIGN.md §15): every merge of four actors' step lists, each step one
-// access to a REAL word — JobSlot's State/Root/Result/Live, a Record's
-// lifecycle word, the victim Deque's lock/top/bottom — memoised on the
-// whole state. Tenant A starts Running with one live chain: the victim
-// is inside the root's one child, the root's continuation on its deque.
+// (DESIGN.md §15) and the record publication it rides on (§9): every
+// merge of four actors' step lists, each step one access to a REAL word —
+// JobSlot's State/Root/Result/Live, a Record's lifecycle word and Result,
+// the victim Deque's lock/top/bottom — memoised on the whole state.
+// Tenant A starts Running with one live chain: the victim is inside the
+// root's one child, the root's continuation on its deque.
 //
-//	victim completes the child, pops its continuation — won lock-free, won
-//	       or lost under the lock — and either runs the root to its end or
-//	       finds its stack empty; then its chain ends
+//	victim completes the child (stashes its result), pops its continuation
+//	       — won lock-free, won or lost under the lock — and only then
+//	       publishes the child's completion: plainly if the Pop won, the
+//	       shared way if it lost. After a win it runs the root to its end.
+//	       Its chain ends, then its idle loop sweeps what was posted to it
 //	thief  probes, locks, claims, (copies,) mints, unlocks; enters the
 //	       stolen root — drained at entry if the job is canceled, else
 //	       joined on the child: done, or suspended (a second mint), the
@@ -27,17 +30,22 @@ import (
 //	       slot, same root record), runs B's root on a third worker and
 //	       ends that chain
 //
-// Whoever takes Live to 0 finalizes. The step lists below are
-// rt.Worker.ExecComplete, enter's drain test and endChain,
-// rt.Runtime.jobQuiesced, finalizeSlot, cancelRunning and startQueuedJob,
-// sched.Engine.ExecJoin and ResumeReady, Resilience.StealBatchFrom and
-// Deque.Pop/StealBeginBatch, one word access at a time (a failed lock
-// spin and a not-yet-ready resume poll are "blocked": they touch nothing
-// and are retried). A protocol mutant is a different step ORDER built by
-// the same function; production has no switch.
+// Both records live in the victim's table. Whoever takes Live to 0
+// finalizes; for a canceled tenant it then posts a sweep of the tenant
+// to the records' owner, the victim, whose idle loop may run it at any
+// point after — what is still posted when everyone is done, Pool.Close
+// sweeps. The step lists below are rt.Worker.ExecComplete, ExecSpawnRun's
+// Pop and its publish (publishLocal / publish), enter's drain test,
+// endChain and sweep, rt.Runtime.jobQuiesced, finalizeSlot, postSweep,
+// cancelRunning and startQueuedJob, sched.Engine.ExecJoin and
+// ResumeReady, Resilience.StealBatchFrom and Deque.Pop/StealBeginBatch,
+// one word access at a time (a failed lock spin and a not-yet-ready resume
+// poll are "blocked": they touch nothing and are retried). A protocol
+// mutant is a different step ORDER built by the same function; production
+// has no switch.
 
 const (
-	ilTagA  = 1 // tenant ids; the phase-only mutant stores 0 for both
+	ilTagA  = 1 // tenant job ids; the phase-only mutant stores 0 for both
 	ilTagB  = 2
 	ilRoot  = 0 // record indices
 	ilChild = 1
@@ -50,6 +58,10 @@ type ilMutant struct {
 	retireBeforeStore bool // a chain's token is retired before its last completion's record stores
 	mintAfterRetire   bool // a suspend mints after its chain's stack-empty retire
 	phaseOnlyCAS      bool // no tenant in the compared State word
+	plainAfterLostPop bool // the child's completion is published plainly after its parent's Pop lost
+	postBeforeRelease bool // the sweep is posted before finalizeSlot releases the root
+	postAtCancel      bool // the sweep is posted by the cancel, before Live reached 0
+	slotTags          bool // records carry the slot's tag, not the tenant
 }
 
 // id is what a tenant's actors put in State words.
@@ -60,19 +72,29 @@ func (m ilMutant) id(tenant uint64) uint64 {
 	return tenant
 }
 
+// recTag is what a tenant's records carry, and what its sweep looks for.
+func (m ilMutant) recTag(tenant uint64) uint64 {
+	if m.slotTags {
+		return JobTag(0)
+	}
+	return Tenant(tenant)
+}
+
 // ilWorld is the shared memory plus the ghost state the invariants read.
 type ilWorld struct {
 	slot        JobSlot
-	dq          *Deque // the victim's
-	rec         [2]Record
-	tally       [3]uint64    // rt.Worker.tally[slot].tasks, by worker: plain words
-	anyCanceled atomic.Int64 // rt.Runtime.anyCanceled
+	dq          *Deque    // the victim's
+	rec         [2]Record // the victim's table
+	tally       [3]uint64 // rt.Worker.tally[slot].tasks, by worker: plain words
+	anyCanceled atomic.Int64
+	posted      uint64 // the victim's sweepTenants (one at most here); 0 = none
 
 	tenant     uint64   // ghost: whose slot it is (A until the dispatcher claims it)
 	freeListed bool     // ghost: finalizeSlot returned the slot to the free list
 	finalized  [3]int8  // ghost: finalizeSlot entries, by tenant
 	executed   [3]uint8 // ghost: completions, by tenant
 	freed      [2]int8  // ghost: releases of each record in its current epoch
+	escaped    [2]bool  // ghost: the record's handle may be read off its owner's worker
 	actors     []*ilActor
 	fail       string
 	ran        map[string]bool // not state: every "actor@pc" some interleaving executed
@@ -86,6 +108,7 @@ type ilActor struct {
 	name   string
 	tenant uint64 // the job it acts for
 	id     uint64 // the id it puts in State words (0 under phaseOnlyCAS)
+	tag    uint64 // the tag its job's records carry
 	worker int    // whose tally it writes
 	steps  []ilStep
 	dead   map[int]bool // steps the protocol makes unreachable (a mutant may still get there)
@@ -108,11 +131,13 @@ type ilSnap struct {
 	rec                 [2][2]uint64
 	tally               [3]uint64
 	anyCanceled         int64
+	posted              uint64
 	tenant              uint64
 	freeListed          bool
 	finalized           [3]int8
 	executed            [3]uint8
 	freed               [2]int8
+	escaped             [2]bool
 	act                 [4]ilActorSnap
 }
 
@@ -120,8 +145,8 @@ func (w *ilWorld) save() ilSnap {
 	s := ilSnap{
 		state: w.slot.State.Load(), root: w.slot.Root.Load(), result: w.slot.Result.Load(), live: w.slot.Live.Load(),
 		lock: w.dq.hdr.lock.Load(), top: w.dq.hdr.top.Load(), bottom: w.dq.hdr.bottom.Load(),
-		tally: w.tally, anyCanceled: w.anyCanceled.Load(), tenant: w.tenant, freeListed: w.freeListed,
-		finalized: w.finalized, executed: w.executed, freed: w.freed,
+		tally: w.tally, anyCanceled: w.anyCanceled.Load(), posted: w.posted, tenant: w.tenant, freeListed: w.freeListed,
+		finalized: w.finalized, executed: w.executed, freed: w.freed, escaped: w.escaped,
 	}
 	for i := range w.rec {
 		s.rec[i] = [2]uint64{w.rec[i].Job.Load(), w.rec[i].Result}
@@ -142,7 +167,8 @@ func (w *ilWorld) load(s ilSnap) {
 	w.dq.hdr.bottom.Store(s.bottom)
 	w.tally = s.tally
 	w.anyCanceled.Store(s.anyCanceled)
-	w.tenant, w.freeListed, w.finalized, w.executed, w.freed = s.tenant, s.freeListed, s.finalized, s.executed, s.freed
+	w.posted = s.posted
+	w.tenant, w.freeListed, w.finalized, w.executed, w.freed, w.escaped = s.tenant, s.freeListed, s.finalized, s.executed, s.freed, s.escaped
 	for i := range w.rec {
 		w.rec[i].Job.Store(s.rec[i][0])
 		w.rec[i].Result = s.rec[i][1]
@@ -161,7 +187,7 @@ func (w *ilWorld) violate(a *ilActor, format string, args ...any) {
 // access is the check every load, store or RMW a task makes on a slot
 // word, a record or a tally runs: the slot must still be its tenant's,
 // and its tenant must not have been finalized — a finalizer reads the
-// tallies, sweeps the records and frees the slot with no lock, so it must
+// tallies, releases the root and frees the slot with no lock, so it must
 // be the last one there. For the plain tally words that is the whole
 // single-accessor argument: a write whose retire had not landed when the
 // finalizer's own retire read 0 is a retire after the finalize, and is
@@ -184,25 +210,50 @@ func (w *ilWorld) recWrite(a *ilActor, rec int) {
 	}
 }
 
-// release is a joiner's release of the child record (ReleaseLocal, or
-// Release from another worker): the lifecycle word goes to 0.
-func (w *ilWorld) release(a *ilActor, rec int) {
-	w.access(a, fmt.Sprintf("release of record %d", rec))
+// plainStore is Record.StorePlain, which is for the record's owner only
+// while no other worker can read the word: before its handle escaped.
+// (Production's one later plain store, the owner's ReleaseLocal of a
+// record whose handle came back to it, has no counterpart here.)
+func (w *ilWorld) plainStore(a *ilActor, rec int, word uint64) {
+	if w.escaped[rec] {
+		w.violate(a, "plain store to record %d's lifecycle word after its handle escaped", rec)
+	}
+	w.rec[rec].StorePlain(word)
+}
+
+// free clears a record's lifecycle word once in its epoch: plainly for
+// the owner's ReleaseLocal, seq-cst for a remote Release, the finalizer's
+// root release and a sweep.
+func (w *ilWorld) free(a *ilActor, rec int, plain bool) {
 	if w.freed[rec]++; w.freed[rec] > 1 {
 		w.violate(a, "record %d released twice", rec)
 	}
-	w.rec[rec].Job.Store(0)
+	if plain {
+		w.plainStore(a, rec, 0)
+	} else {
+		w.rec[rec].Job.Store(0)
+	}
 }
 
-// claim is Table.ReleaseTagged on one record: CAS the lifecycle word
-// from either phase of the tag to free.
-func (w *ilWorld) claim(a *ilActor, rec int) {
-	word := w.rec[rec].Job.Load()
-	if word>>1 == JobTag(0) && w.rec[rec].Job.CompareAndSwap(word, 0) {
-		if w.freed[rec]++; w.freed[rec] > 1 {
-			w.violate(a, "record %d released twice", rec)
+// release is a joiner's release of the child record: ReleaseLocal by the
+// owner, Release from another worker.
+func (w *ilWorld) release(a *ilActor, rec int, plain bool) {
+	w.access(a, fmt.Sprintf("release of record %d", rec))
+	w.free(a, rec, plain)
+}
+
+// sweep is rt.Worker.sweep on the victim's table: Table.SweepTenants for
+// whatever was posted.
+func (w *ilWorld) sweep(a *ilActor) {
+	if w.posted == 0 {
+		return
+	}
+	for rec := range w.rec {
+		if word := w.rec[rec].Job.Load(); word != 0 && word>>1 == w.posted {
+			w.free(a, rec, false)
 		}
 	}
+	w.posted = 0
 }
 
 // ilProg appends steps; a step's default successor is the next one.
@@ -232,22 +283,38 @@ func (p ilProg) dead(from, to int) {
 // after the whole program has been built.
 func (a *ilActor) end() int { return len(a.steps) }
 
-// complete appends rt.Worker.ExecComplete for record rec.
-func (p ilProg) complete(rec int, root bool, result uint64) {
+// stash appends rt.Worker.ExecComplete for record rec (with enter's
+// count of the completion): the result, a plain word, and nothing else.
+func (p ilProg) stash(rec int, result uint64) {
 	p.add(func(w *ilWorld, a *ilActor) int {
 		w.recWrite(a, rec)
 		w.rec[rec].Result = result
-		return a.pc + 1
-	})
-	p.add(func(w *ilWorld, a *ilActor) int {
-		w.recWrite(a, rec)
-		w.rec[rec].Job.Store(RecordDone(JobTag(0)))
 		a.n++
 		w.executed[a.tenant]++
 		return a.pc + 1
 	})
+}
+
+// publishLocal appends rt.Worker.publishLocal: one plain store.
+func (p ilProg) publishLocal(rec int) {
 	p.add(func(w *ilWorld, a *ilActor) int {
-		w.access(a, "ExecComplete's Root load")
+		w.recWrite(a, rec)
+		w.plainStore(a, rec, RecordDone(a.tag))
+		return a.pc + 1
+	})
+}
+
+// publish appends rt.Worker.publish: the seq-cst done store (the Waiter
+// load after it is the parking lot's, not modelled), the Root load and,
+// for the root, its Result store and Running→Done CAS.
+func (p ilProg) publish(rec int, root bool) {
+	p.add(func(w *ilWorld, a *ilActor) int {
+		w.recWrite(a, rec)
+		w.rec[rec].Job.Store(RecordDone(a.tag))
+		return a.pc + 1
+	})
+	p.add(func(w *ilWorld, a *ilActor) int {
+		w.access(a, "publish's Root load")
 		w.slot.Root.Load()
 		return a.pc + 1
 	})
@@ -256,7 +323,7 @@ func (p ilProg) complete(rec int, root bool, result uint64) {
 	}
 	p.add(func(w *ilWorld, a *ilActor) int {
 		w.access(a, "the root's Result store")
-		w.slot.Result.Store(result)
+		w.slot.Result.Store(w.rec[rec].Result)
 		return a.pc + 1
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { // loses only to a cancel
@@ -264,6 +331,13 @@ func (p ilProg) complete(rec int, root bool, result uint64) {
 		w.slot.Advance(a.id, JobRunning, JobDone)
 		return a.pc + 1
 	})
+}
+
+// complete appends a completion entered through enterShared: the stash,
+// then the shared publish.
+func (p ilProg) complete(rec int, root bool, result uint64) {
+	p.stash(rec, result)
+	p.publish(rec, root)
 }
 
 // mint appends one Live.Add(1): a steal's or a suspend's.
@@ -276,10 +350,12 @@ func (p ilProg) mint(what string) {
 }
 
 // endChain appends rt.Worker.endChain — tally, retire — and, for the
-// retire that reads 0, jobQuiesced and finalizeSlot. A chain that was not
-// the last goes on to *then (read when the step runs). It returns the pcs
-// of jobQuiesced's canceled branch and of finalizeSlot.
-func (p ilProg) endChain(then *int) (canceled, finalize int) {
+// retire that reads 0, jobQuiesced: finalizeSlot, and for a canceled
+// tenant first the Draining→Done CAS and after it postSweep. A chain that
+// was not the last goes on to *then, one that finalized to *after (read
+// when the steps run). It returns the pc of jobQuiesced's test and the
+// canceled branch's [canceled, end); the Done branch lies between.
+func (p ilProg) endChain(m ilMutant, then, after *int) (quiesced, canceled, end int) {
 	p.add(func(w *ilWorld, a *ilActor) int {
 		w.access(a, "endChain's tally write")
 		w.tally[a.worker] += a.n
@@ -296,13 +372,13 @@ func (p ilProg) endChain(then *int) (canceled, finalize int) {
 		}
 		return *then
 	})
-	// jobQuiesced.
-	p.add(func(w *ilWorld, a *ilActor) int {
+	quiesced = p.add(func(w *ilWorld, a *ilActor) int {
 		if w.slot.State.Load() == JobState(a.id, JobDone) {
-			return finalize
+			return a.pc + 1
 		}
 		return canceled
 	})
+	p.finalizeSlot(m, false, after)
 	canceled = p.add(func(w *ilWorld, a *ilActor) int {
 		if !w.slot.Advance(a.id, JobDraining, JobDone) {
 			w.violate(a, "tenant %d's last chain ended with its slot in state %#x", a.tenant, w.slot.State.Load())
@@ -310,19 +386,32 @@ func (p ilProg) endChain(then *int) (canceled, finalize int) {
 		return a.pc + 1
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { w.anyCanceled.Add(-1); return a.pc + 1 })
-	p.add(func(w *ilWorld, a *ilActor) int { w.claim(a, ilChild); return a.pc + 1 }) // SweepJob
-	p.add(func(w *ilWorld, a *ilActor) int { w.claim(a, ilRoot); return a.pc + 1 })
-	// finalizeSlot.
-	finalize = p.add(func(w *ilWorld, a *ilActor) int {
+	p.finalizeSlot(m, true, after)
+	return quiesced, canceled, p.next()
+}
+
+// postSweep appends rt.Runtime.postSweep of the actor's tenant.
+func (p ilProg) postSweep() {
+	p.add(func(w *ilWorld, a *ilActor) int { w.posted = a.tag; return a.pc + 1 })
+}
+
+// finalizeSlot appends rt.Runtime.finalizeSlot and, for a canceled
+// tenant, the postSweep after it; then it goes on to *after.
+func (p ilProg) finalizeSlot(m ilMutant, canceled bool, after *int) {
+	p.add(func(w *ilWorld, a *ilActor) int {
 		if w.tenant != a.tenant {
 			w.violate(a, "finalizing tenant %d on tenant %d's slot", a.tenant, w.tenant)
 		}
 		if w.finalized[a.tenant]++; w.finalized[a.tenant] > 1 {
 			w.violate(a, "tenant %d finalized twice", a.tenant)
 		}
-		w.claim(a, ilRoot)
 		return a.pc + 1
 	})
+	if canceled && m.postBeforeRelease {
+		p.postSweep()
+	}
+	// The root's Release.
+	p.add(func(w *ilWorld, a *ilActor) int { w.free(a, ilRoot, false); return a.pc + 1 })
 	p.add(func(w *ilWorld, a *ilActor) int { // Report.Tasks: every worker's tally, read and zeroed
 		var sum uint64
 		for i := range w.tally {
@@ -335,12 +424,19 @@ func (p ilProg) endChain(then *int) (canceled, finalize int) {
 		return a.pc + 1
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { w.slot.Root.Store(0); return a.pc + 1 })
+	post := canceled && !m.postBeforeRelease && !m.postAtCancel
 	p.add(func(w *ilWorld, a *ilActor) int {
 		w.slot.State.Store(JobFree)
 		w.freeListed = true
-		return a.end()
+		if post {
+			return a.pc + 1
+		}
+		return *after
 	})
-	return canceled, finalize
+	if post {
+		p.postSweep()
+		p.add(func(w *ilWorld, a *ilActor) int { return *after })
+	}
 }
 
 // lockOwner appends Deque.LockOwner.
@@ -354,15 +450,16 @@ func (p ilProg) lockOwner() int {
 	})
 }
 
-// ilVictimActor: ExecComplete(child), ExecSpawnRun's Deque.Pop, and then
-// either the rest of the root or the end of the chain. (The scheduler
-// loop's own Pop after a failed one repeats the locked half on the same
-// empty deque; it is folded into the first.)
+// ilVictimActor: ExecComplete(child), ExecSpawnRun's Deque.Pop and
+// publish, then either the rest of the root or nothing; the end of the
+// chain; the idle loop's sweep. (The scheduler loop's own Pop after a
+// failed one repeats the locked half on the same empty deque; it is
+// folded into the first.)
 func ilVictimActor(m ilMutant) *ilActor {
-	a := &ilActor{name: "victim", tenant: ilTagA, id: m.id(ilTagA), worker: ilVictim}
+	a := &ilActor{name: "victim", tenant: ilTagA, id: m.id(ilTagA), tag: m.recTag(ilTagA), worker: ilVictim}
 	p := ilProg{a}
-	p.complete(ilChild, false, 41)
-	var won, slow, stolen int
+	p.stash(ilChild, 41)
+	var won, slow, stolen, chainEnd int
 	p.add(func(w *ilWorld, a *ilActor) int { a.b = w.dq.hdr.bottom.Load(); return a.pc + 1 })
 	p.add(func(w *ilWorld, a *ilActor) int {
 		if a.t = w.dq.hdr.top.Load(); a.b > a.t {
@@ -390,23 +487,33 @@ func ilVictimActor(m ilMutant) *ilActor {
 	p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.bottom.Store(a.b - 1); return unlockWon })
 	unlockWon = p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.lock.Store(0); return won })
 	p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.lock.Store(0); return stolen })
-	// The continuation is ours: join the child (done, by us), end the root,
-	// and find the stack empty under the lock.
-	won = p.add(func(w *ilWorld, a *ilActor) int { w.release(a, ilChild); return a.pc + 1 })
+	// The continuation is ours, and the child's handle never left: publish
+	// plainly, join the child (done, by us), end the root, and find the
+	// stack empty under the lock.
+	won = p.next()
+	p.publishLocal(ilChild)
+	p.add(func(w *ilWorld, a *ilActor) int { w.release(a, ilChild, true); return a.pc + 1 })
 	p.complete(ilRoot, true, 40)
 	p.lockOwner()
-	p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.lock.Store(0); return a.pc + 1 })
+	p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.lock.Store(0); return chainEnd })
+	// The continuation was stolen, and the child's handle with it.
 	stolen = p.next()
-	end := 0
-	p.endChain(&end)
-	end = a.end()
+	if m.plainAfterLostPop {
+		p.publishLocal(ilChild)
+	} else {
+		p.publish(ilChild, false)
+	}
+	chainEnd = p.next()
+	idle := 0
+	p.endChain(m, &idle, &idle)
+	idle = p.add(func(w *ilWorld, a *ilActor) int { w.sweep(a); return a.end() })
 	return a
 }
 
 // ilThiefActor: StealBatchFrom on the victim's deque, then the stolen
 // root on the thief's own (private, unmodelled) stack.
 func ilThiefActor(m ilMutant) *ilActor {
-	a := &ilActor{name: "thief", tenant: ilTagA, id: m.id(ilTagA), worker: ilThief}
+	a := &ilActor{name: "thief", tenant: ilTagA, id: m.id(ilTagA), tag: m.recTag(ilTagA), worker: ilThief}
 	p := ilProg{a}
 	p.add(func(w *ilWorld, a *ilActor) int { a.t = w.dq.hdr.top.Load(); return a.pc + 1 })
 	p.add(func(w *ilWorld, a *ilActor) int {
@@ -427,6 +534,9 @@ func ilThiefActor(m ilMutant) *ilActor {
 		if a.b = w.dq.hdr.bottom.Load(); a.b <= a.t {
 			return a.pc + 1
 		}
+		// The claim stands and covers the root's frame: the copy reads
+		// the child's handle out of it.
+		w.escaped[ilChild] = true
 		return a.pc + 3
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { w.dq.hdr.top.Store(a.t); return a.pc + 1 }) // retreat
@@ -439,20 +549,23 @@ func ilThiefActor(m ilMutant) *ilActor {
 		p.mint("the steal's mint")
 		commit()
 	}
-	// enterRoot appends rt.Worker.enter on the root frame: drained if its
-	// job is canceled, else its body from the join on.
+	// enterRoot appends rt.Worker.enter on the root frame, from invoke:
+	// drained if its job is canceled, else its body from the join on.
 	end := 0
-	finish := func(result uint64) {
+	finish := func(result uint64, drained bool) {
 		if m.retireBeforeStore {
 			body := 0
-			p.endChain(&body)
+			p.endChain(m, &body, &body)
 			body = p.next()
 			p.complete(ilRoot, true, result)
 			p.add(func(w *ilWorld, a *ilActor) int { return a.end() })
 			return
 		}
 		p.complete(ilRoot, true, result)
-		p.endChain(&end)
+		quiesced, canceled, _ := p.endChain(m, &end, &end)
+		if drained { // only a cancel drains, and only the finalizer takes it to Done
+			p.dead(quiesced+1, canceled)
+		}
 	}
 	enterRoot := func(resumed bool) {
 		var body, drain int
@@ -470,7 +583,7 @@ func ilThiefActor(m ilMutant) *ilActor {
 			return body
 		})
 		drain = p.next()
-		finish(0) // without running the body: the child's record is left for the sweep
+		finish(0, true) // without running the body: the child's record is left for the sweep
 		var joined, idle int
 		body = p.add(func(w *ilWorld, a *ilActor) int { // ExecJoin
 			if w.rec[ilChild].IsDone() {
@@ -489,18 +602,18 @@ func ilThiefActor(m ilMutant) *ilActor {
 			// which cannot be the job's last, having just minted.
 			if m.mintAfterRetire {
 				mint := 0
-				p.endChain(&mint)
+				p.endChain(m, &mint, &mint)
 				mint = p.next()
 				p.mint("the suspend's mint")
 				p.add(func(w *ilWorld, a *ilActor) int { return idle })
 			} else {
 				p.mint("the suspend's mint")
-				canceled, _ := p.endChain(&idle)
-				p.dead(canceled-1, p.next())
+				quiesced, _, after := p.endChain(m, &idle, &idle)
+				p.dead(quiesced, after)
 			}
 		}
-		joined = p.add(func(w *ilWorld, a *ilActor) int { w.release(a, ilChild); return a.pc + 1 })
-		finish(40)
+		joined = p.add(func(w *ilWorld, a *ilActor) int { w.release(a, ilChild, false); return a.pc + 1 })
+		finish(40, false)
 		if !resumed {
 			idle = p.add(func(w *ilWorld, a *ilActor) int { // ResumeReady's poll
 				if !w.rec[ilChild].IsDone() {
@@ -517,7 +630,7 @@ func ilThiefActor(m ilMutant) *ilActor {
 }
 
 func ilCanceller(m ilMutant) *ilActor {
-	a := &ilActor{name: "cancel", tenant: ilTagA, id: m.id(ilTagA)}
+	a := &ilActor{name: "cancel", tenant: ilTagA, id: m.id(ilTagA), tag: m.recTag(ilTagA)}
 	p := ilProg{a}
 	p.add(func(w *ilWorld, a *ilActor) int { // cancelRunning: the one access made with no token held
 		if !w.slot.Advance(a.id, JobRunning, JobDraining) {
@@ -529,11 +642,14 @@ func ilCanceller(m ilMutant) *ilActor {
 		return a.pc + 1
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { w.anyCanceled.Add(1); return a.pc + 1 })
+	if m.postAtCancel {
+		p.postSweep()
+	}
 	return a
 }
 
 func ilDispatcher(m ilMutant) *ilActor {
-	a := &ilActor{name: "disp", tenant: ilTagB, id: m.id(ilTagB), worker: ilDisp}
+	a := &ilActor{name: "disp", tenant: ilTagB, id: m.id(ilTagB), tag: m.recTag(ilTagB), worker: ilDisp}
 	p := ilProg{a}
 	p.add(func(w *ilWorld, a *ilActor) int { // claimJob, under the mutex finalizeSlot freed the slot under
 		if !w.freeListed {
@@ -543,18 +659,18 @@ func ilDispatcher(m ilMutant) *ilActor {
 		return a.pc + 1
 	})
 	p.add(func(w *ilWorld, a *ilActor) int { w.slot.Result.Store(0); return a.pc + 1 })
-	p.add(func(w *ilWorld, a *ilActor) int { // B's root reuses A's root record
-		w.freed[ilRoot] = 0
-		w.rec[ilRoot].Job.Store(RecordPending(JobTag(0)))
+	p.add(func(w *ilWorld, a *ilActor) int { // B's root reuses A's root record: a new epoch, a plain open
+		w.freed[ilRoot], w.escaped[ilRoot] = 0, false
+		w.plainStore(a, ilRoot, RecordPending(a.tag))
 		return a.pc + 1
 	})
-	p.add(func(w *ilWorld, a *ilActor) int { w.slot.Root.Store(7); return a.pc + 1 })
+	p.add(func(w *ilWorld, a *ilActor) int { w.slot.Root.Store(7); w.escaped[ilRoot] = true; return a.pc + 1 })
 	p.add(func(w *ilWorld, a *ilActor) int { w.slot.Live.Store(1); return a.pc + 1 })
 	p.add(func(w *ilWorld, a *ilActor) int { w.slot.State.Store(JobState(a.id, JobRunning)); return a.pc + 1 })
 	p.complete(ilRoot, true, 50)
 	end := 0
-	canceled, finalize := p.endChain(&end)
-	p.dead(canceled, finalize) // nobody cancels B
+	_, canceled, after := p.endChain(m, &end, &end)
+	p.dead(canceled, after) // nobody cancels B
 	end = a.end()
 	return a
 }
@@ -567,8 +683,9 @@ func ilBuild(m ilMutant) *ilWorld {
 	w.slot.Root.Store(7)
 	w.slot.Live.Store(1)
 	w.dq.hdr.bottom.Store(1)
-	w.rec[ilRoot].Job.Store(RecordPending(JobTag(0)))
-	w.rec[ilChild].Job.Store(RecordPending(JobTag(0)))
+	w.rec[ilRoot].Job.Store(RecordPending(m.recTag(ilTagA)))
+	w.rec[ilChild].Job.Store(RecordPending(m.recTag(ilTagA)))
+	w.escaped[ilRoot] = true // dispatched: its handle is in the slot's Root
 	w.actors = []*ilActor{ilVictimActor(m), ilThiefActor(m), ilCanceller(m), ilDispatcher(m)}
 	return w
 }
@@ -612,7 +729,9 @@ func ilExplore(w *ilWorld) (states int, violation string, schedule []string) {
 			return
 		}
 		// Nobody can move: everyone must have finished, each tenant
-		// finalized exactly once, every token retired.
+		// finalized exactly once, every token retired — and, once Close
+		// has swept what is still posted, every record released exactly
+		// once in its epoch.
 		for _, a := range w.actors {
 			if a.pc < len(a.steps) {
 				w.violate(a, "stuck at step %d with nobody left to unblock it (tenant A finalized %d times)", a.pc, w.finalized[ilTagA])
@@ -624,6 +743,13 @@ func ilExplore(w *ilWorld) (states int, violation string, schedule []string) {
 		}
 		if live, c, lock := w.slot.Live.Load(), w.anyCanceled.Load(), w.dq.hdr.lock.Load(); live != 0 || c != 0 || lock != 0 {
 			w.violate(w.actors[0], "at rest Live is %d, anyCanceled %d, the deque lock %d, want all 0", live, c, lock)
+		}
+		w.sweep(w.actors[ilVictim]) // Pool.Close
+		for rec := range w.rec {
+			if word := w.rec[rec].Job.Load(); word != 0 || w.freed[rec] != 1 {
+				w.violate(w.actors[ilVictim], "after Close's sweep record %d reads %#x, released %d times in its epoch, want free and once",
+					rec, word, w.freed[rec])
+			}
 		}
 	}
 	dfs()
@@ -637,8 +763,9 @@ func TestJobProtocolInterleavings(t *testing.T) {
 		t.Errorf("%s\nschedule: %s", violation, strings.Join(schedule, " "))
 	}
 	// The model is only worth its verdict if every path of it is walked:
-	// the lock-free and both locked pops, the retreat, drain at entry,
-	// join done, suspend and resume, both ways into finalizeSlot.
+	// the lock-free and both locked pops, both publishes, the retreat,
+	// drain at entry, join done, suspend and resume, both ways into
+	// finalizeSlot, the post and the sweep.
 	for _, a := range w.actors {
 		for pc := range a.steps {
 			if at := fmt.Sprintf("%s@%d", a.name, pc); w.ran[at] == a.dead[pc] {
@@ -651,7 +778,8 @@ func TestJobProtocolInterleavings(t *testing.T) {
 
 // Each placement is load-bearing: move one and some interleaving takes
 // Live to 0 under a live frame — the job is finalized, or the slot handed
-// on, while a task of it still has a store to make.
+// on, while a task of it still has a store to make — or stores a record
+// word plainly where another worker may read it, or frees a record twice.
 func TestJobProtocolMutantsFail(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -661,6 +789,10 @@ func TestJobProtocolMutantsFail(t *testing.T) {
 		{"retire before the completion's record store", ilMutant{retireBeforeStore: true}},
 		{"the suspend's mint after the stack-empty retire", ilMutant{mintAfterRetire: true}},
 		{"phase-only CAS", ilMutant{phaseOnlyCAS: true}},
+		{"plain publish after a lost Pop", ilMutant{plainAfterLostPop: true}},
+		{"the sweep posted before the root's release", ilMutant{postBeforeRelease: true}},
+		{"the sweep posted at the cancel, before Live reached 0", ilMutant{postAtCancel: true}},
+		{"slot tags in record words", ilMutant{slotTags: true}},
 	} {
 		states, violation, schedule := ilExplore(ilBuild(tc.m))
 		if violation == "" {

@@ -10,11 +10,12 @@ import (
 // one set of arenas/deques/record tables. Each admitted job owns a
 // *slot* in a flat JobTable; every frame of the job carries slot+1 in
 // its header, so any worker holding a frame knows its job, and every
-// record its tasks allocate is opened under the same tag (Record.Job),
-// so a canceled job's leaked records can be swept by tag. Like Deque and
-// Table, the JobTable is a fixed byte layout over a caller-provided
-// region so it can later live inside a shared segment and ride the
-// network fabric unchanged.
+// record its tasks allocate is opened under the job's tenant (Record.Job:
+// Tenant(id), not the slot's tag), so a canceled job's leaked records can
+// be swept by their owners after the slot has gone to the next job. Like
+// Deque and Table, the JobTable is a fixed byte layout over a
+// caller-provided region so it can later live inside a shared segment
+// and ride the network fabric unchanged.
 //
 // Job lifecycle (the phase half of State):
 //
@@ -136,7 +137,7 @@ func (t *JobTable) Get(idx uint32) *JobSlot { return &t.slots[idx] }
 func (t *JobTable) Cap() int { return len(t.slots) }
 
 // JobTag is the tag of the job in slot idx, carried by its frames'
-// headers and its records' lifecycle words (0 is reserved for "no job").
+// headers (0 is reserved for "no job"). Records carry the job's Tenant.
 func JobTag(idx uint32) uint64 { return uint64(idx) + 1 }
 
 // JobCount and JobCounters are allocated by nothing in the runtime: job

@@ -2,7 +2,6 @@ package sched
 
 import (
 	"sync"
-	"sync/atomic"
 	"testing"
 	"unsafe"
 )
@@ -64,85 +63,103 @@ func TestJobTableAttachAndTags(t *testing.T) {
 	}
 }
 
-// TestSweepJobReclaimsExactlyTaggedRecords: sweep must free records
-// carrying the tag in either phase, skip already-released ones, and
-// never double-free when two sweepers race.
-func TestSweepJobReclaimsExactlyTaggedRecords(t *testing.T) {
-	tb := NewTable(8)
-	var idxs []uint32
-	for i := 0; i < 6; i++ {
+// TestSweepTenantsTakesExactlyPostedTenants: the owner's sweep frees the
+// posted tenants' records in either phase and nothing else — not a free
+// record (one on each free list), not a live tenant's record, even one of
+// the job that took a canceled job's slot — and a second sweep of the
+// same tenants takes nothing.
+func TestSweepTenantsTakesExactlyPostedTenants(t *testing.T) {
+	tb := NewTable(16)
+	alloc := func(word uint64) uint32 {
+		t.Helper()
 		idx, err := tb.Alloc()
 		if err != nil {
 			t.Fatal(err)
 		}
-		idxs = append(idxs, idx)
+		tb.Get(idx).StorePlain(word)
+		return idx
 	}
-	// Four records of job slot 1 (two still pending, two done), two of
-	// job slot 2.
-	for k, i := range idxs[:4] {
-		tb.Get(i).Job.Store(RecordPending(JobTag(1)) | uint64(k&1))
+	// Jobs 3 and 4 were canceled; job 9 runs in job 3's old slot. Records
+	// carry the tenant (job id + 1), never the slot's tag.
+	canceled := []uint64{Tenant(3), Tenant(4)}
+	var leaked []uint32
+	for k := uint64(0); k < 3; k++ {
+		leaked = append(leaked, alloc(RecordPending(Tenant(3))|k&1), alloc(RecordPending(Tenant(4))|k&1))
 	}
-	for k, i := range idxs[4:] {
-		tb.Get(i).Job.Store(RecordPending(JobTag(2)) | uint64(k&1))
+	live := map[uint32]uint64{}
+	for k := uint64(0); k < 3; k++ {
+		w := RecordPending(Tenant(9)) | k&1
+		live[alloc(w)] = w
 	}
-	// A normal release clears the word, so the sweep skips it.
-	tb.Release(idxs[0])
-	if got := tb.Get(idxs[0]).Job.Load(); got != 0 {
-		t.Fatalf("Release left lifecycle word %#x", got)
+	// A canceled job's record that was joined before the cancel is free,
+	// on the shared release stack or the private one.
+	tb.Release(alloc(RecordDone(Tenant(3))))
+	tb.ReleaseLocal(alloc(RecordDone(Tenant(4))))
+
+	if n := tb.SweepTenants(canceled); n != len(leaked) {
+		t.Fatalf("sweep took %d records, want the %d leaked ones", n, len(leaked))
 	}
-	if n := tb.SweepJob(JobTag(1)); n != 3 {
-		t.Fatalf("sweep reclaimed %d records, want 3", n)
-	}
-	if n := tb.SweepJob(JobTag(1)); n != 0 {
-		t.Fatalf("second sweep reclaimed %d records, want 0", n)
-	}
-	// Job 2's records are untouched.
-	for k, i := range idxs[4:] {
-		if got := tb.Get(i).Job.Load(); got != RecordPending(JobTag(2))|uint64(k&1) {
-			t.Fatalf("sweep disturbed other job's record %d: word %#x", i, got)
+	for _, idx := range leaked {
+		if w := tb.Get(idx).Job.Load(); w != 0 {
+			t.Fatalf("leaked record %d still reads %#x after the sweep", idx, w)
 		}
 	}
-	if live := tb.Live(); live != 2 {
-		t.Fatalf("Live() = %d after sweep, want 2", live)
+	for idx, w := range live {
+		if got := tb.Get(idx).Job.Load(); got != w {
+			t.Fatalf("sweep disturbed the live tenant's record %d: %#x, want %#x", idx, got, w)
+		}
+	}
+	if n := tb.SweepTenants(canceled); n != 0 {
+		t.Fatalf("second sweep took %d records, want 0", n)
+	}
+	if got := tb.Live(); got != len(live) {
+		t.Fatalf("Live() = %d after the sweep, want %d", got, len(live))
+	}
+	// Every freed record is reusable exactly once: the table's 16 are
+	// the 3 live ones plus 13 Allocs, and the 14th fails.
+	for i := 0; i < 16-len(live); i++ {
+		idx, err := tb.Alloc()
+		if err != nil {
+			t.Fatalf("alloc %d after the sweep: %v", i, err)
+		}
+		if _, ok := live[idx]; ok || tb.Get(idx).Job.Load() != 0 {
+			t.Fatalf("alloc %d handed out record %d (word %#x), which is not free", i, idx, tb.Get(idx).Job.Load())
+		}
+	}
+	if _, err := tb.Alloc(); err == nil {
+		t.Fatal("the sweep freed a record twice: the table handed out more than it holds")
 	}
 }
 
-// TestSweepJobRacesRootRelease: a drain finalizer sweeps its job's tag
-// while the slot's root release (ReleaseTagged on the root's index, what
-// finalizeSlot does) claims the same record. Whatever phase the record
-// was left in, exactly one of the two frees it, and the neighbouring
-// job's record with the same index arithmetic is never taken.
-func TestSweepJobRacesRootRelease(t *testing.T) {
+// TestSweepTenantsBesideLiveCompleter: the owner sweeps a canceled
+// tenant's record while another worker completes and releases a live
+// tenant's record in the same table. The sweep loads every word
+// atomically — -race holds it to that — and takes exactly the canceled
+// record, whichever phase it finds the live one in.
+func TestSweepTenantsBesideLiveCompleter(t *testing.T) {
 	rounds := 2000
 	if testing.Short() {
 		rounds = 200
 	}
 	for round := 0; round < rounds; round++ {
 		tb := NewTable(4)
-		root, _ := tb.Alloc()
-		other, _ := tb.Alloc()
-		tag := JobTag(uint32(round % 5))
-		tb.Get(root).Job.Store(RecordPending(tag) | uint64(round&1)) // both phases
-		tb.Get(other).Job.Store(RecordDone(tag + 1))
-		var swept, released atomic.Int64
+		live, _ := tb.Alloc()
+		tb.Get(live).StorePlain(RecordPending(Tenant(7)))
+		leaked, _ := tb.Alloc()
+		tb.Get(leaked).StorePlain(RecordPending(Tenant(6)) | uint64(round&1))
 		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
+		wg.Add(1)
+		go func() { // the completer, then the joiner's remote release
 			defer wg.Done()
-			swept.Store(int64(tb.SweepJob(tag)))
+			r := tb.Get(live)
+			r.Result = uint64(round)
+			r.Job.Store(RecordDone(Tenant(7)))
+			tb.Release(live)
 		}()
-		go func() {
-			defer wg.Done()
-			if tb.ReleaseTagged(root, tag) {
-				released.Store(1)
-			}
-		}()
+		n := tb.SweepTenants([]uint64{Tenant(6)})
 		wg.Wait()
-		if swept.Load()+released.Load() != 1 {
-			t.Fatalf("round %d: sweep claimed %d and root release %d, want exactly one claim", round, swept.Load(), released.Load())
-		}
-		if tb.Live() != 1 || tb.Get(root).Job.Load() != 0 || tb.Get(other).Job.Load() != RecordDone(tag+1) {
-			t.Fatalf("round %d: live %d, root word %#x, other word %#x", round, tb.Live(), tb.Get(root).Job.Load(), tb.Get(other).Job.Load())
+		if n != 1 || tb.Live() != 0 || tb.Get(leaked).Job.Load() != 0 {
+			t.Fatalf("round %d: sweep took %d, live %d, leaked word %#x; want 1, 0, 0", round, n, tb.Live(), tb.Get(leaked).Job.Load())
 		}
 	}
 }

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"unsafe"
 
@@ -25,15 +26,26 @@ const (
 )
 
 // Record is one completion record. Job is its lifecycle word,
-// tag<<1 | done with 0 = free, and a record's whole life is three
-// stores to it: the allocator opens it pending under its job's tag
-// (RecordPending, before the handle escapes; dist never tags, so its
-// pending word is the 0 Release left and it stores nothing), the
-// completer marks it done (RecordDone), the joiner's release clears it.
-// All three are seq-cst because the word is read concurrently: a joiner
-// polls the done bit, and after a cancel SweepJob scans every record for
-// the tag, claiming by CAS so a record freed and reused is never taken
-// for a leaked one.
+// tenant<<1 | done with 0 = free, and a record's whole life is three
+// stores to it: the allocator opens it pending under its job's tenant
+// (RecordPending; dist has no tenants, so its pending word is the 0 the
+// release left and it stores nothing), the completer marks it done
+// (RecordDone), the joiner's release clears it.
+//
+// Only a holder of the record's handle reads the word, and the handle
+// lives in exactly one place: the frame of the task that spawned the
+// record's task. So the word is shared only once a thief has taken that
+// frame — which the owner learns, as the paper's child-first rule has it,
+// from a failed pop. Until then the owner's stores are plain (StorePlain):
+// the open, the done of an inline child whose parent's Pop won, and the
+// owner's own release; a later thief that takes the parent reads them
+// after the bottom store of the owner's next Push, which publishes them
+// with the deque slots (DESIGN.md §9). A done store whose Pop lost is
+// seq-cst, because the thief may be polling the word, and is the store
+// the Waiter handshake orders against. Nobody scans records it holds no
+// handle to: a canceled job's leaked records are swept by their owner
+// (SweepTenants), tagged by tenant so that a slot already re-let to the
+// next job is never taken for the old one.
 //
 // Result is a plain word written before the done store and read only
 // after a load saw the done bit, so a joiner that sees done also
@@ -52,8 +64,9 @@ type Record struct {
 	Result uint64
 	// Waiter publishes which worker suspended at a join on this record:
 	// rank+1, 0 = none. The joiner stores Waiter BEFORE re-checking done
-	// (ExecJoin); the completer stores done BEFORE loading Waiter
-	// (ExecComplete). Under seq-cst ordering at least one side observes
+	// (ExecJoin); the completer stores done BEFORE loading Waiter (rt's
+	// shared publish — a plain publish has no joiner elsewhere to find,
+	// see Record). Under seq-cst ordering at least one side observes
 	// the other, so a suspended joiner is always either resumed by its
 	// own recheck or woken precisely by the completer — never silently
 	// left parked (see DESIGN.md §10). The joiner stores 0 again when it
@@ -69,12 +82,22 @@ type Record struct {
 }
 
 // RecordPending and RecordDone are the lifecycle word's two live values
-// for a record of the job tagged tag (JobTag; 0 = untagged).
-func RecordPending(tag uint64) uint64 { return tag << 1 }
-func RecordDone(tag uint64) uint64    { return tag<<1 | 1 }
+// for a record of the given tenant (Tenant; 0 = untagged).
+func RecordPending(tenant uint64) uint64 { return tenant << 1 }
+func RecordDone(tenant uint64) uint64    { return tenant<<1 | 1 }
+
+// Tenant is the tag a job's records carry: its unique job id + 1, so 0
+// stays "untagged" and a record of a job that has left its slot never
+// matches the slot's next job.
+func Tenant(jobID uint64) uint64 { return jobID + 1 }
 
 // IsDone reports whether the record's task has completed.
 func (r *Record) IsDone() bool { return r.Job.Load()&1 != 0 }
+
+// StorePlain stores the lifecycle word with a plain store — legal only
+// for the record's owner while no other worker can hold its handle (see
+// Record). Job stays an atomic.Uint64 for every other access.
+func (r *Record) StorePlain(word uint64) { *(*uint64)(unsafe.Pointer(&r.Job)) = word }
 
 // tableHdr is the shared word block at the start of a table region.
 type tableHdr struct {
@@ -159,7 +182,7 @@ func NewTable(capacity uint64) *Table {
 
 // Alloc returns the index of a free record (lifecycle word 0: a fresh
 // one, or one whose Release cleared it), which the caller opens under
-// its job's tag. Owner-only: called by the spawning worker (and once by
+// its job's tenant. Owner-only: called by the spawning worker (and once by
 // the runtime for the root, before any worker starts).
 func (t *Table) Alloc() (uint32, error) {
 	if len(t.localFree) == 0 {
@@ -212,44 +235,37 @@ func (t *Table) Release(idx uint32) {
 
 // ReleaseLocal returns a record the OWNER itself is freeing (it joined
 // its own child — the common case) straight onto the private free
-// stack, skipping the CAS of the shared release path.
+// stack, skipping the CAS of the shared release path. The store is
+// plain: the joiner holds the record's only handle and has seen the done
+// bit, so every other worker's access to the word is behind it.
 func (t *Table) ReleaseLocal(idx uint32) {
-	t.recs[idx].Job.Store(0)
+	t.recs[idx].StorePlain(0)
 	t.localFree = append(t.localFree, idx)
 	t.freedLoc++
 }
 
-// ReleaseTagged releases record idx if it still belongs to the job
-// tagged tag, pending or done, and reports whether it did. The CAS on
-// the lifecycle word claims the record exactly once among racing callers
-// (a finalizer's root release and a cancel sweep), and never takes one
-// that was freed, or freed and reused by another job. Only for a job
-// whose last chain has ended: a completion between load and CAS would
-// miss.
-func (t *Table) ReleaseTagged(idx uint32, tag uint64) bool {
-	r := &t.recs[idx]
-	w := r.Job.Load()
-	if w>>1 != tag || !r.Job.CompareAndSwap(w, 0) {
-		return false
-	}
-	t.Release(idx)
-	return true
-}
-
-// SweepJob releases every record still tagged with the given job tag
-// and returns how many it reclaimed. Called by the worker that retired a
-// canceled job's last live-chain token (JobSlot.Live): every task of the
-// job has ended and, because a completer holds a token, every store to
-// the job's records has retired. The records still carrying the tag are
-// the ones drained frames abandoned — suspended joins that were
-// completed without their parent ever running the release, and child
-// handles in frames that were completed without running their bodies.
-func (t *Table) SweepJob(tag uint64) int {
+// SweepTenants releases every record of this table that still belongs to
+// one of the given tenants, pending or done, and returns how many it
+// took. Owner-only, and only for tenants whose jobs have quiesced (their
+// last chain ended, which orders every store their tasks made before the
+// call): those records are the ones a canceled job's drained frames
+// abandoned — suspended joins completed without their parent running the
+// release, child handles in frames completed without running their
+// bodies. Other tenants' records may be in use by any worker meanwhile,
+// so the words are loaded atomically; a swept record's handle has
+// usually escaped, so it is cleared with a seq-cst store, as a remote
+// Release clears one (a sweep is off every hot path).
+func (t *Table) SweepTenants(tenants []uint64) int {
 	n := 0
-	for i := range t.recs {
-		if t.ReleaseTagged(uint32(i), tag) {
-			n++
+	for i := range t.recs[:t.nextFresh] {
+		w := t.recs[i].Job.Load()
+		if w == 0 || !slices.Contains(tenants, w>>1) {
+			continue
 		}
+		t.recs[i].Job.Store(0)
+		t.localFree = append(t.localFree, uint32(i))
+		t.freedLoc++
+		n++
 	}
 	return n
 }

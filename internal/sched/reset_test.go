@@ -227,7 +227,7 @@ func driveTable(tb *Table, seed int64, steps int) []string {
 			}
 			r := tb.Get(idx)
 			say("alloc = %d life %#x waiter %d", idx, r.Job.Load(), r.Waiter.Load())
-			r.Job.Store(RecordPending(JobTag(uint32(rng.Intn(3)))))
+			r.Job.Store(RecordPending(Tenant(uint64(rng.Intn(3)))))
 			live = append(live, idx)
 		case op < 9 && len(live) > 0:
 			k := rng.Intn(len(live))
@@ -253,8 +253,8 @@ func driveTable(tb *Table, seed int64, steps int) []string {
 				say("release remote %d", idx)
 			}
 		default:
-			tag := JobTag(uint32(rng.Intn(3)))
-			n := tb.SweepJob(tag)
+			tenant := Tenant(uint64(rng.Intn(3)))
+			n := tb.SweepTenants([]uint64{tenant})
 			kept := live[:0]
 			for _, idx := range live {
 				if tb.Get(idx).Job.Load() != 0 {
@@ -262,7 +262,7 @@ func driveTable(tb *Table, seed int64, steps int) []string {
 				}
 			}
 			live = kept
-			say("sweep tag %d = %d", tag, n)
+			say("sweep tenant %d = %d", tenant, n)
 		}
 	}
 	return out
@@ -283,7 +283,7 @@ func TestTableResetMatchesFresh(t *testing.T) {
 				break // the random prefix left fewer than 12 free: use what there is
 			}
 			r := used.Get(idx)
-			r.Job.Store(RecordDone(JobTag(1)))
+			r.Job.Store(RecordDone(Tenant(1)))
 			r.Result = 99
 			r.Waiter.Store(3)
 			idxs = append(idxs, idx)
