@@ -136,6 +136,11 @@ type Config struct {
 	VictimBlacklistCycles uint64
 }
 
+// FaultClasses are the fault knob classes the simulator honours: the
+// fabric's. The real backends' steal and control-plane knobs have no
+// counterpart in its fabric model.
+const FaultClasses = fault.Fabric
+
 // VictimPolicy picks how an idle worker chooses whom to rob.
 type VictimPolicy int
 

@@ -92,8 +92,7 @@ type Config struct {
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
 	// Fault is the deterministic fault schedule (zero value = none):
-	// the backend-neutral steal knobs plus the dist-only control-plane
-	// knobs (dropped/delayed/truncated control messages).
+	// the knobs of FaultClasses.
 	Fault fault.Config
 	// Obs hosts one wall-clock event ring per rank INSIDE the shared
 	// segment, so each worker process records into its own region and
@@ -104,6 +103,11 @@ type Config struct {
 	// obs.DefaultWallRingCap; rounded up to a power of two).
 	ObsRingCap int
 }
+
+// FaultClasses are the fault knob classes dist honours: the
+// backend-neutral steal knobs plus its own control-plane knobs
+// (dropped/delayed/truncated control messages).
+const FaultClasses = fault.Steal | fault.Control
 
 // DefaultConfig returns the standard layout for n worker processes.
 func DefaultConfig(n int) Config {

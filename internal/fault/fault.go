@@ -119,71 +119,55 @@ func (c Config) CtlEnabled() bool {
 	return c.CtlDropProb > 0 || c.CtlTruncProb > 0 || c.CtlDelayProb > 0
 }
 
-// SimKnobs returns the names of the set knobs that only the simulator
-// can honour; PlanKnobs and CtlKnobs do the same for the real-backend
-// steal class and the dist control-plane class. The facade uses these
-// to reject, per backend and BY NAME, exactly the knobs a backend
-// cannot honour, instead of refusing WithFault wholesale.
-func (c Config) SimKnobs() []string {
-	var set []string
-	for _, k := range []struct {
-		name string
-		on   bool
-	}{
-		{"ReadFailProb", c.ReadFailProb != 0},
-		{"WriteFailProb", c.WriteFailProb != 0},
-		{"FAAFailProb", c.FAAFailProb != 0},
-		{"ServerDropProb", c.ServerDropProb != 0},
-		{"SpikeProb", c.SpikeProb != 0},
-		{"SpikeMinCycles", c.SpikeMinCycles != 0},
-		{"SpikeMaxCycles", c.SpikeMaxCycles != 0},
-		{"BrownoutPeriod", c.BrownoutPeriod != 0},
-		{"BrownoutDuration", c.BrownoutDuration != 0},
-	} {
-		if k.on {
-			set = append(set, k.name)
-		}
-	}
-	return set
-}
+// Class is a set of knob classes: which machinery a knob drives, and so
+// which backends can honour it. Each backend names the classes it models
+// once (core.FaultClasses, rt.FaultClasses, dist.FaultClasses).
+type Class uint8
 
-// PlanKnobs returns the set backend-neutral steal knobs (see SimKnobs).
-func (c Config) PlanKnobs() []string {
-	var set []string
-	for _, k := range []struct {
-		name string
-		on   bool
-	}{
-		{"StealClaimFailProb", c.StealClaimFailProb != 0},
-		{"StealCopyFailProb", c.StealCopyFailProb != 0},
-		{"StealDelayProb", c.StealDelayProb != 0},
-		{"StealDelayMin", c.StealDelayMin != 0},
-		{"StealDelayMax", c.StealDelayMax != 0},
-	} {
-		if k.on {
-			set = append(set, k.name)
-		}
-	}
-	return set
-}
+const (
+	// Fabric knobs fail or delay simulated RDMA operations: sim only.
+	Fabric Class = 1 << iota
+	// Steal knobs drive the Plan on the real backends' steal path.
+	Steal
+	// Control knobs fail dist control-plane messages.
+	Control
+)
 
-// CtlKnobs returns the set dist control-plane knobs (see SimKnobs).
-func (c Config) CtlKnobs() []string {
-	var set []string
+// KnobsOutside returns, in declaration order, the names of the set knobs
+// whose class is not in classes: what a backend modelling only those
+// classes cannot honour. The facade and the chaos matrix reject these by
+// name instead of refusing a whole Config.
+func (c Config) KnobsOutside(classes Class) []string {
+	var out []string
 	for _, k := range []struct {
-		name string
-		on   bool
+		name  string
+		class Class
+		set   bool
 	}{
-		{"CtlDropProb", c.CtlDropProb != 0},
-		{"CtlTruncProb", c.CtlTruncProb != 0},
-		{"CtlDelayProb", c.CtlDelayProb != 0},
-		{"CtlDelay", c.CtlDelay != 0},
+		{"ReadFailProb", Fabric, c.ReadFailProb != 0},
+		{"WriteFailProb", Fabric, c.WriteFailProb != 0},
+		{"FAAFailProb", Fabric, c.FAAFailProb != 0},
+		{"ServerDropProb", Fabric, c.ServerDropProb != 0},
+		{"SpikeProb", Fabric, c.SpikeProb != 0},
+		{"SpikeMinCycles", Fabric, c.SpikeMinCycles != 0},
+		{"SpikeMaxCycles", Fabric, c.SpikeMaxCycles != 0},
+		{"BrownoutPeriod", Fabric, c.BrownoutPeriod != 0},
+		{"BrownoutDuration", Fabric, c.BrownoutDuration != 0},
+		{"StealClaimFailProb", Steal, c.StealClaimFailProb != 0},
+		{"StealCopyFailProb", Steal, c.StealCopyFailProb != 0},
+		{"StealDelayProb", Steal, c.StealDelayProb != 0},
+		{"StealDelayMin", Steal, c.StealDelayMin != 0},
+		{"StealDelayMax", Steal, c.StealDelayMax != 0},
+		{"CtlDropProb", Control, c.CtlDropProb != 0},
+		{"CtlTruncProb", Control, c.CtlTruncProb != 0},
+		{"CtlDelayProb", Control, c.CtlDelayProb != 0},
+		{"CtlDelay", Control, c.CtlDelay != 0},
 	} {
-		if k.on {
-			set = append(set, k.name)
+		if k.set && k.class&classes == 0 {
+			out = append(out, k.name)
 		}
 	}
-	return set
+	return out
 }
 
 // Validate rejects out-of-range knobs.

@@ -160,7 +160,7 @@ func TestKnobClassification(t *testing.T) {
 	cfg.SpikeProb = 0.01
 	cfg.SpikeMinCycles = 1
 	cfg.SpikeMaxCycles = 2
-	sim, plan, ctl := cfg.SimKnobs(), cfg.PlanKnobs(), cfg.CtlKnobs()
+	sim, plan, ctl := cfg.KnobsOutside(Steal|Control), cfg.KnobsOutside(Fabric|Control), cfg.KnobsOutside(Fabric|Steal)
 	want := func(list []string, name string) {
 		for _, k := range list {
 			if k == name {

@@ -96,7 +96,8 @@ type ChaosCell struct {
 // multi-second control timeout): the matrix runs such a schedule on one
 // workload per seed.
 func (sch ChaosSchedule) ctlOnly() bool {
-	return len(sch.Fault.CtlKnobs()) > 0 && len(sch.Fault.PlanKnobs()) == 0 &&
+	f := sch.Fault
+	return len(f.KnobsOutside(fault.Fabric|fault.Steal)) > 0 && len(f.KnobsOutside(fault.Fabric|fault.Control)) == 0 &&
 		len(sch.Kill) == 0 && sch.Hang == 0
 }
 
@@ -311,11 +312,8 @@ func SimChaosBackend() ChaosBackend {
 			if len(sch.Kill) > 0 || sch.Hang > 0 {
 				return "process kill/hang injection needs real processes; sim-only virtual time"
 			}
-			if ks := sch.Fault.PlanKnobs(); len(ks) > 0 {
-				return "real-backend steal knob " + ks[0] + " not modelled by the sim fabric"
-			}
-			if ks := sch.Fault.CtlKnobs(); len(ks) > 0 {
-				return "control-plane knob " + ks[0] + " has no sim control plane to act on"
+			if ks := sch.Fault.KnobsOutside(core.FaultClasses); len(ks) > 0 {
+				return "knob " + ks[0] + " not modelled by the sim fabric"
 			}
 			return ""
 		},
@@ -345,11 +343,8 @@ func RTChaosBackend() ChaosBackend {
 			if len(sch.Kill) > 0 || sch.Hang > 0 {
 				return "kill/hang injection targets worker processes; rt workers share one process"
 			}
-			if ks := sch.Fault.SimKnobs(); len(ks) > 0 {
-				return "sim-only knob " + ks[0] + " not supported on rt"
-			}
-			if ks := sch.Fault.CtlKnobs(); len(ks) > 0 {
-				return "control-plane knob " + ks[0] + " not supported on rt (no control plane)"
+			if ks := sch.Fault.KnobsOutside(rt.FaultClasses); len(ks) > 0 {
+				return "knob " + ks[0] + " not supported on rt"
 			}
 			return ""
 		},
@@ -365,15 +360,8 @@ func RTChaosBackend() ChaosBackend {
 			if sch.Deadline > 0 {
 				cfg.MaxWall = sch.Deadline
 			}
-			r := rt.New(cfg)
-			res, err := r.Run(spec.Fid, spec.Locals, spec.Init)
-			if err != nil {
-				return 0, err
-			}
-			if err := r.CheckQuiescence(); err != nil {
-				return 0, err
-			}
-			return res, nil
+			// Run checks the pool's quiescence as it closes.
+			return rt.New(cfg).Run(spec.Fid, spec.Locals, spec.Init)
 		},
 	}
 }
@@ -384,8 +372,8 @@ func DistChaosBackend() ChaosBackend {
 	return ChaosBackend{
 		Name: "dist",
 		Supports: func(sch ChaosSchedule) string {
-			if ks := sch.Fault.SimKnobs(); len(ks) > 0 {
-				return "sim-only knob " + ks[0] + " not supported on dist"
+			if ks := sch.Fault.KnobsOutside(dist.FaultClasses); len(ks) > 0 {
+				return "knob " + ks[0] + " not supported on dist"
 			}
 			return ""
 		},

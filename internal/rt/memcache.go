@@ -10,7 +10,7 @@ import (
 // Worker memory outlives pools (DESIGN.md §15): built fresh, a worker's
 // ~3 MB arena, deque and record table are one GC cycle per NewPool and
 // all of a cold Run. A pool that closes quiescent holds no frame, deque
-// entry, live record or waiter, so Pool.Close Resets each bundle onto a
+// entry, live record or waiter, so its shutdown Resets each bundle onto a
 // small process-wide free list newRuntime draws from. A failed pool's
 // memory stays out: something may still reference it.
 

@@ -25,10 +25,10 @@ func memCacheLen() int {
 	return memCache.n
 }
 
-// poolArenas is the identity of the memory a pool's workers run on.
-func poolArenas(p *Pool) map[*sched.Arena]bool {
+// poolArenas is the identity of the memory a runtime's workers run on.
+func poolArenas(r *Runtime) map[*sched.Arena]bool {
 	m := map[*sched.Arena]bool{}
-	for _, w := range p.r.workers {
+	for _, w := range r.workers {
 		m[w.Arena] = true
 	}
 	return m
@@ -48,45 +48,67 @@ func runOnPool(t *testing.T, p *Pool, spec workloads.Spec) JobResult {
 }
 
 // TestPoolsRecycleWorkerMemory runs a suspend-heavy job on pools of 4,
-// then 2, then 4 workers, back to back: the later pools must run on the
-// first one's memory, and run right. PingPong suspends its main thread
-// every round, so the first pool leaves its tables full of records that
-// named a waiter: a rank a resume forgot to clear would index the
-// 2-worker pool's workers out of range at the record's next completion,
-// and fails the quiescence check of the pool that left it.
+// then 2, then 4 workers, then on a 4-worker Run, back to back: the
+// later ones must run on the first pool's memory, and run right, and a
+// Run must hand its memory back as a pool does, with no record live.
+// PingPong suspends its main thread every round, so the first pool
+// leaves its tables full of records that named a waiter: a rank a
+// resume forgot to clear would index the 2-worker pool's workers out of
+// range at the record's next completion, and fails the quiescence check
+// of the pool that left it.
 func TestPoolsRecycleWorkerMemory(t *testing.T) {
 	emptyMemCache()
 	// A child long enough (~100 µs) that the woken thief has taken the
 	// parent and reached its join well before the child completes.
 	spec := workloads.PingPong(64, 200_000, 0)
 	var first map[*sched.Arena]bool
-	for i, workers := range []int{4, 2, 4} {
-		p, err := NewPool(DefaultConfig(workers))
-		if err != nil {
-			t.Fatal(err)
+	for i, in := range []struct {
+		workers int
+		run     bool // rt.New(cfg).Run rather than a pool of three jobs
+	}{{4, false}, {2, false}, {4, false}, {4, true}} {
+		var r *Runtime
+		if in.run {
+			r = New(DefaultConfig(in.workers))
+		} else {
+			p, err := NewPool(DefaultConfig(in.workers))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r = p.r
 		}
-		arenas := poolArenas(p)
+		arenas := poolArenas(r)
 		if i == 0 {
 			first = arenas
 		} else {
 			for a := range arenas {
 				if !first[a] {
-					t.Errorf("pool %d (%d workers) runs on memory the first pool never owned", i, workers)
+					t.Errorf("input %d (%d workers) runs on memory the first pool never owned", i, in.workers)
 				}
 			}
 		}
-		for j := 0; j < 3; j++ {
-			runOnPool(t, p, spec)
+		if in.run {
+			if got, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil || got != spec.Expected {
+				t.Fatalf("Run: result %d err %v, want %d", got, err, spec.Expected)
+			}
+		} else {
+			p := &Pool{r}
+			for j := 0; j < 3; j++ {
+				runOnPool(t, p, spec)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatalf("pool %d (%d workers): %v", i, in.workers, err)
+			}
 		}
-		if err := p.Close(); err != nil {
-			t.Fatalf("pool %d (%d workers): %v", i, workers, err)
+		ts := r.TotalStats()
+		if ts.Suspends == 0 && runtime.GOMAXPROCS(0) > 1 {
+			t.Fatalf("input %d: PingPong never suspended; the test exercises nothing", i)
 		}
-		if ts := p.TotalStats(); ts.Suspends == 0 && runtime.GOMAXPROCS(0) > 1 {
-			t.Fatalf("pool %d: PingPong never suspended; the test exercises nothing", i)
+		if ts.RecordsLive != 0 {
+			t.Errorf("input %d: %d records live after it closed", i, ts.RecordsLive)
 		}
 	}
 	if got := memCacheLen(); got != 4 {
-		t.Errorf("%d bundles shelved after the last 4-worker pool, want 4", got)
+		t.Errorf("%d bundles shelved after the 4-worker Run, want 4", got)
 	}
 }
 
@@ -143,7 +165,7 @@ func TestPoolTotalStatsSurviveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arenas := poolArenas(a)
+	arenas := poolArenas(a.r)
 	runOnPool(t, a, workloads.Fib(8, 0))
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -156,7 +178,7 @@ func TestPoolTotalStatsSurviveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ar := range poolArenas(b) {
+	for ar := range poolArenas(b.r) {
 		if !arenas[ar] {
 			t.Fatal("the second pool did not reuse the first one's memory; the test exercises nothing")
 		}

@@ -140,12 +140,11 @@ func (l *parkingLot) wakeAll() {
 // registration (see park), so work it misses is work whose producer
 // sees the registration and sends a wake.
 func (w *Worker) hasWorkHint() bool {
-	// A queued job is dispatchable work ONLY while a job slot is free
-	// (persistent pools only; queuedCount stays 0 elsewhere): with every
-	// slot occupied, startQueuedJob cannot claim the queue head, and a
-	// hint that ignored the slots would bar every idle worker from
-	// parking — busy-spinning for as long as sustained load keeps the
-	// slots full. Exact for the same reason as the deque sizes: Submit
+	// A queued job is dispatchable work ONLY while a job slot is free:
+	// with every slot occupied, startQueuedJob cannot claim the queue
+	// head, and a hint that ignored the slots would bar every idle worker
+	// from parking — busy-spinning for as long as sustained load keeps
+	// the slots full. Exact for the same reason as the deque sizes: Submit
 	// enqueues before it wakes, and finalizeSlot publishes the freed
 	// slot before it wakes, so a parker that misses either count here is
 	// claimed by the corresponding wake.

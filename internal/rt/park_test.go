@@ -49,7 +49,7 @@ func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
 			t.Fatalf("only %d of %d idle workers parked", p.ParkedWorkers(), workers)
 		}
 	}
-	spins := p.r.IdleSpins()
+	spins := idleSpins(p.r)
 	if max := uint64(workers * (idleSpinRounds + 1)); spins > max {
 		t.Errorf("%d idle rounds to park %d workers, the ladder allows %d", spins, workers, max)
 	}
@@ -59,7 +59,7 @@ func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
 	if got := p.WorkersExited(); got != workers {
 		t.Errorf("%d of %d workers exited at Close", got, workers)
 	}
-	if got := p.r.IdleSpins(); got != spins {
+	if got := idleSpins(p.r); got != spins {
 		t.Errorf("parked workers took %d more idle rounds on their way out", got-spins)
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "park.go", nil, parser.ImportsOnly)
@@ -71,6 +71,17 @@ func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
 			t.Error("park.go imports time: the idle engine must have no timed rung")
 		}
 	}
+}
+
+// idleSpins sums every worker's idle-loop round counter (atomic loads,
+// safe mid-run); a fully parked runtime's value stops advancing, which
+// is the whole point of parking.
+func idleSpins(r *Runtime) uint64 {
+	var n uint64
+	for _, w := range r.workers {
+		n += w.idleSpins.Load()
+	}
+	return n
 }
 
 // parkRig builds an un-run Runtime so lot/worker plumbing can be
@@ -233,16 +244,12 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 			cfg := DefaultConfig(8)
 			cfg.Seed = seed
 			cfg.MaxWall = 30 * time.Second
-			r := New(cfg)
-			got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
+			got, err := New(cfg).Run(spec.Fid, spec.Locals, spec.Init)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", spec.Name, seed, err)
 			}
 			if got != spec.Expected {
 				t.Fatalf("%s seed %d: result %d, want %d", spec.Name, seed, got, spec.Expected)
-			}
-			if err := r.CheckQuiescence(); err != nil {
-				t.Fatalf("%s seed %d: %v", spec.Name, seed, err)
 			}
 		}
 	}
@@ -255,8 +262,9 @@ func TestParkWakeNoLostWakeup(t *testing.T) {
 // sleep-poll engine advanced it forever.
 func TestQuiescenceParkedWorkersStopSpinning(t *testing.T) {
 	const workers = 8
-	// One task, no spawns: the Work() burn keeps rank 0 busy for a few
-	// seconds while the rest have nothing to do. It must run LONG: on a
+	// One task, no spawns: the Work() burn keeps whichever worker claimed
+	// it busy for a few seconds while the rest have nothing to do. It must
+	// run LONG: on a
 	// saturated single-CPU box every idle-ladder round costs a whole
 	// scheduling quantum, so the seven idle workers take over a second
 	// of wall clock to walk their ladders into the lot.
@@ -279,10 +287,10 @@ func TestQuiescenceParkedWorkersStopSpinning(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	// All idle workers are in the lot. Their spin counters must freeze.
-	before := r.IdleSpins()
+	before := idleSpins(r)
 	time.Sleep(100 * time.Millisecond)
 	if r.ParkedWorkers() == workers-1 {
-		if after := r.IdleSpins(); after != before {
+		if after := idleSpins(r); after != before {
 			t.Fatalf("idle spins advanced %d → %d while all idle workers were parked", before, after)
 		}
 	} // else: the run finished during the sample window; nothing to assert.

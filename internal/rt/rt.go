@@ -14,6 +14,12 @@
 // (sched.Engine: frames, join, resume, steal) live in internal/sched,
 // shared with the multi-process dist backend; rt keeps the policy: the
 // parking lot, job multiplexing and the pool.
+//
+// A Runtime has one lifecycle, the pool's (service.go): workers start,
+// jobs are submitted, dispatched onto idle workers and finalized by
+// the worker that ends their last chain, and Close stops the workers and
+// checks quiescence. NewPool keeps that pool open for many jobs;
+// New(...).Run is a pool of one job slot that runs one job and closes.
 package rt
 
 import (
@@ -74,9 +80,8 @@ type Config struct {
 	// selection (<= 0 selects sched.DefaultTierGroup).
 	TierGroup int
 	// Fault is the deterministic fault schedule (zero value = none).
-	// Only the backend-neutral knobs apply here (steal claim/copy
-	// failures and delays); sim-only and dist-only knobs are rejected
-	// at the facade.
+	// Only the knobs of FaultClasses apply here; the facade rejects the
+	// others.
 	Fault fault.Config
 	// Obs attaches a wall-clock recorder: one lock-free event ring per
 	// worker plus steal/park/copy latency histograms (obs.WallRecorder).
@@ -86,14 +91,17 @@ type Config struct {
 	// ObsRingCap is the per-worker event-ring capacity (<= 0 selects
 	// obs.DefaultWallRingCap; rounded up to a power of two).
 	ObsRingCap int
-	// MaxJobs bounds how many jobs may occupy job slots at once on a
-	// persistent Pool (queued jobs beyond it wait in the admission
-	// queue). Single-run Runtimes always use exactly one slot.
+	// MaxJobs bounds how many jobs may occupy job slots at once (queued
+	// jobs beyond it wait in the admission queue). New sets it to 1.
 	MaxJobs int
-	// QueueDepth bounds the Pool admission queue; Submit returns
-	// ErrPoolSaturated beyond it. Ignored by single-run Runtimes.
+	// QueueDepth bounds the admission queue; Submit returns
+	// ErrPoolSaturated beyond it. New sets it to 1.
 	QueueDepth int
 }
+
+// FaultClasses are the fault knob classes rt honours: the
+// backend-neutral steal knobs (claim and copy failures, delays).
+const FaultClasses = fault.Steal
 
 // DefaultConfig returns the standard layout for n workers.
 func DefaultConfig(n int) Config {
@@ -108,7 +116,7 @@ func DefaultConfig(n int) Config {
 	}
 }
 
-func (c *Config) fillDefaults(persistent bool) {
+func (c *Config) fillDefaults() {
 	d := DefaultConfig(c.Workers)
 	if c.Workers <= 0 {
 		c.Workers = 1
@@ -128,19 +136,10 @@ func (c *Config) fillDefaults(persistent bool) {
 	if c.RecordCap == 0 {
 		c.RecordCap = d.RecordCap
 	}
-	// A single run inherits the deadlock-guard default; a persistent
-	// pool has no natural lifetime, so 0 means "no watchdog" there.
-	if c.MaxWall == 0 && !persistent {
-		c.MaxWall = d.MaxWall
-	}
 	if c.MaxJobs <= 0 {
-		if persistent {
-			c.MaxJobs = 2 * c.Workers
-			if c.MaxJobs < 8 {
-				c.MaxJobs = 8
-			}
-		} else {
-			c.MaxJobs = 1
+		c.MaxJobs = 2 * c.Workers
+		if c.MaxJobs < 8 {
+			c.MaxJobs = 8
 		}
 	}
 	if c.QueueDepth <= 0 {
@@ -151,46 +150,34 @@ func (c *Config) fillDefaults(persistent bool) {
 	}
 }
 
-// Runtime executes task trees across Config.Workers real workers. A
-// single-run Runtime (New + Run) executes one root task and tears the
-// world down; a persistent Runtime (NewPool, service.go) keeps the same
-// workers parked between jobs and multiplexes many task trees over the
-// one set of arenas/deques/record tables, one job slot per admitted
-// job.
+// Runtime executes task trees across Config.Workers real workers: one
+// set of goroutines, arenas, deques and record tables that multiplexes
+// every admitted job, one job slot each (service.go). It is started by
+// NewPool, or by Run for a single job.
 type Runtime struct {
 	cfg     Config
 	workers []*Worker
 
-	rootFid    core.FuncID
-	rootLocals uint32
-	rootInit   func(*core.Env)
-	rootRec    core.Handle
-
-	// initErr records a construction failure (bad fault config);
-	// returned by Run before any goroutine starts.
+	// initErr records a construction failure (bad fault config),
+	// returned by NewPool or Run before any goroutine starts.
 	initErr error
 
-	done       atomic.Bool
-	finishOnce sync.Once
-	rootResult uint64
-	failMu     sync.Mutex
-	err        error
-	wg         sync.WaitGroup
+	done   atomic.Bool
+	failMu sync.Mutex
+	err    error
+	wg     sync.WaitGroup
 
 	// lot is the idle-parking lot: workers that exhaust their idle
-	// spin block here until a push, a record completion or shutdown
-	// wakes them (park.go).
+	// spin block here until a push, a record completion, a Submit or
+	// shutdown wakes them (park.go).
 	lot parkingLot
 
 	// rec is the wall-clock observability recorder (nil when Config.Obs
 	// is off — every instrumented site is nil-safe).
 	rec *obs.WallRecorder
 
-	// --- job multiplexing (see service.go for the Pool lifecycle) ---
+	// --- job multiplexing (see service.go for the lifecycle) ---
 
-	// persistent marks a Pool-owned runtime: workers park between jobs
-	// instead of exiting, and idle workers dispatch queued jobs.
-	persistent bool
 	// jobs is the flat per-slot job state every worker consults on the
 	// invoke path (state, root handle, grain).
 	jobs *sched.JobTable
@@ -217,7 +204,6 @@ type Runtime struct {
 	anyCanceled   atomic.Int64 // jobs currently draining; gates enter's drain-at-entry test
 	jobsDone      atomic.Uint64
 	exited        atomic.Uint64 // workers whose goroutine has returned
-	startT        time.Time
 	watchdog      *time.Timer
 
 	// sweeps holds, per worker, the canceled tenants whose abandoned
@@ -226,9 +212,8 @@ type Runtime struct {
 	sweepMu sync.Mutex
 	sweeps  [][]uint64
 
-	ran     bool
-	elapsed time.Duration
-	total   Stats // Pool.Close's snapshot of TotalStats
+	elapsed time.Duration // Run's job, dispatch to completion
+	total   Stats         // the workers' counters when they stopped
 }
 
 // jobMeta is the Go-side half of a job slot.
@@ -238,22 +223,27 @@ type jobMeta struct {
 	cancelErr error // set before the Running→Draining CAS that publishes it
 }
 
-// New builds a single-run Runtime per cfg.
-func New(cfg Config) *Runtime { return newRuntime(cfg, false) }
+// New builds a Runtime for one Run: a pool with one job slot and an
+// admission queue of one, not yet started. A zero MaxWall selects
+// DefaultConfig's deadlock guard.
+func New(cfg Config) *Runtime {
+	if cfg.MaxWall == 0 {
+		cfg.MaxWall = DefaultConfig(cfg.Workers).MaxWall
+	}
+	cfg.MaxJobs, cfg.QueueDepth = 1, 1
+	return newRuntime(cfg)
+}
 
-func newRuntime(cfg Config, persistent bool) *Runtime {
-	cfg.fillDefaults(persistent)
-	r := &Runtime{cfg: cfg, persistent: persistent}
+func newRuntime(cfg Config) *Runtime {
+	cfg.fillDefaults()
+	r := &Runtime{cfg: cfg, activeTk: make(map[*Ticket]struct{})}
 	r.jobs = sched.NewJobTable(uint64(cfg.MaxJobs))
 	r.jobMeta = make([]jobMeta, cfg.MaxJobs)
-	if persistent {
-		r.activeTk = make(map[*Ticket]struct{})
-		r.freeSlots = make([]uint32, 0, cfg.MaxJobs)
-		for i := cfg.MaxJobs - 1; i >= 0; i-- {
-			r.freeSlots = append(r.freeSlots, uint32(i))
-		}
-		r.freeSlotCount.Store(int64(cfg.MaxJobs))
+	r.freeSlots = make([]uint32, 0, cfg.MaxJobs)
+	for i := cfg.MaxJobs - 1; i >= 0; i-- {
+		r.freeSlots = append(r.freeSlots, uint32(i))
 	}
+	r.freeSlotCount.Store(int64(cfg.MaxJobs))
 	fc := cfg.Fault
 	fc.Seed = cfg.Seed
 	plan, err := fault.NewPlan(fc, cfg.Workers)
@@ -294,145 +284,83 @@ func (c Config) memKey() memKey {
 	return memKey{c.ArenaBase, c.ArenaSize, c.DequeCap, c.RecordCap}
 }
 
-// Run executes the root task fid(localsLen bytes of locals, initialised
-// by init) to completion and returns its result. It blocks until every
-// worker goroutine has exited.
-func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (uint64, error) {
-	if r.ran {
-		return 0, fmt.Errorf("rt: Runtime.Run called twice; build a fresh Runtime per run")
+// start launches the workers and the watchdog: from here on the runtime
+// serves its admission queue until shutdown.
+func (r *Runtime) start() {
+	if d := r.cfg.MaxWall; d > 0 {
+		r.watchdog = time.AfterFunc(d, func() { r.fail(&TimeoutError{Budget: d}) })
 	}
-	if r.persistent {
-		return 0, fmt.Errorf("rt: Run on a persistent Pool runtime; use Pool.Submit")
-	}
-	r.ran = true
-	if r.initErr != nil {
-		return 0, r.initErr
-	}
-	r.rootFid, r.rootLocals, r.rootInit = fid, localsLen, init
-	// The single run is job slot 0 of the job machinery the persistent
-	// Pool shares: the root record is allocated and tagged before any
-	// goroutine starts, and its handle published in the slot so every
-	// worker's shared publish recognises the root.
-	r.rootRec = r.workers[0].newRecord(sched.Tenant(0))
-	js := r.jobs.Get(0)
-	js.Grain.Store(r.cfg.Grain)
-	js.Root.Store(uint64(r.rootRec))
-	js.Live.Store(1) // the root chain, started by rank 0's runRoot
-	js.State.Store(sched.JobState(0, sched.JobRunning))
-	watchdog := time.AfterFunc(r.cfg.MaxWall, func() {
-		r.fail(&TimeoutError{Budget: r.cfg.MaxWall})
-	})
-	start := time.Now()
 	for _, w := range r.workers {
 		r.wg.Add(1)
 		go w.run()
 	}
-	r.wg.Wait()
-	r.elapsed = time.Since(start)
-	watchdog.Stop()
-	r.failMu.Lock()
-	err := r.err
-	r.failMu.Unlock()
+}
+
+// Run executes the root task fid(localsLen bytes of locals, initialised
+// by init) as the runtime's one job and returns its result: it starts
+// the workers, submits the job, waits for it and closes the pool, which
+// checks quiescence and recycles the worker memory. A Runtime runs once.
+func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (uint64, error) {
+	if r.initErr != nil {
+		return 0, r.initErr
+	}
+	tk, err := (&Pool{r}).Submit(fid, localsLen, init, JobParams{Grain: r.cfg.Grain})
 	if err != nil {
 		return 0, err
 	}
-	if !r.done.Load() {
-		return 0, fmt.Errorf("rt: workers exited without completing the root task")
+	// The job is queued before any worker starts, and admission closes
+	// behind it, so its finalizer stops the workers (finalizeSlot): a
+	// one-worker run takes no idle round before or after its job.
+	r.closed = true
+	r.start()
+	res, err := tk.Wait()
+	if cerr := r.shutdown(); err == nil {
+		err = cerr
 	}
-	return r.rootResult, nil
+	r.elapsed = time.Duration(res.ExecNS)
+	if err != nil {
+		return 0, err
+	}
+	return res.Result, nil
 }
 
-// finish publishes the root result and releases every worker's idle
-// loop, including workers blocked in the parking lot. Called by
-// whichever worker ends the run's last chain.
-func (r *Runtime) finish(result uint64) {
-	r.finishOnce.Do(func() {
-		r.rootResult = result
-		r.done.Store(true)
-		r.lot.wakeAll()
-	})
+// stop releases every worker's idle loop, including workers blocked in
+// the parking lot; they wind down at their next check.
+func (r *Runtime) stop() {
+	r.done.Store(true)
+	r.lot.wakeAll()
 }
 
-// fail aborts the run; the first error wins. The wakeAll releases any
-// parked worker so the run can actually wind down (the watchdog's
-// deadline fail would otherwise leave them blocked forever).
+// fail aborts the pool; the first error wins. The workers are winding
+// down and will never finalize the outstanding tickets, so they are
+// resolved here with the pool's error.
 func (r *Runtime) fail(err error) {
 	r.failMu.Lock()
 	if r.err == nil {
 		r.err = err
 	}
 	r.failMu.Unlock()
-	r.done.Store(true)
-	r.lot.wakeAll()
-	// A pool failure must also resolve every outstanding ticket — the
-	// workers are winding down and will never finalize them.
-	if r.persistent {
-		r.failTickets(err)
-	}
+	r.stop()
+	r.failTickets(err)
 }
 
-// stopped reports whether workers should wind down (root finished or
-// run failed). Used as the abort predicate for lock spins.
+// stopped reports whether workers should wind down (pool closed or
+// failed). Used as the abort predicate for lock spins.
 func (r *Runtime) stopped() bool { return r.done.Load() }
 
-// Elapsed returns the wall-clock duration of the completed run.
+// Elapsed returns Run's job time, from dispatch to completion.
 func (r *Runtime) Elapsed() time.Duration { return r.elapsed }
 
 // Obs returns the wall-clock recorder (nil when observability is off).
-// Export it only after Run returns — the rings are read at quiescence.
+// Export it only after the workers stopped — the rings are read at
+// quiescence.
 func (r *Runtime) Obs() *obs.WallRecorder { return r.rec }
-
-// Workers returns the worker count.
-func (r *Runtime) Workers() int { return len(r.workers) }
 
 // ParkedWorkers returns how many workers are currently blocked in the
 // parking lot. Unlike most introspection here it is safe to call
 // MID-RUN (one atomic load) — the quiescence tests poll it.
 func (r *Runtime) ParkedWorkers() int { return int(r.lot.count.Load()) }
 
-// IdleSpins sums every worker's idle-loop round counter. Safe to call
-// mid-run (atomic loads); a fully parked runtime's value stops
-// advancing, which is the whole point of parking.
-func (r *Runtime) IdleSpins() uint64 {
-	var n uint64
-	for _, w := range r.workers {
-		n += w.idleSpins.Load()
-	}
-	return n
-}
-
-// TotalStats sums all workers' counters; call only after Run returns.
-func (r *Runtime) TotalStats() Stats {
-	var t Stats
-	for _, w := range r.workers {
-		t.Add(w.FinalStats())
-	}
-	return t
-}
-
-// CheckQuiescence verifies the post-run invariants the simulator's
-// Machine.CheckQuiescence checks: every spawned task executed exactly
-// once, all deques and wait queues drained, and exactly one record (the
-// root's, never joined) still live. Call after a successful Run.
-func (r *Runtime) CheckQuiescence() error {
-	var executed, spawned uint64
-	live := 0
-	for _, w := range r.workers {
-		executed += w.Stats.TasksExecuted
-		spawned += w.Stats.Spawns
-		if n := w.Deque.Size(); n != 0 {
-			return fmt.Errorf("rt: worker %d deque holds %d entries after completion", w.Rank, n)
-		}
-		if n := w.Suspended(); n != 0 {
-			return fmt.Errorf("rt: worker %d wait queue holds %d suspended threads after completion", w.Rank, n)
-		}
-		live += w.Records.Live()
-	}
-	if executed != spawned+1 {
-		return fmt.Errorf("rt: %d tasks executed but %d spawned (+1 root)", executed, spawned)
-	}
-	if live != 1 {
-		return fmt.Errorf("rt: %d records live after completion, want 1 (the root's)", live)
-	}
-	return nil
-}
+// TotalStats is the sum of all workers' counters, taken when they
+// stopped (Run, Pool.Close): the memory may serve another pool since.
+func (r *Runtime) TotalStats() Stats { return r.total }

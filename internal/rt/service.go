@@ -14,15 +14,15 @@ import (
 	"uniaddr/internal/sched"
 )
 
-// Persistent worker pool: the same Config.Workers goroutines, arenas,
-// deques and record tables serve MANY task trees, submitted while the
-// pool runs. Workers park between jobs on the PR-4 idle ladder instead
-// of exiting; an idle worker dispatches the next admitted job by
-// allocating a tagged root record from its own table and invoking the
-// root frame in its own arena. Per-job isolation rests on the job tags
-// in every frame header and the tenants in every record lifecycle word,
-// per-job quiescence on the slot's live-chain count (sched.JobSlot.Live);
-// see DESIGN.md §15.
+// The worker pool: the same Config.Workers goroutines, arenas, deques
+// and record tables serve MANY task trees, submitted while the pool
+// runs (Runtime.Run is this pool serving one). Workers park between jobs
+// on the idle ladder instead of exiting; an idle worker dispatches the
+// next admitted job by allocating a tagged root record from its own
+// table and invoking the root frame in its own arena. Per-job isolation
+// rests on the job tags in every frame header and the tenants in every
+// record lifecycle word, per-job quiescence on the slot's live-chain
+// count (sched.JobSlot.Live); see DESIGN.md §15.
 
 // ErrPoolSaturated is returned by Submit when the bounded admission
 // queue is full — the pool's backpressure signal.
@@ -146,32 +146,21 @@ type pendingJob struct {
 	seq    uint64
 }
 
-// Pool is a persistent runtime: workers start at NewPool and outlive
-// every job, parking between them.
+// Pool is a started runtime that stays open for jobs: workers start at
+// NewPool and outlive every job, parking between them.
 type Pool struct {
 	r *Runtime
 }
 
 // NewPool builds the runtime and starts its workers immediately; they
-// park until jobs arrive. In pool mode Config.MaxWall bounds the POOL's
-// whole lifetime (0 = unbounded, the default); bound individual jobs by
-// canceling their tickets.
+// park until jobs arrive. Config.MaxWall bounds the POOL's whole
+// lifetime (0 = unbounded); bound individual jobs with JobParams.MaxWall.
 func NewPool(cfg Config) (*Pool, error) {
-	r := newRuntime(cfg, true)
+	r := newRuntime(cfg)
 	if r.initErr != nil {
 		return nil, r.initErr
 	}
-	r.ran = true
-	r.startT = time.Now()
-	if r.cfg.MaxWall > 0 {
-		r.watchdog = time.AfterFunc(r.cfg.MaxWall, func() {
-			r.fail(&TimeoutError{Budget: r.cfg.MaxWall})
-		})
-	}
-	for _, w := range r.workers {
-		r.wg.Add(1)
-		go w.run()
-	}
+	r.start()
 	return &Pool{r: r}, nil
 }
 
@@ -277,10 +266,8 @@ func (r *Runtime) cancelRunning(slot uint32, id uint64) {
 	}
 }
 
-// Close stops admission, waits for every submitted job to finalize,
-// winds the workers down and verifies pool quiescence: no frames, no
-// waiters, zero live records (every job's records returned), all slots
-// free. Safe to call once; later calls return ErrPoolClosed.
+// Close stops admission and shuts the pool down (shutdown). Safe to call
+// once; later calls return ErrPoolClosed.
 func (p *Pool) Close() error {
 	r := p.r
 	r.jobMu.Lock()
@@ -290,20 +277,26 @@ func (p *Pool) Close() error {
 	}
 	r.closed = true
 	r.jobMu.Unlock()
+	return r.shutdown()
+}
+
+// shutdown waits for every admitted job to finalize, winds the workers
+// down and verifies pool quiescence: no frames, no waiters, zero live
+// records (every job's records returned), all slots free. A quiescent
+// pool's worker memory goes back to the cache for the next one.
+func (r *Runtime) shutdown() error {
 	r.jobWG.Wait()
-	r.done.Store(true)
-	r.lot.wakeAll()
+	r.stop()
 	r.wg.Wait()
-	// A worker that was parked or busy since a cancel's post has not
-	// swept its table yet; every worker has stopped, so do it for them.
 	for _, w := range r.workers {
+		// A worker that was parked or busy since a cancel's post has not
+		// swept its table yet; every worker has stopped, so sweep for it.
 		w.sweep()
+		r.total.Add(w.FinalStats())
 	}
 	if r.watchdog != nil {
 		r.watchdog.Stop()
 	}
-	r.elapsed = time.Since(r.startT)
-	r.total = r.TotalStats() // snapshot: the memory may serve another pool now
 	r.failMu.Lock()
 	err := r.err
 	r.failMu.Unlock()
@@ -321,15 +314,9 @@ func (p *Pool) Close() error {
 	return nil
 }
 
-// Workers returns the worker count.
-func (p *Pool) Workers() int { return p.r.Workers() }
-
 // Obs returns the pool's wall-clock recorder (nil when off). Export it
 // only after Close — the rings are read at quiescence.
 func (p *Pool) Obs() *obs.WallRecorder { return p.r.Obs() }
-
-// Elapsed returns the pool's lifetime; call after Close.
-func (p *Pool) Elapsed() time.Duration { return p.r.Elapsed() }
 
 // TotalStats is the sum of all workers' counters at Close.
 func (p *Pool) TotalStats() Stats { return p.r.total }
@@ -359,7 +346,7 @@ func nowNS() int64 { return time.Now().UnixNano() }
 // arena, so the root frame has the whole region.
 func (w *Worker) startQueuedJob() bool {
 	r := w.rt
-	if !r.persistent || r.queuedCount.Load() == 0 || r.freeSlotCount.Load() == 0 {
+	if r.queuedCount.Load() == 0 || r.freeSlotCount.Load() == 0 {
 		return false
 	}
 	pj, slot, ok := r.claimJob()
@@ -447,10 +434,6 @@ func (r *Runtime) jobQuiesced(slot uint32) {
 	meta := &r.jobMeta[slot]
 	switch st := js.State.Load(); {
 	case st == sched.JobState(meta.id, sched.JobDone):
-		if !r.persistent {
-			r.finish(js.Result.Load())
-			return
-		}
 		r.finalizeSlot(slot, js.Result.Load(), nil)
 	case js.Advance(meta.id, sched.JobDraining, sched.JobDone):
 		r.anyCanceled.Add(-1)
@@ -499,6 +482,7 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 	r.freeSlots = append(r.freeSlots, slot)
 	r.freeSlotCount.Store(int64(len(r.freeSlots)))
 	wake := len(r.jobQueue) > 0
+	last := r.closed && len(r.activeTk) == 0
 	r.jobMu.Unlock()
 	// A queued job just became dispatchable (the park-side work hint
 	// gates on free slots, so parked workers ignored the queue while
@@ -509,6 +493,11 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 		r.lot.wakeOne()
 	}
 	t.deliver(r, res, jobErr)
+	if last {
+		// Admission is closed and this was the last job: stop the workers
+		// now rather than after their idle rounds.
+		r.stop()
+	}
 }
 
 // postSweep asks every worker to reclaim, from its own table, the records
@@ -519,7 +508,7 @@ func (r *Runtime) finalizeSlot(slot uint32, result uint64, jobErr error) {
 // No worker scans a table it does not own, so the owners' own stores to
 // their records can stay plain (sched.Record). A parked worker is not
 // woken for this: it sweeps when its idle loop next comes round, or
-// Pool.Close sweeps for it.
+// shutdown sweeps for it.
 func (r *Runtime) postSweep(tenant uint64) {
 	r.sweepMu.Lock()
 	if r.sweeps == nil {
@@ -551,10 +540,11 @@ func (r *Runtime) failTickets(err error) {
 	}
 }
 
-// checkPoolQuiescence is the pool analogue of CheckQuiescence: after
-// the last job no frame, waiter or record may survive anywhere (job
-// roots included — finalizeSlot released them), no record may still
-// name a waiter, and every slot must be back on the free list.
+// checkPoolQuiescence is the analogue of the simulator's
+// Machine.CheckQuiescence: after the last job no frame, waiter or record
+// may survive anywhere (job roots included — finalizeSlot released
+// them), no record may still name a waiter, and every slot must be back
+// on the free list.
 func (r *Runtime) checkPoolQuiescence() error {
 	live := 0
 	for _, w := range r.workers {

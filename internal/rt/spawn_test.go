@@ -124,9 +124,6 @@ func TestStealDuringSpawnInit(t *testing.T) {
 	if got != 43 {
 		t.Errorf("result %d, want 43", got)
 	}
-	if err := r.CheckQuiescence(); err != nil {
-		t.Error(err)
-	}
 	if ts := r.TotalStats(); ts.StealsOK != 1 || ts.ParentStolen != 1 {
 		t.Errorf("StealsOK %d ParentStolen %d, want 1 and 1", ts.StealsOK, ts.ParentStolen)
 	}

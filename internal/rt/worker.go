@@ -60,10 +60,10 @@ type Worker struct {
 // jobTally is one worker's executed/spawned counts for one job.
 type jobTally struct{ tasks, spawns uint64 }
 
-// run is the worker goroutine body: start the root (rank 0), then the
-// idle engine — pop local work, else clear dead stacks, resume a READY
-// waiter or steal, else back off into the parking lot (Fig. 7's
-// fallback chain with the blocking tail described in DESIGN.md §10).
+// run is the worker goroutine body, the idle engine: pop local work,
+// else clear dead stacks, resume a READY waiter, dispatch a queued job
+// or steal, else back off into the parking lot (Fig. 7's fallback chain
+// with the blocking tail described in DESIGN.md §10).
 func (w *Worker) run() {
 	defer w.rt.wg.Done()
 	defer w.rt.exited.Add(1)
@@ -72,9 +72,6 @@ func (w *Worker) run() {
 			w.rt.fail(fmt.Errorf("rt: worker %d panicked: %v", w.Rank, r))
 		}
 	}()
-	if w.Rank == 0 && !w.rt.persistent {
-		w.runRoot()
-	}
 	for !w.rt.stopped() {
 		if ent, ok := w.Deque.Pop(w.StopFn); ok {
 			w.Stats.ResumesLocal++
@@ -90,7 +87,7 @@ func (w *Worker) run() {
 		}
 		// The Pop above settled "empty" under the deque lock: our stack
 		// has run dry, so whatever chain we held ends here. That may
-		// finish the run. Then reclaim our records of any canceled job
+		// finalize its job. Then reclaim our records of any canceled job
 		// posted to us since the last round.
 		w.endChain()
 		w.sweep()
@@ -104,9 +101,9 @@ func (w *Worker) run() {
 			w.idle.reset()
 			continue
 		}
-		// Dispatch before steal: on a persistent pool an idle worker
-		// serves admission latency first — a queued job's root beats
-		// speculative remote probes (stealing then balances the tree).
+		// Dispatch before steal: an idle worker serves admission latency
+		// first — a queued job's root beats speculative remote probes
+		// (stealing then balances the tree).
 		if w.startQueuedJob() {
 			w.idle.reset()
 			continue
@@ -125,18 +122,6 @@ func (w *Worker) run() {
 		}
 		w.idlePark()
 	}
-}
-
-// runRoot builds the root thread's frame and runs it (the rt analogue
-// of the simulator's newThread on rank 0). The root record was
-// pre-allocated by Runtime.Run before goroutines started.
-func (w *Worker) runRoot() {
-	w.startChain(0)
-	e := w.NewFrame(w.rt.rootFid, w.rt.rootLocals, w.rt.rootRec, sched.JobTag(0))
-	if w.rt.rootInit != nil {
-		w.rt.rootInit(e)
-	}
-	w.enterShared(e)
 }
 
 // startChain records that this worker's stack now belongs to the job in
@@ -171,7 +156,7 @@ func (w *Worker) endChain() {
 
 // sweep reclaims this worker's records of the canceled tenants posted to
 // it, if any: the owner's half of a drain (Runtime.postSweep). Called
-// from the idle loop and by Pool.Close once the workers have stopped.
+// from the idle loop and by shutdown once the workers have stopped.
 func (w *Worker) sweep() {
 	if !w.sweepPosted.Load() {
 		return

@@ -1,10 +1,8 @@
 package uniaddr
 
 import (
-	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"uniaddr/internal/core"
 	"uniaddr/internal/dist"
@@ -16,8 +14,9 @@ import (
 
 // FaultConfig configures deterministic fault injection (an alias of
 // the internal type, so values flow freely). The zero value disables
-// injection entirely. The knobs split into three classes, and each
-// backend honours the classes it can model:
+// injection entirely. Each backend honours the knob classes it can
+// model, and setting any other knob returns an UnsupportedOptionError
+// naming it:
 //
 //   - fabric knobs (ReadFailProb, WriteFailProb, FAAFailProb,
 //     ServerDropProb, latency spikes, brownouts): sim only;
@@ -25,16 +24,13 @@ import (
 //     delays): rt and dist;
 //   - control-plane knobs (CtlDropProb, CtlTruncProb, CtlDelayProb,
 //     CtlDelay): dist only.
-//
-// Setting a knob the selected backend cannot honour returns an
-// UnsupportedOptionError naming it.
 type FaultConfig = fault.Config
 
 // Backend names accepted by WithBackend.
 const (
 	// BackendSim is the deterministic virtual-time cluster simulator —
-	// the semantic oracle, and the only backend with simulated costs,
-	// fabric models, fault injection and observability.
+	// the semantic oracle, and the only backend with simulated costs and
+	// fabric models.
 	BackendSim = "sim"
 	// BackendRT runs real goroutines on real cores inside one process.
 	BackendRT = "rt"
@@ -42,139 +38,6 @@ const (
 	// segment mapped at the same base VA everywhere; see MaybeChild.
 	BackendDist = "dist"
 )
-
-// options collects the functional-option state for one Run.
-type options struct {
-	backend    string
-	workers    int
-	seed       uint64
-	costs      *Costs
-	net        *NetParams
-	fault      *FaultConfig
-	obs        bool
-	trace      io.Writer
-	maxWall    time.Duration
-	grain      uint64
-	stealBatch int
-	tierGroup  int
-}
-
-// Option configures Run.
-type Option func(*options)
-
-// WithBackend selects the execution backend: BackendSim (default),
-// BackendRT or BackendDist.
-func WithBackend(name string) Option { return func(o *options) { o.backend = name } }
-
-// WithWorkers sets the worker count: simulated processes (sim),
-// goroutines (rt) or OS processes (dist). Default 4.
-func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
-
-// WithSeed pins the seed driving every random scheduling decision.
-// Equal seeds give bit-identical runs on the sim backend. Default 1.
-func WithSeed(seed uint64) Option { return func(o *options) { o.seed = seed } }
-
-// WithCosts sets the simulated CPU cost profile (e.g. SPARCCosts,
-// XeonCosts). Sim backend only — the real backends' costs are the
-// hardware's.
-func WithCosts(c Costs) Option { return func(o *options) { o.costs = &c } }
-
-// WithNet sets the simulated RDMA fabric parameters. Sim backend only.
-func WithNet(p NetParams) Option { return func(o *options) { o.net = &p } }
-
-// WithFault enables deterministic fault injection. Every backend
-// accepts the knob classes it can model (see FaultConfig); a knob the
-// backend cannot honour is rejected with an UnsupportedOptionError,
-// never silently ignored.
-func WithFault(fc FaultConfig) Option { return func(o *options) { o.fault = &fc } }
-
-// WithObs toggles the structured observability recorder on ANY
-// backend: virtual-time event rings and task lineage on sim,
-// wall-clock per-worker rings on rt, segment-hosted per-rank rings on
-// dist (harvested by the parent even after a worker crash). The
-// Report's Obs block carries the event counts, per-worker ring
-// overflow and latency histograms; combine with WithTrace for a
-// Perfetto timeline. When off (the default) the real backends'
-// recorders are nil and the instrumented hot paths cost one pointer
-// compare per event site.
-func WithObs(on bool) Option { return func(o *options) { o.obs = on } }
-
-// WithTrace streams a Chrome/Perfetto trace of the run to w (implies
-// WithObs(true)). The trace's top-level clockDomain field names the
-// timestamp domain: virtual cycles on sim, wall nanoseconds on
-// rt/dist. Works on every backend.
-func WithTrace(w io.Writer) Option { return func(o *options) { o.trace = w } }
-
-// WithMaxWall bounds a real backend's wall-clock run time (rt, dist);
-// exceeding it aborts the run with an error instead of hanging. Zero
-// keeps the backend default.
-func WithMaxWall(d time.Duration) Option { return func(o *options) { o.maxWall = d } }
-
-// GrainAuto selects adaptive granularity: each workload applies its
-// default sequential cutoff only while the worker's own deque holds
-// surplus work, collapsing to full task expansion when steal pressure
-// drains it.
-const GrainAuto = core.GrainAuto
-
-// WithGrain sets the granularity-control cutoff passed to grain-aware
-// workloads (every workload in internal/workloads honours it): 0 (the
-// default) disables coalescing, GrainAuto adapts to observed steal
-// demand, any other value is a static sequential cutoff. Coalescing
-// changes task counts only — results and total Work cycles are
-// preserved by construction. Works on every backend.
-func WithGrain(g uint64) Option { return func(o *options) { o.grain = g } }
-
-// WithStealBatch bounds how many deque entries one steal round trip may
-// move on the real backends: 0 (the default) lets the deque's own
-// claim bound apply (steal-half up to cap/4), 1 restores single-entry
-// stealing, larger values clamp to the claim bound. Sim models
-// single-entry steals only and rejects the option.
-func WithStealBatch(n int) Option { return func(o *options) { o.stealBatch = n } }
-
-// WithTierGroup sets the distance-tier width for victim selection on
-// the real backends: workers whose rank falls in the same group of n
-// are VERYNEAR, adjacent groups NEAR, and so on outward; thieves probe
-// near tiers before far ones. 0 keeps the default group width. Sim's
-// victim model is flat and rejects the option.
-func WithTierGroup(n int) Option { return func(o *options) { o.tierGroup = n } }
-
-// UnsupportedOptionError reports an option that the selected backend
-// cannot honour — returned instead of silently ignoring the request,
-// so a caller asking for fabric fault injection on rt learns the run
-// would not have tested what they meant to test.
-type UnsupportedOptionError struct {
-	Backend string
-	Option  string
-}
-
-func (e *UnsupportedOptionError) Error() string {
-	return fmt.Sprintf("uniaddr: the %s backend cannot honour %s; drop the option or pick a backend that models it",
-		e.Backend, e.Option)
-}
-
-// rejectFaultKnobs returns the UnsupportedOptionError for the first
-// fault knob in fc that backend cannot honour, or nil. The per-class
-// screens: sim rejects the real-backend steal and control-plane knobs,
-// rt rejects fabric and control-plane knobs, dist rejects fabric knobs
-// only.
-func rejectFaultKnobs(backend string, fc *FaultConfig) error {
-	if fc == nil {
-		return nil
-	}
-	var bad []string
-	switch backend {
-	case BackendSim:
-		bad = append(fc.PlanKnobs(), fc.CtlKnobs()...)
-	case BackendRT:
-		bad = append(fc.SimKnobs(), fc.CtlKnobs()...)
-	case BackendDist:
-		bad = fc.SimKnobs()
-	}
-	if len(bad) > 0 {
-		return &UnsupportedOptionError{Backend: backend, Option: "WithFault." + bad[0]}
-	}
-	return nil
-}
 
 // Report is the unified result of a Run on any backend: the same shape
 // whether the workers were simulated processes, goroutines or OS
@@ -300,59 +163,11 @@ func finishObs(rep *Report, ex *obs.Export, trace io.Writer) error {
 // TestMain) must call MaybeChild first: the dist backend re-execs the
 // current binary for its worker processes.
 func Run(fid FuncID, localsLen uint32, init func(*Env), opts ...Option) (Report, error) {
-	o := options{backend: BackendSim, workers: 4, seed: 1}
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if o.workers < 1 {
-		return Report{}, fmt.Errorf("uniaddr: WithWorkers(%d): need at least one worker", o.workers)
-	}
-	if err := rejectFaultKnobs(o.backend, o.fault); err != nil {
+	o := defaultOptions()
+	if err := o.parse(atRun, opts); err != nil {
 		return Report{}, err
 	}
-	switch o.backend {
-	case BackendSim:
-		// Sim's steal model is single-entry and its victim order flat;
-		// the real-backend steal-transport knobs are rejected, not
-		// ignored (WithGrain is honoured — granularity is a workload
-		// property, not a transport one).
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{
-			{o.stealBatch != 0, "WithStealBatch"},
-			{o.tierGroup != 0, "WithTierGroup"},
-		} {
-			if bad.set {
-				return Report{}, &UnsupportedOptionError{Backend: o.backend, Option: bad.name}
-			}
-		}
-		return runSim(o, fid, localsLen, init)
-	case BackendRT, BackendDist:
-		// Whole sim-only OPTIONS are rejected, not ignored: a run that
-		// silently dropped the cost or fault model would report clean
-		// results for an experiment that never happened. WithFault is
-		// screened per knob above — the steal (rt, dist) and
-		// control-plane (dist) knobs are honoured for real.
-		for _, bad := range []struct {
-			set  bool
-			name string
-		}{
-			{o.costs != nil, "WithCosts"},
-			{o.net != nil, "WithNet"},
-		} {
-			if bad.set {
-				return Report{}, &UnsupportedOptionError{Backend: o.backend, Option: bad.name}
-			}
-		}
-		if o.backend == BackendRT {
-			return runRT(o, fid, localsLen, init)
-		}
-		return runDist(o, fid, localsLen, init)
-	default:
-		return Report{}, fmt.Errorf("uniaddr: unknown backend %q (WithBackend accepts %q, %q, %q)",
-			o.backend, BackendSim, BackendRT, BackendDist)
-	}
+	return o.run(fid, localsLen, init)
 }
 
 // MaybeChild routes a process that was re-exec'd as a dist worker into
@@ -361,7 +176,20 @@ func Run(fid FuncID, localsLen uint32, init func(*Env), opts ...Option) (Report,
 // must call this FIRST in main / TestMain.
 func MaybeChild() { dist.MaybeChild() }
 
-func runSim(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
+// run executes one root task through o's backend's one-shot entry point
+// — the simulated Machine, rt.New(...).Run or dist.Run — for Run and for
+// each job of a sim or dist Service.
+func (o *options) run(fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
+	switch o.backend {
+	case BackendSim:
+		return runSim(o, fid, localsLen, init)
+	case BackendRT:
+		return runRT(o, fid, localsLen, init)
+	}
+	return runDist(o, fid, localsLen, init)
+}
+
+func runSim(o *options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
 	cfg := core.DefaultConfig(o.workers)
 	cfg.Seed = o.seed
 	if o.costs != nil {
@@ -403,46 +231,29 @@ func runSim(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, e
 	return rep, nil
 }
 
-// runRT executes a Run on the rt backend as sugar over a throwaway
-// one-job Service: the persistent-pool machinery (job slot, tagged
-// records, per-job quiescence) IS the single-run machinery now, just
-// closed after one job. The Report stays byte-compatible — since the
-// pool ran exactly this one job, its total counters are the job's.
-func runRT(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
-	maxWall := o.maxWall
-	if maxWall == 0 {
-		// Run keeps the single-run deadlock-guard default; only an
-		// explicit Service is unbounded by default.
-		maxWall = rt.DefaultConfig(o.workers).MaxWall
-	}
-	svcOpts := []ServiceOption{
-		ServiceBackend(BackendRT), ServiceWorkers(o.workers), ServiceSeed(o.seed),
-		ServiceObs(o.obs || o.trace != nil),
-		ServiceStealBatch(o.stealBatch), ServiceTierGroup(o.tierGroup),
-		ServiceMaxWall(maxWall), ServiceMaxJobs(1), ServiceQueueDepth(1),
+// runRT runs a one-job rt pool (rt.New(...).Run). Its WallNS is the
+// job's time from dispatch to completion; since the pool ran exactly
+// this one job, its total counters are the job's.
+func runRT(o *options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
+	cfg := rt.DefaultConfig(o.workers)
+	cfg.Seed = o.seed
+	cfg.Obs = o.obs || o.trace != nil
+	cfg.Grain = o.grain
+	cfg.StealBatch = o.stealBatch
+	cfg.TierGroup = o.tierGroup
+	if o.maxWall != 0 {
+		cfg.MaxWall = o.maxWall
 	}
 	if o.fault != nil {
-		svcOpts = append(svcOpts, ServiceFault(*o.fault))
+		cfg.Fault = *o.fault
 	}
-	s, err := NewService(svcOpts...)
+	r := rt.New(cfg)
+	root, err := r.Run(fid, localsLen, init)
 	if err != nil {
 		return Report{}, err
 	}
-	job, err := s.Submit(context.Background(), fid, localsLen, init, JobGrain(o.grain))
-	if err != nil {
-		_ = s.Close()
-		return Report{}, err
-	}
-	jrep, jerr := job.Wait()
-	cerr := s.Close()
-	if jerr != nil {
-		return Report{}, jerr
-	}
-	if cerr != nil {
-		return Report{}, cerr
-	}
-	rep := wallReport(BackendRT, o.workers, jrep.Root, jrep.WallNS, s.pool.TotalStats())
-	if err := finishObs(&rep, s.pool.Obs().Export(), o.trace); err != nil {
+	rep := wallReport(BackendRT, o.workers, root, r.Elapsed().Nanoseconds(), r.TotalStats())
+	if err := finishObs(&rep, r.Obs().Export(), o.trace); err != nil {
 		return Report{}, err
 	}
 	return rep, nil
@@ -464,7 +275,7 @@ func wallReport(backend string, workers int, root uint64, wallNS int64, ts sched
 	}
 }
 
-func runDist(o options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
+func runDist(o *options, fid FuncID, localsLen uint32, init func(*Env)) (Report, error) {
 	cfg := dist.DefaultConfig(o.workers)
 	cfg.Seed = o.seed
 	cfg.Obs = o.obs || o.trace != nil

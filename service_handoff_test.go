@@ -98,23 +98,25 @@ func TestServiceSubmitCreatesNoGoroutine(t *testing.T) {
 	}
 }
 
-// TestServiceSubmitWaitAllocs: a one-task job on a warm pool costs five
-// allocations — the option block, the Job, the ticket, its channel and
-// the queue entry — and two more, a timer and its closure, when it has
-// a budget. A goroutine per job, or a closure per watcher that is never
-// armed, shows up here.
+// TestServiceSubmitWaitAllocs: a one-task job on a warm pool costs four
+// allocations — the Job, the ticket, its channel and the queue entry —
+// and two more, a timer and its closure, when it has a budget. A
+// goroutine per job, a closure per watcher that is never armed, or an
+// option list that reaches the heap shows up here.
 func TestServiceSubmitWaitAllocs(t *testing.T) {
 	svc := newRTService(t, uniaddr.ServiceWorkers(1))
 	spec := workloads.Fib(1, 0)
 	for _, tc := range []struct {
-		name string
-		max  float64
-		opts []uniaddr.JobOption
+		name     string
+		max      float64
+		maxBytes uint64
+		opts     []uniaddr.JobOption
 	}{
-		{"plain", 5, nil},
-		{"max-wall", 7, []uniaddr.JobOption{uniaddr.JobMaxWall(time.Minute)}},
+		{"plain", 4, 640, nil},
+		{"max-wall", 6, 769, []uniaddr.JobOption{uniaddr.JobMaxWall(time.Minute)}},
 	} {
-		got := testing.AllocsPerRun(200, func() {
+		const runs = 200
+		job := func() {
 			job, err := svc.Submit(context.Background(), spec.Fid, spec.Locals, spec.Init, tc.opts...)
 			if err != nil {
 				t.Fatal(err)
@@ -122,10 +124,21 @@ func TestServiceSubmitWaitAllocs(t *testing.T) {
 			if rep, err := job.Wait(); err != nil || rep.Root != spec.Expected {
 				t.Fatalf("root %d err %v, want %d", rep.Root, err, spec.Expected)
 			}
-		})
-		t.Logf("%s: %.1f allocs per Submit+Wait", tc.name, got)
+		}
+		got := testing.AllocsPerRun(runs, job)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			job()
+		}
+		runtime.ReadMemStats(&after)
+		bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %.1f allocs, %d B per Submit+Wait", tc.name, got, bytes)
 		if got > tc.max {
 			t.Errorf("%s: %.1f allocs per Submit+Wait, want <= %.0f", tc.name, got, tc.max)
+		}
+		if bytes > tc.maxBytes {
+			t.Errorf("%s: %d B per Submit+Wait, want <= %d", tc.name, bytes, tc.maxBytes)
 		}
 	}
 	if err := svc.Close(); err != nil {
@@ -251,6 +264,25 @@ func TestServiceDeadlineRacesCompletion(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunAllocs pins what a warm one-task rt Run allocates: a one-job
+// pool built over recycled worker memory, run and closed. Reading the
+// options costs nothing; a Service wrapped around the run, a closure per
+// option, or a per-run structure that stops being recycled shows up here.
+func TestRunAllocs(t *testing.T) {
+	spec := workloads.Fib(1, 0)
+	got := testing.AllocsPerRun(100, func() {
+		rep, err := uniaddr.Run(spec.Fid, spec.Locals, spec.Init,
+			uniaddr.WithBackend(uniaddr.BackendRT), uniaddr.WithWorkers(1))
+		if err != nil || rep.Root != spec.Expected {
+			t.Fatalf("root %d err %v, want %d", rep.Root, err, spec.Expected)
+		}
+	})
+	t.Logf("%.1f allocs per one-task rt Run", got)
+	if got > 25 {
+		t.Errorf("%.1f allocs per one-task rt Run, want <= 25", got)
 	}
 }
 

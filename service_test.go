@@ -78,7 +78,7 @@ func TestServiceRTPersistentPool(t *testing.T) {
 }
 
 // TestServiceSimEphemeralJobs drives the same facade on the default sim
-// backend: each job gets its own deterministic world, so equal JobSeed
+// backend: each job gets its own deterministic world, so equal WithSeed
 // values give bit-identical virtual clocks.
 func TestServiceSimEphemeralJobs(t *testing.T) {
 	svc, err := uniaddr.NewService(uniaddr.ServiceWorkers(2))
@@ -89,7 +89,7 @@ func TestServiceSimEphemeralJobs(t *testing.T) {
 	var reps [3]uniaddr.Report
 	for i := range reps {
 		job, err := svc.Submit(context.Background(), spec.Fid, spec.Locals, spec.Init,
-			uniaddr.JobSeed(7))
+			uniaddr.WithSeed(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestServiceSimEphemeralJobs(t *testing.T) {
 		}
 	}
 	if reps[0].VirtualCycles != reps[1].VirtualCycles || reps[1].VirtualCycles != reps[2].VirtualCycles {
-		t.Errorf("equal JobSeed diverged: %d, %d, %d cycles",
+		t.Errorf("equal WithSeed diverged: %d, %d, %d cycles",
 			reps[0].VirtualCycles, reps[1].VirtualCycles, reps[2].VirtualCycles)
 	}
 	if reps[0].Job == reps[1].Job {
@@ -112,6 +112,81 @@ func TestServiceSimEphemeralJobs(t *testing.T) {
 	}
 	if err := svc.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestServiceJobsCompletedNeverRunsAhead: on a sim service, whose jobs
+// each run on a goroutine of their own, JobsCompleted never exceeds the
+// jobs submitted nor the Done channels already closed — it once read
+// 2^64-1 while the first job held its slot, and counted a job between
+// its slot's release and its Done — and ends at exactly the jobs run.
+// The jobs run one after another, so every job opens both windows.
+func TestServiceJobsCompletedNeverRunsAhead(t *testing.T) {
+	const n = 200
+	svc, err := uniaddr.NewService(uniaddr.WithWorkers(1), uniaddr.ServiceMaxJobs(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := workloads.Fib(2, 0)
+	// mu is held across each Submit and the append of its Job, so once the
+	// poller has taken it, every job a count can include is in jobs.
+	var mu sync.Mutex
+	var jobs []*uniaddr.Job
+	stop, polled := make(chan struct{}), make(chan error, 1)
+	go func() {
+		for {
+			// Both bounds only grow, so a count read first is checked
+			// against bounds read after it.
+			var got uint64
+			for k := 0; k < 100; k++ {
+				got = max(got, svc.JobsCompleted())
+			}
+			mu.Lock()
+			submitted := jobs
+			mu.Unlock()
+			closed := 0
+			for _, j := range submitted {
+				select {
+				case <-j.Done():
+					closed++
+				default:
+				}
+			}
+			if got > uint64(len(submitted)) || got > uint64(closed) {
+				polled <- fmt.Errorf("JobsCompleted %d with %d jobs submitted, %d done", got, len(submitted), closed)
+				return
+			}
+			select {
+			case <-stop:
+				polled <- nil
+				return
+			default:
+			}
+		}
+	}()
+	for i := 0; i < n; i++ {
+		mu.Lock()
+		j, err := svc.Submit(context.Background(), spec.Fid, spec.Locals, spec.Init)
+		if err == nil {
+			jobs = append(jobs, j)
+		}
+		mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep, err := j.Wait(); err != nil || rep.Root != spec.Expected {
+			t.Fatalf("job %d: root %d err %v, want %d", j.ID(), rep.Root, err, spec.Expected)
+		}
+	}
+	close(stop)
+	if err := <-polled; err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := svc.JobsCompleted(); got != n {
+		t.Fatalf("JobsCompleted = %d after Close, want %d", got, n)
 	}
 }
 
@@ -304,12 +379,12 @@ func TestServiceOptionClasses(t *testing.T) {
 	}
 	var uo *uniaddr.UnsupportedOptionError
 	if _, err := rtSvc.Submit(context.Background(), spec.Fid, spec.Locals, spec.Init,
-		uniaddr.JobSeed(9)); !errors.As(err, &uo) {
-		t.Errorf("rt service accepted JobSeed (err=%v)", err)
+		uniaddr.WithSeed(9)); !errors.As(err, &uo) {
+		t.Errorf("rt service accepted WithSeed at Submit (err=%v)", err)
 	}
 	if _, err := rtSvc.Submit(context.Background(), spec.Fid, spec.Locals, spec.Init,
-		uniaddr.JobTrace(&bytes.Buffer{})); !errors.As(err, &uo) {
-		t.Errorf("rt service accepted JobTrace (err=%v)", err)
+		uniaddr.WithTrace(&bytes.Buffer{})); !errors.As(err, &uo) {
+		t.Errorf("rt service accepted WithTrace at Submit (err=%v)", err)
 	}
 	if err := rtSvc.Close(); err != nil {
 		t.Fatal(err)
@@ -318,10 +393,10 @@ func TestServiceOptionClasses(t *testing.T) {
 		name string
 		opts []uniaddr.ServiceOption
 	}{
-		{"sim+ServiceTrace", []uniaddr.ServiceOption{uniaddr.ServiceTrace(&bytes.Buffer{})}},
-		{"sim+ServiceStealBatch", []uniaddr.ServiceOption{uniaddr.ServiceStealBatch(1)}},
-		{"rt+ServiceCosts", []uniaddr.ServiceOption{
-			uniaddr.ServiceBackend(uniaddr.BackendRT), uniaddr.ServiceCosts(uniaddr.XeonCosts())}},
+		{"sim+WithTrace", []uniaddr.ServiceOption{uniaddr.WithTrace(&bytes.Buffer{})}},
+		{"sim+WithStealBatch", []uniaddr.ServiceOption{uniaddr.WithStealBatch(1)}},
+		{"rt+WithCosts", []uniaddr.ServiceOption{
+			uniaddr.ServiceBackend(uniaddr.BackendRT), uniaddr.WithCosts(uniaddr.XeonCosts())}},
 	} {
 		if _, err := uniaddr.NewService(tc.opts...); !errors.As(err, &uo) {
 			t.Errorf("%s: got %v, want UnsupportedOptionError", tc.name, err)
@@ -357,7 +432,7 @@ func TestServiceTraceJobTagged(t *testing.T) {
 	svc, err := uniaddr.NewService(
 		uniaddr.ServiceBackend(uniaddr.BackendRT),
 		uniaddr.ServiceWorkers(2),
-		uniaddr.ServiceTrace(&buf))
+		uniaddr.WithTrace(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}
