@@ -88,8 +88,8 @@ func TestPoolWorkerReuse(t *testing.T) {
 		if got := p.WorkersExited(); got != 0 {
 			t.Fatalf("after job %d: %d workers exited mid-pool", i+1, got)
 		}
-		// Between jobs every worker ends up parked or napping; give the
-		// ladder a moment and check the lot absorbed at least one.
+		// Between jobs every worker of the emptied pool parks; give it a
+		// moment and check the lot absorbed at least one.
 		deadline := time.Now().Add(2 * time.Second)
 		for p.ParkedWorkers() == 0 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)

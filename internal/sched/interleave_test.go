@@ -802,3 +802,377 @@ func TestJobProtocolMutantsFail(t *testing.T) {
 		t.Logf("%s: after %d states: %s\nschedule: %s", tc.name, states, violation, strings.Join(schedule, " "))
 	}
 }
+
+// --- The parking lot (DESIGN.md §10) ---------------------------------
+//
+// A second model, over the words an idle worker's park and the three
+// kinds of producer touch. One worker parks: first it is a joiner that
+// missed its child (Engine.ExecJoin: the Waiter store, the done recheck),
+// then its stack runs dry and it registers in the lot, rechecks every
+// source of work (rt.Worker.hasWorkHint) and waits; once it is running
+// again its idle loop resumes the child if it is done (Engine.ResumeReady,
+// which resets Waiter). The producers each publish one kind of work and
+// wake:
+//
+//	submit   rt.Pool.Submit: the queuedCount store, the lot-count load,
+//	         wakeOne when the load saw a parker
+//	spawn    rt.Worker.ExecSpawnBegin: the Push's bottom store, the
+//	         lot-count load, wakeOne
+//	complete rt.Worker.publish of the parker's child: the done store, the
+//	         Waiter load, wakeWorker of the rank it read
+//
+// The lot mutex makes register, cancel and each wake one step apiece, and
+// the wake token is the parker's one-slot wakeCh. The lot count,
+// queuedCount and freeSlotCount are rt's words, modelled by atomics of the
+// same type; the deque and the record are sched's. Every subset of the
+// producers is explored, because a producer whose wake happens to reach
+// the parker covers for another's lost one. At rest: no worker is parked
+// while work it could take is published (a queued job with a free slot,
+// an entry on the peer's deque, its own child done); every wake token was
+// consumed; and a joiner that stopped waiting left its record naming no
+// waiter, ready for its next life.
+
+type plMutant struct {
+	countBeforeQueue bool // Submit loads the lot count before its queuedCount store
+	recheckFirst     bool // the parker rechecks before it registers
+	waiterBeforeDone bool // the completer loads Waiter before its done store
+	keepWaiter       bool // the joiner does not reset Waiter when it stops waiting
+}
+
+type plWorld struct {
+	count, queued, free atomic.Int64 // rt's lot count, queuedCount, freeSlotCount
+	dq                  *Deque       // the spawner's
+	rec                 Record       // the parker's child
+
+	parked  bool // the parker is on the lot's list (under the lot mutex)
+	token   int  // the parker's wakeCh holds a token
+	resumed bool // ghost: the joiner stopped waiting on rec
+	actors  []*plActor
+	fail    string
+	ran     map[string]bool // not state: every "actor@pc" some interleaving executed
+}
+
+type plStep func(w *plWorld, a *plActor) int // next pc, or ilBlocked having touched nothing
+
+type plActor struct {
+	name  string
+	steps []plStep
+	pc    int
+	q     int64 // a loaded queuedCount
+	t     uint64
+	seen  bool // what its loads found: work (the parker's recheck) or a parker (a producer's)
+}
+
+type plSnap struct {
+	count, queued, free int64
+	top, bottom, job    uint64
+	waiter              int64
+	parked, resumed     bool
+	token               int8
+	pc                  [4]int8
+	q                   [4]int8
+	t                   [4]uint8
+	seen                [4]bool
+}
+
+func (w *plWorld) save() plSnap {
+	s := plSnap{
+		count: w.count.Load(), queued: w.queued.Load(), free: w.free.Load(),
+		top: w.dq.hdr.top.Load(), bottom: w.dq.hdr.bottom.Load(), job: w.rec.Job.Load(), waiter: w.rec.Waiter.Load(),
+		parked: w.parked, resumed: w.resumed, token: int8(w.token),
+	}
+	for i, a := range w.actors {
+		s.pc[i], s.q[i], s.t[i], s.seen[i] = int8(a.pc), int8(a.q), uint8(a.t), a.seen
+	}
+	return s
+}
+
+func (w *plWorld) load(s plSnap) {
+	w.count.Store(s.count)
+	w.queued.Store(s.queued)
+	w.free.Store(s.free)
+	w.dq.hdr.top.Store(s.top)
+	w.dq.hdr.bottom.Store(s.bottom)
+	w.rec.Job.Store(s.job)
+	w.rec.Waiter.Store(s.waiter)
+	w.parked, w.resumed, w.token = s.parked, s.resumed, int(s.token)
+	for i, a := range w.actors {
+		a.pc, a.q, a.t, a.seen = int(s.pc[i]), int64(s.q[i]), uint64(s.t[i]), s.seen[i]
+	}
+}
+
+func (w *plWorld) violate(a *plActor, format string, args ...any) {
+	if w.fail == "" {
+		w.fail = a.name + ": " + fmt.Sprintf(format, args...)
+	}
+}
+
+// workFor reports what the parker could take right now, or "".
+func (w *plWorld) workFor() string {
+	switch {
+	case w.queued.Load() > 0 && w.free.Load() > 0:
+		return "a queued job with a free slot"
+	case w.dq.Size() > 0:
+		return "an entry on the peer's deque"
+	case w.rec.IsDone():
+		return "its own child done"
+	}
+	return ""
+}
+
+// wake is parkingLot.wakeOne and wakeWorker of the one parker: under the
+// lot mutex, remove it if registered and send its token.
+func (w *plWorld) wake(a *plActor) {
+	if !w.parked {
+		return
+	}
+	w.parked = false
+	w.count.Add(-1)
+	if w.token++; w.token > 1 {
+		w.violate(a, "wake token sent to a full wakeCh")
+	}
+}
+
+type plProg struct{ a *plActor }
+
+func (p plProg) add(f plStep) int {
+	p.a.steps = append(p.a.steps, f)
+	return len(p.a.steps) - 1
+}
+
+func (p plProg) next() int { return len(p.a.steps) }
+
+func plParker(m plMutant) *plActor {
+	a := &plActor{name: "parker"}
+	p := plProg{a}
+	var resume, wait, after int
+	p.add(func(w *plWorld, a *plActor) int { w.rec.Waiter.Store(1); return a.pc + 1 }) // rank 0 + 1
+	p.add(func(w *plWorld, a *plActor) int {
+		if w.rec.IsDone() {
+			return resume
+		}
+		return a.pc + 1
+	})
+	register := func() {
+		p.add(func(w *plWorld, a *plActor) int { w.parked = true; w.count.Add(1); return a.pc + 1 })
+	}
+	recheck := func() {
+		p.add(func(w *plWorld, a *plActor) int { a.q = w.queued.Load(); return a.pc + 1 })
+		p.add(func(w *plWorld, a *plActor) int {
+			a.seen = a.seen || a.q > 0 && w.free.Load() > 0
+			return a.pc + 1
+		})
+		p.add(func(w *plWorld, a *plActor) int { a.t = w.dq.hdr.top.Load(); return a.pc + 1 })
+		p.add(func(w *plWorld, a *plActor) int {
+			a.seen = a.seen || w.dq.hdr.bottom.Load() > a.t
+			return a.pc + 1
+		})
+		p.add(func(w *plWorld, a *plActor) int { a.seen = a.seen || w.rec.IsDone(); return a.pc + 1 })
+	}
+	if m.recheckFirst {
+		recheck()
+		register()
+	} else {
+		register()
+		recheck()
+	}
+	p.add(func(w *plWorld, a *plActor) int { // work found: cancel
+		if !a.seen {
+			return wait
+		}
+		if w.parked {
+			w.parked = false
+			w.count.Add(-1)
+			return after
+		}
+		return a.pc + 1
+	})
+	// A waker claimed us between register and cancel: consume its token.
+	p.add(func(w *plWorld, a *plActor) int { w.token--; return after })
+	wait = p.add(func(w *plWorld, a *plActor) int {
+		if w.token == 0 {
+			return ilBlocked
+		}
+		w.token--
+		return a.pc + 1
+	})
+	after = p.add(func(w *plWorld, a *plActor) int { // running again: ResumeReady's poll
+		if w.rec.IsDone() {
+			return a.pc + 1
+		}
+		return len(a.steps) // its next idle rounds find whatever woke it
+	})
+	resume = p.add(func(w *plWorld, a *plActor) int {
+		if !m.keepWaiter {
+			w.rec.Waiter.Store(0)
+		}
+		w.resumed = true
+		return a.pc + 1
+	})
+	return a
+}
+
+// plProducer is a store of work, the load that looks for a parker, and
+// the wake when it saw one; reversed, the load comes first.
+func plProducer(name string, reversed bool, store, look plStep) *plActor {
+	a := &plActor{name: name}
+	p := plProg{a}
+	if reversed {
+		p.add(look)
+		p.add(store)
+	} else {
+		p.add(store)
+		p.add(look)
+	}
+	p.add(func(w *plWorld, a *plActor) int {
+		if a.seen {
+			w.wake(a)
+		}
+		return a.pc + 1
+	})
+	return a
+}
+
+func plLookCount(w *plWorld, a *plActor) int { a.seen = w.count.Load() > 0; return a.pc + 1 }
+
+// plBuild is a pool with a free slot, an empty queue, the spawner's deque
+// empty and the parker's child pending; producers picks which of submit,
+// spawn and complete (bits 0, 1, 2) take part.
+func plBuild(m plMutant, producers int) *plWorld {
+	w := &plWorld{dq: NewDeque(2), ran: map[string]bool{}}
+	w.free.Store(1)
+	w.rec.Job.Store(RecordPending(1))
+	w.actors = []*plActor{plParker(m)}
+	if producers&1 != 0 {
+		w.actors = append(w.actors, plProducer("submit", m.countBeforeQueue,
+			func(w *plWorld, a *plActor) int { w.queued.Store(1); return a.pc + 1 }, plLookCount))
+	}
+	if producers&2 != 0 {
+		w.actors = append(w.actors, plProducer("spawn", false,
+			func(w *plWorld, a *plActor) int { w.dq.hdr.bottom.Store(1); return a.pc + 1 }, plLookCount))
+	}
+	if producers&4 != 0 {
+		w.actors = append(w.actors, plProducer("complete", m.waiterBeforeDone,
+			func(w *plWorld, a *plActor) int { w.rec.Job.Store(RecordDone(1)); return a.pc + 1 },
+			func(w *plWorld, a *plActor) int { a.seen = w.rec.Waiter.Load() == 1; return a.pc + 1 }))
+	}
+	return w
+}
+
+// plExplore walks every interleaving depth-first, stopping at the first
+// violation, and returns the states visited, the violation and the
+// schedule that reached it.
+func plExplore(w *plWorld) (states int, violation string, schedule []string) {
+	seen := map[plSnap]struct{}{}
+	parker := w.actors[0]
+	var dfs func()
+	dfs = func() {
+		here := w.save()
+		if _, ok := seen[here]; ok {
+			return
+		}
+		seen[here] = struct{}{}
+		ran := 0
+		for _, a := range w.actors {
+			if a.pc >= len(a.steps) {
+				continue
+			}
+			pc := a.pc
+			next := a.steps[pc](w, a)
+			if next == ilBlocked {
+				continue
+			}
+			ran++
+			a.pc = next
+			schedule = append(schedule, fmt.Sprintf("%s@%d", a.name, pc))
+			w.ran[schedule[len(schedule)-1]] = true
+			if w.fail == "" {
+				dfs()
+			}
+			if w.fail != "" {
+				return
+			}
+			schedule = schedule[:len(schedule)-1]
+			w.load(here)
+		}
+		if ran > 0 {
+			return
+		}
+		for _, a := range w.actors[1:] {
+			if a.pc < len(a.steps) {
+				w.violate(a, "stuck at step %d", a.pc)
+			}
+		}
+		switch {
+		case parker.pc < len(parker.steps) && !w.parked:
+			w.violate(parker, "waiting on its wakeCh, but no longer in the lot")
+		case parker.pc < len(parker.steps) && w.workFor() != "":
+			w.violate(parker, "parked for good while %s", w.workFor())
+		case parker.pc == len(parker.steps) && (w.parked || w.token != 0):
+			w.violate(parker, "running, but still in the lot (%v) or with a token left in its wakeCh (%d)", w.parked, w.token)
+		case w.resumed && w.rec.Waiter.Load() != 0:
+			w.violate(parker, "stopped waiting on its child, whose record still names waiter %d", w.rec.Waiter.Load())
+		}
+	}
+	dfs()
+	return len(seen), w.fail, schedule
+}
+
+func TestParkingLotInterleavings(t *testing.T) {
+	ran := map[string]bool{}
+	steps := map[string]bool{}
+	total := 0
+	for producers := 0; producers < 8; producers++ {
+		w := plBuild(plMutant{}, producers)
+		states, violation, schedule := plExplore(w)
+		total += states
+		if violation != "" {
+			t.Errorf("producers %03b: %s\nschedule: %s", producers, violation, strings.Join(schedule, " "))
+		}
+		for at := range w.ran {
+			ran[at] = true
+		}
+		for _, a := range w.actors {
+			for pc := range a.steps {
+				steps[fmt.Sprintf("%s@%d", a.name, pc)] = true
+			}
+		}
+	}
+	// Every step is walked by some interleaving: the joiner's hit, the
+	// recheck's cancel with and without a token in flight, the wait, the
+	// resume, and every producer's wake.
+	for at := range steps {
+		if !ran[at] {
+			t.Errorf("%s is never reached", at)
+		}
+	}
+	t.Logf("%d states over 8 producer sets, no violation", total)
+}
+
+// Each order is load-bearing: reverse one and some interleaving leaves the
+// worker parked beside work nobody will wake it for, or recycles a record
+// that still names a waiter.
+func TestParkingLotMutantsFail(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    plMutant
+	}{
+		{"Submit's count load above its queuedCount store", plMutant{countBeforeQueue: true}},
+		{"the parker's recheck before its register", plMutant{recheckFirst: true}},
+		{"the completer's Waiter load before its done store", plMutant{waiterBeforeDone: true}},
+		{"no Waiter reset when the joiner stops waiting", plMutant{keepWaiter: true}},
+	} {
+		failed := false
+		for producers := 0; producers < 8 && !failed; producers++ {
+			states, violation, schedule := plExplore(plBuild(tc.m, producers))
+			if violation != "" {
+				failed = true
+				t.Logf("%s: producers %03b, after %d states: %s\nschedule: %s",
+					tc.name, producers, states, violation, strings.Join(schedule, " "))
+			}
+		}
+		if !failed {
+			t.Errorf("mutant %q: no interleaving violates an invariant", tc.name)
+		}
+	}
+}

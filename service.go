@@ -160,9 +160,10 @@ func NewService(opts ...ServiceOption) (*Service, error) {
 }
 
 // Submit admits fid(localsLen bytes of locals, initialised by init) as
-// one job. It never blocks on a full queue: past ServiceQueueDepth it
-// returns ErrServiceSaturated immediately. Canceling ctx cancels the
-// job and its Wait returns a JobCanceledError. On the rt pool
+// one job. It never waits for the job: past ServiceQueueDepth it
+// returns ErrServiceSaturated immediately, and on the rt pool, when it
+// wakes a parked worker it yields its time slice to it. Canceling ctx
+// cancels the job and its Wait returns a JobCanceledError. On the rt pool
 // cancellation is effective queued or MID-RUN: the canceled tree's
 // frames drain without executing and co-resident jobs are untouched.
 // Sim and dist jobs run each in an ephemeral world that executes to
