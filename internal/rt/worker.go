@@ -111,7 +111,7 @@ func (w *Worker) run() {
 		if n := w.TrySteal(); n > 0 {
 			// Extra entries just became stealable from us: release a
 			// parked worker so the fan-out actually happens.
-			if n > 1 && w.rt.lot.count.Load() > 0 {
+			if n > 1 {
 				w.rt.lot.wakeOne()
 			}
 			if ent, ok := w.Deque.Pop(w.StopFn); ok {
@@ -308,11 +308,7 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 		panic(err)
 	}
 	// Work just became stealable: release one parked worker, if any.
-	// The count load (one uncontended atomic read) keeps the common
-	// nobody-parked spawn path free of lock traffic.
-	if w.rt.lot.count.Load() > 0 {
-		w.rt.lot.wakeOne()
-	}
+	w.rt.lot.wakeOne()
 	return w.NewFrame(fid, localsLen, rec, sched.JobTag(w.curJob))
 }
 
