@@ -75,11 +75,11 @@ func TestFacadeOptionMatrix(t *testing.T) {
 					t.Fatalf("report backend %q, want %q", rep.Backend, backend)
 				}
 				if tc.name == "obs" || tc.name == "obs+fault" {
-					if rep.ObsEvents == 0 {
-						t.Fatal("WithObs(true) recorded no events")
-					}
 					if rep.Obs == nil {
 						t.Fatal("WithObs(true) produced no Obs digest")
+					}
+					if rep.Obs.Events == 0 {
+						t.Fatal("WithObs(true) recorded no events")
 					}
 					wantClock := "wall-ns"
 					if backend == uniaddr.BackendSim {

@@ -53,12 +53,12 @@ type Deque struct {
 	maxDepth uint64
 	// log, when attached, receives deque-depth counter samples after
 	// local push/pop/take operations (nil-safe).
-	log *obs.WorkerLog
+	log *obs.Log
 }
 
 // SetLog attaches the owner's observability log; subsequent local
 // push/pop/take operations sample the deque depth into it.
-func (d *Deque) SetLog(l *obs.WorkerLog) { d.log = l }
+func (d *Deque) SetLog(l *obs.Log) { d.log = l }
 
 // NewDeque reserves and pins the deque region in space at base.
 func NewDeque(space *mem.AddressSpace, base mem.VA, cap uint64) (*Deque, error) {
@@ -127,7 +127,7 @@ func (d *Deque) Push(e Entry) error {
 		if b+1 > t {
 			depth = b + 1 - t
 		}
-		d.log.Depth(depth)
+		d.log.Instant(obs.KDepth, depth, 0, -1)
 	}
 	return nil
 }
@@ -178,12 +178,12 @@ func (d *Deque) Pop(p *sim.Proc, ep *rdma.Endpoint, self int) (Entry, bool) {
 		e := d.readEntry(b)
 		d.unlockLocal()
 		if d.log != nil {
-			d.log.Depth(b - t)
+			d.log.Instant(obs.KDepth, b-t, 0, -1)
 		}
 		return e, true
 	}
 	if d.log != nil {
-		d.log.Depth(b - t)
+		d.log.Instant(obs.KDepth, b-t, 0, -1)
 	}
 	return d.readEntry(b), true
 }
@@ -422,7 +422,7 @@ func (d *Deque) TakeTopBegin(p *sim.Proc, ep *rdma.Endpoint, self int) (Entry, T
 // Commit finalises the take and releases the lock.
 func (tk TopTake) Commit() {
 	if tk.d.log != nil {
-		tk.d.log.Depth(tk.d.Size())
+		tk.d.log.Instant(obs.KDepth, tk.d.Size(), 0, -1)
 	}
 	tk.d.unlockLocal()
 }

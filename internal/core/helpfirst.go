@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 
 	"uniaddr/internal/mem"
-	"uniaddr/internal/trace"
+	"uniaddr/internal/obs"
 )
 
 // Help-first ("tied tasks") scheduling — the strategy of Satin, HotSLAW
@@ -207,10 +207,10 @@ func (w *Worker) helpFirstJoin(h Handle) uint64 {
 		if w.tryStealHelpFirst() {
 			continue
 		}
-		w.mark(trace.Idle)
+		w.mark(obs.Idle)
 		w.stats.IdleCycles += w.costs.IdleBackoff
 		w.adv(w.costs.IdleBackoff)
-		w.mark(trace.Work)
+		w.mark(obs.Work)
 	}
 }
 
@@ -221,7 +221,7 @@ func (w *Worker) tryStealHelpFirst() bool {
 		return false
 	}
 	w.stats.StealAttempts++
-	w.mark(trace.Steal)
+	w.mark(obs.Steal)
 	w.adv(w.costs.VictimSelect)
 	victim := w.pickVictim(n)
 	if victim < 0 {
@@ -293,7 +293,7 @@ func (w *Worker) helpFirstSchedulerLoop() {
 		if w.tryStealHelpFirst() {
 			continue
 		}
-		w.mark(trace.Idle)
+		w.mark(obs.Idle)
 		w.stats.IdleCycles += w.costs.IdleBackoff
 		p.Advance(w.costs.IdleBackoff)
 	}

@@ -6,7 +6,6 @@ import (
 
 	"uniaddr/internal/mem"
 	"uniaddr/internal/obs"
-	"uniaddr/internal/trace"
 )
 
 // Lifeline-based global load balancing, after Saraswat et al.
@@ -201,7 +200,7 @@ func (w *Worker) llConsume() bool {
 				obs.TaskID(frameTaskID(w.space, frameBase)), w.llOut[j])
 		}
 		w.llRegistered = false // re-register next time we idle
-		w.mark(trace.Work)
+		w.mark(obs.Work)
 		w.invoke(frameBase, frameSize)
 		ran = true
 	}

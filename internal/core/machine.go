@@ -9,7 +9,6 @@ import (
 	"uniaddr/internal/obs"
 	"uniaddr/internal/rdma"
 	"uniaddr/internal/sim"
-	"uniaddr/internal/trace"
 )
 
 // Config describes a simulated machine: how many worker processes, the
@@ -64,20 +63,15 @@ type Config struct {
 	// against deadlocked workloads).
 	MaxCycles uint64
 
-	// Trace enables the per-worker execution timeline recorder
-	// (internal/trace); retrieve it with Machine.Tracer after Run.
-	// The Gantt timeline is derived from the observability event
-	// stream, so Trace implies the obs recorder.
-	Trace bool
-
 	// Obs enables the structured event recorder (internal/obs):
-	// per-worker typed event rings, task lineage and latency
-	// histograms; retrieve it with Machine.Obs after Run. Recording is
-	// host-side only — it never perturbs virtual time, so a run with
-	// Obs on is cycle-identical to the same run with it off.
+	// per-worker typed event rings, the scheduler-state streams behind
+	// the Gantt timeline and utilization, task lineage and latency
+	// histograms; export it with Machine.Obs().Export() after Run.
+	// Recording is host-side only — it never perturbs virtual time, so a
+	// run with Obs on is cycle-identical to the same run with it off.
 	Obs bool
-	// ObsRingCap bounds each worker's event ring (<= 0 selects
-	// obs.DefaultRingCap; oldest events are dropped on overflow).
+	// ObsRingCap bounds each worker's event ring (<= 0 selects 2^18
+	// events; oldest events are dropped on overflow).
 	ObsRingCap int
 
 	// Victim selects the victim-selection policy for work stealing.
@@ -217,7 +211,6 @@ type Machine struct {
 	err        error
 	elapsed    uint64
 	ran        bool
-	tracer     *trace.Recorder
 	obs        *obs.Recorder
 	injector   *fault.Injector
 }
@@ -290,10 +283,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 	if inj != nil {
 		m.fab.SetInjector(inj)
 	}
-	if cfg.Trace || cfg.Obs {
-		// One recorder serves both consumers: the typed event stream
-		// (Machine.Obs) and, post-run, the Gantt timeline
-		// (Machine.Tracer) replayed from its state transitions.
+	if cfg.Obs {
 		m.obs = obs.NewRecorder(cfg.Workers, cfg.ObsRingCap, m.eng.Now)
 	}
 	var sch scheme
@@ -438,19 +428,6 @@ func (m *Machine) Run(fid FuncID, localsLen uint32, init func(*Env)) (uint64, er
 	}
 	end, err := m.eng.Run()
 	m.elapsed = end
-	if m.cfg.Trace {
-		// Build the Gantt timeline by replaying the obs state stream.
-		// Transitions are recorded per worker in time order and
-		// deduplicated exactly like the old direct-mark path, so the
-		// rendered Gantt is byte-identical to it.
-		m.tracer = trace.NewRecorder(m.cfg.Workers)
-		for rank, l := range m.obs.Logs() {
-			for _, sc := range l.StateChanges() {
-				m.tracer.Switch(rank, sc.Time, trace.State(sc.State))
-			}
-		}
-		m.tracer.Finish(end)
-	}
 	if err != nil {
 		return 0, err
 	}
@@ -463,12 +440,8 @@ func (m *Machine) Run(fid FuncID, localsLen uint32, init func(*Env)) (uint64, er
 	return m.rootResult, nil
 }
 
-// Tracer returns the execution-timeline recorder (nil unless
-// Config.Trace was set; populated by Run).
-func (m *Machine) Tracer() *trace.Recorder { return m.tracer }
-
-// Obs returns the structured event recorder (nil unless Config.Obs or
-// Config.Trace was set).
+// Obs returns the structured event recorder (nil unless Config.Obs was
+// set).
 func (m *Machine) Obs() *obs.Recorder { return m.obs }
 
 // ElapsedCycles returns the virtual time the run took.

@@ -70,7 +70,7 @@ func dialCtl(spec childSpec, plan *fault.Plan) (*ctlConn, error) {
 // is idempotent, so replays are always safe. setupErrText, when
 // non-empty, travels in the hello and the returned start will be an
 // abort.
-func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand, wlog *obs.WallLog) (*ctlConn, startMsg, error) {
+func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand, wlog *obs.Log) (*ctlConn, startMsg, error) {
 	count, digest := core.RegistryFingerprint()
 	hello := helloMsg{Rank: spec.Rank, PID: os.Getpid(), Count: count, Digest: digest, Err: setupErrText}
 	var lastErr error
@@ -107,7 +107,7 @@ func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *ra
 // redials, replays hello (the coordinator re-sends start immediately,
 // the barrier being long open) and resends the bye. Without the ack a
 // dropped final report would be indistinguishable from success.
-func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand.Rand, wlog *obs.WallLog) error {
+func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand.Rand, wlog *obs.Log) error {
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -192,7 +192,7 @@ func childMain(spec childSpec) int {
 			}
 		}
 	}
-	var wlog *obs.WallLog
+	var wlog *obs.Log
 	if seg != nil && setupErr == nil {
 		wlog = seg.obsLog(spec.Rank)
 	}

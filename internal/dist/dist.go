@@ -361,7 +361,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 	// what a failed run's caller wants to see.
 	var obsExport *obs.Export
 	if seg.obs != nil {
-		obsExport = obs.NewWallRecorderOver(seg.obs).Export()
+		obsExport = obs.NewRecorderOver(seg.obs).Export()
 	}
 
 	if err := errs.get(); err != nil {

@@ -31,7 +31,6 @@
 package dist
 
 import (
-	"math/bits"
 	"time"
 
 	"uniaddr/internal/core"
@@ -100,7 +99,7 @@ type Config struct {
 	// or hang, when the dead rank's last events are still mapped.
 	Obs bool
 	// ObsRingCap is the per-rank event-ring capacity (<= 0 selects
-	// obs.DefaultWallRingCap; rounded up to a power of two).
+	// 2^16 events; rounded up to a power of two by obs.RingCap).
 	ObsRingCap int
 }
 
@@ -188,7 +187,7 @@ func pageAlign(n uint64) uint64 { return (n + pageSize - 1) &^ (pageSize - 1) }
 //	                              SAME logical range in every worker,
 //	                              which is what makes a stolen frame's
 //	                              interior pointers valid on arrival.
-//	  obs[w] (when obsCap > 0)    obs.WallLogBytes(obsCap): rank w's
+//	  obs[w] (when obsCap > 0)    obs.LogBytes(obsCap): rank w's
 //	                              wall-clock event ring + histograms
 type layout struct {
 	workers   int
@@ -214,7 +213,9 @@ func computeLayout(cfg *Config) layout {
 		arenaBase: core.DefaultUniBase,
 	}
 	if cfg.Obs {
-		l.obsCap = obsRingCap(cfg.ObsRingCap)
+		// Parent and children rebuild the layout independently from the
+		// childSpec; obs.RingCap is the one normaliser they share.
+		l.obsCap = obs.RingCap(cfg.ObsRingCap)
 	}
 	off := pageAlign(ctlBytes)
 	l.hbOff = off
@@ -228,24 +229,11 @@ func computeLayout(cfg *Config) layout {
 		off += pageAlign(cfg.ArenaSize)
 		if l.obsCap > 0 {
 			l.obsOff = append(l.obsOff, off)
-			off += pageAlign(obs.WallLogBytes(l.obsCap))
+			off += pageAlign(obs.LogBytes(l.obsCap))
 		}
 	}
 	l.total = off
 	return l
-}
-
-// obsRingCap mirrors obs's capacity normalisation (<=0 → default,
-// else round up to a power of two) so parent and children — which
-// rebuild the layout independently from the childSpec — agree on it.
-func obsRingCap(c int) uint64 {
-	if c <= 0 {
-		return obs.DefaultWallRingCap
-	}
-	if c < 2 {
-		c = 2
-	}
-	return 1 << uint(bits.Len64(uint64(c-1)))
 }
 
 // rootRec is the root task's record handle: record 0 on rank 0,

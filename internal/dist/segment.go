@@ -68,7 +68,7 @@ type segment struct {
 	// the coordinator can harvest every rank's trace after the run — even
 	// a rank that was SIGKILLed mid-event (the flat ring decodes around
 	// torn slots). nil entries when observability is off.
-	obs []*obs.WallLog
+	obs []*obs.Log
 }
 
 // attachSegment builds views over mapped segment memory. Safe to call
@@ -108,9 +108,9 @@ func (s *segment) attachObs(now func() uint64) error {
 	if s.lay.obsCap == 0 {
 		return nil
 	}
-	s.obs = make([]*obs.WallLog, s.lay.workers)
+	s.obs = make([]*obs.Log, s.lay.workers)
 	for r := 0; r < s.lay.workers; r++ {
-		l, err := obs.NewWallLogAt(s.bytes[s.lay.obsOff[r]:], r, s.lay.obsCap, now)
+		l, err := obs.NewLogAt(s.bytes[s.lay.obsOff[r]:], r, s.lay.obsCap, now)
 		if err != nil {
 			return fmt.Errorf("dist: rank %d obs ring: %w", r, err)
 		}
@@ -120,8 +120,8 @@ func (s *segment) attachObs(now func() uint64) error {
 }
 
 // obsLog returns rank's wall log (nil when observability is off —
-// every WallLog method is a nil-receiver no-op, so callers just emit).
-func (s *segment) obsLog(rank int) *obs.WallLog {
+// every Log method is a nil-receiver no-op, so callers just emit).
+func (s *segment) obsLog(rank int) *obs.Log {
 	if s.obs == nil {
 		return nil
 	}

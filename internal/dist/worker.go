@@ -135,7 +135,7 @@ func (w *worker) idleWait() {
 	w.Stats.IdleSleeps++
 	ns := w.Wlog.Clock()
 	time.Sleep(w.sleep)
-	w.Wlog.Nap(ns)
+	w.Wlog.Emit(obs.KNap, ns, w.Wlog.Clock()-ns, 0, 0, -1)
 	if w.sleep < idleSleepMax {
 		w.sleep *= 2
 	}

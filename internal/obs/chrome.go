@@ -70,18 +70,9 @@ func peerArg(p int32) *int32 {
 	return &v
 }
 
-// WriteChromeTrace serialises the virtual-time recorder's contents as
-// Chrome trace-event JSON.
-func WriteChromeTrace(w io.Writer, r *Recorder, opts *ChromeOpts) error {
-	if r == nil {
-		return fmt.Errorf("obs: no recorder to export (observability disabled)")
-	}
-	return WriteChromeTraceExport(w, r.Export(), opts)
-}
-
-// WriteChromeTraceExport serialises any export — virtual-time or
-// wall-clock — as Chrome trace-event JSON.
-func WriteChromeTraceExport(w io.Writer, ex *Export, opts *ChromeOpts) error {
+// WriteChromeTrace serialises an export — virtual-time or wall-clock —
+// as Chrome trace-event JSON.
+func WriteChromeTrace(w io.Writer, ex *Export, opts *ChromeOpts) error {
 	if ex == nil {
 		return fmt.Errorf("obs: no export to write (observability disabled)")
 	}

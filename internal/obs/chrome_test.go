@@ -48,7 +48,7 @@ func buildSyntheticRecorder() *Recorder {
 	w1.Emit(KStealOK, 20, 23, 256, child, 0)
 	clock = 43
 	r.TaskMoved(child, 0, 1)
-	r.StealLatency.Record(23)
+	w1.Observe(HStealLatency, 23)
 
 	w1.Emit(KTask, 43, 12, 2, child, -1)
 	clock = 55
@@ -57,14 +57,14 @@ func buildSyntheticRecorder() *Recorder {
 	clock = 60
 	r.TaskJoined(200, 0)
 	w0.Instant(KJoinFast, 0, child, -1)
-	w0.Depth(3)
+	w0.Instant(KDepth, 3, 0, -1)
 	return r
 }
 
 func TestChromeTraceValidity(t *testing.T) {
 	r := buildSyntheticRecorder()
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, r, &ChromeOpts{Label: "test"}); err != nil {
+	if err := WriteChromeTrace(&buf, r.Export(), &ChromeOpts{Label: "test"}); err != nil {
 		t.Fatal(err)
 	}
 	var doc traceDoc
@@ -139,10 +139,10 @@ func TestChromeTraceValidity(t *testing.T) {
 
 func TestChromeTraceDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
-	if err := WriteChromeTrace(&a, buildSyntheticRecorder(), nil); err != nil {
+	if err := WriteChromeTrace(&a, buildSyntheticRecorder().Export(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteChromeTrace(&b, buildSyntheticRecorder(), nil); err != nil {
+	if err := WriteChromeTrace(&b, buildSyntheticRecorder().Export(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -152,7 +152,8 @@ func TestChromeTraceDeterministic(t *testing.T) {
 
 func TestChromeTraceNilRecorder(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, nil, nil); err == nil {
+	var r *Recorder
+	if err := WriteChromeTrace(&buf, r.Export(), nil); err == nil {
 		t.Fatal("want error exporting a nil recorder")
 	}
 }
@@ -160,7 +161,7 @@ func TestChromeTraceNilRecorder(t *testing.T) {
 func TestSummaryMentionsKeySections(t *testing.T) {
 	r := buildSyntheticRecorder()
 	var buf bytes.Buffer
-	WriteSummary(&buf, r, nil)
+	WriteSummary(&buf, r.Export(), nil)
 	out := buf.String()
 	for _, want := range []string{"steal", "task"} {
 		if !strings.Contains(out, want) {

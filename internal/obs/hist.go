@@ -15,6 +15,29 @@ type Hist struct {
 	Max    uint64
 }
 
+// HistID indexes a Log's histogram table. The order is the export's:
+// the simulator records the first five and the wall-clock backends the
+// first and the last three, and empty histograms are skipped, so each
+// domain's export lists only its own.
+type HistID uint8
+
+const (
+	HStealLatency HistID = iota // successful steal, begin → thread runnable
+	HStackXfer                  // sim: stolen-stack transfer time
+	HStackBytes                 // sim: stolen-stack transfer size (bytes)
+	HSoftFAA                    // sim: software fetch-and-add round trip
+	HSuspendSwap                // sim: suspend swap-out time
+	HParkDur                    // wall: full park, block → wake token
+	HCopyNS                     // wall: stolen/suspended stack memcpy time
+	HCopyBytes                  // wall: stolen/suspended stack size (bytes)
+	numHists
+)
+
+var histNames = [numHists]string{
+	"steal latency", "stack transfer", "stack bytes", "software FAA", "suspend swap",
+	"park duration", "stack-copy ns", "stack-copy bytes",
+}
+
 const (
 	histSubBits = 3
 	histSub     = 1 << histSubBits // 8 sub-buckets per power of two

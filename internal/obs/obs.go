@@ -1,29 +1,26 @@
 // Package obs is the structured observability subsystem shared by all
-// backends: per-worker event rings, task-lineage tracking and
-// log-bucket latency histograms, with exporters to Chrome trace-event
-// JSON (Perfetto-viewable) and a compact text summary.
+// backends: one recorder over per-worker flat event rings (log.go),
+// task-lineage tracking and log-bucket latency histograms, with writers
+// for Chrome trace-event JSON (Perfetto-viewable), a compact text
+// summary and the simulator's text Gantt (gantt.go).
 //
-// Two recorder families share one event vocabulary and one export
-// path (Export → WriteChromeTraceExport / WriteSummaryExport):
+// Every backend records the same Event into the same ring type; only
+// the clock differs. The simulator's Recorder stamps virtual cycles
+// (sim.Engine.Now): the engine runs one simulated process at a time,
+// and recording never perturbs virtual time. The rt and dist recorders
+// stamp monotonic wall ns, and dist's rings live inside the shared
+// segment. One Export carries the clock-domain label to every writer.
 //
-//   - Recorder/WorkerLog stamp events with the simulation engine's
-//     virtual cycle clock. The engine is sequential (exactly one
-//     simulated process executes at a time), so they need no locks and
-//     must not be shared across real OS threads. Enabling them never
-//     perturbs a run: two same-seed runs with and without a Recorder
-//     execute the identical virtual-time schedule.
-//   - WallRecorder/WallLog (wall.go) stamp events with a monotonic
-//     wall clock and write flat, pointer-free rings that can live on
-//     the heap or inside a shared-memory segment, for the rt and dist
-//     backends.
-//
-// The disabled path is a nil-receiver guard in both families — a nil
-// *Recorder, *WorkerLog, *WallRecorder or *WallLog accepts every call
-// and does nothing, so instrumented code needs no conditionals and
-// costs one pointer comparison per event when observability is off.
+// The disabled path is a nil-receiver guard: a nil *Recorder or *Log
+// accepts every call and does nothing, so instrumented code needs no
+// conditionals and costs one pointer comparison per event when
+// observability is off.
 package obs
 
-import "fmt"
+import (
+	"fmt"
+	"time"
+)
 
 // TaskID identifies one task (thread) for lineage tracking. IDs are
 // assigned densely from 1 in spawn order — deterministic, because the
@@ -34,10 +31,10 @@ type TaskID uint64
 type Kind uint8
 
 const (
-	// KState is a worker scheduler-state change (Arg = trace state
-	// code). State changes are kept out of the bounded ring — see
-	// WorkerLog.StateChanges — so a full ring can never distort the
-	// Gantt timeline derived from them.
+	// KState names a worker scheduler-state change. State changes are
+	// never ring events — see Recorder.State — so a full ring can never
+	// distort the Gantt timeline derived from them, and an all-zero slot
+	// (which decodes as KState) is known to be unwritten.
 	KState Kind = iota
 	// KTask is one execution interval of a task function on this
 	// worker: Task = id, Arg = FuncID, Dur = cycles on CPU.
@@ -161,7 +158,8 @@ const (
 )
 
 // Event is one typed timeline entry. Time is the event's (or
-// interval's) start in virtual cycles; Dur is 0 for instants.
+// interval's) start in the recorder's clock domain; Dur is 0 for
+// instants.
 type Event struct {
 	Time  uint64
 	Dur   uint64
@@ -182,7 +180,7 @@ func (e Event) Failed() bool { return e.Flags&FFailed != 0 }
 // StateChange is one scheduler-state transition of a worker.
 type StateChange struct {
 	Time  uint64
-	State uint8
+	State State
 }
 
 // Hop is one migration of a task between workers.
@@ -209,83 +207,78 @@ type Lineage struct {
 	Joiner int32 // worker that joined the task; -1 if never joined
 }
 
-// DefaultRingCap is the per-worker event-ring capacity used when a
-// Recorder is built with cap <= 0.
-const DefaultRingCap = 1 << 18
-
-// WorkerLog is one worker's event stream: a bounded ring of typed
-// events (newest kept on overflow) plus an unbounded, transition-only
-// state timeline. All methods are nil-safe.
-type WorkerLog struct {
-	rec  *Recorder
-	rank int32
-
-	states    []StateChange
-	lastState uint8
-	haveState bool
-
-	ring    []Event
-	head    int // next slot to write
-	total   uint64
-	dropped uint64
-}
-
-// Recorder collects WorkerLogs, task lineages and latency histograms
-// for one machine run. All methods are nil-safe.
+// Recorder collects one run's worker logs in one clock domain, plus two
+// streams that are not ring events and that only the simulator writes:
+// each worker's scheduler-state transitions and task lineage. All
+// methods are nil-safe.
 type Recorder struct {
-	now  func() uint64
-	logs []*WorkerLog
+	clock string        // ClockVirtual or ClockWallNS
+	now   func() uint64 // nil on a harvest-only recorder
+	logs  []*Log
+
+	// states[rank] is the worker's transition-only state stream. It is
+	// unbounded and kept outside the ring, so a full ring can never
+	// distort the Gantt derived from it.
+	states [][]StateChange
 
 	nextTask TaskID
 	tasks    []*Lineage        // index = TaskID-1
 	byRecord map[uint64]TaskID // live completion-record handle → task
-
-	// Latency histograms (virtual cycles unless noted).
-	StealLatency Hist // successful steal, begin → thread runnable
-	StackXfer    Hist // stolen-stack transfer time
-	StackBytes   Hist // stolen-stack transfer size (bytes)
-	FAARoundTrip Hist // software fetch-and-add round trips
-	SuspendSwap  Hist // suspend swap-out time
 }
 
-// NewRecorder builds a recorder for n workers with the given per-worker
-// ring capacity (<= 0 selects DefaultRingCap). now supplies the virtual
-// clock (normally sim.Engine.Now).
+func newRecorder(clock string, logs []*Log, now func() uint64) *Recorder {
+	return &Recorder{clock: clock, now: now, logs: logs,
+		states: make([][]StateChange, len(logs)), byRecord: make(map[uint64]TaskID)}
+}
+
+// NewRecorder builds a virtual-time recorder for n simulated workers
+// with the given per-worker ring capacity (<= 0 selects 2^18 events;
+// others round up to a power of two). now supplies the virtual clock
+// (normally sim.Engine.Now). Recording is host-side only, so two
+// same-seed runs with and without a Recorder execute the identical
+// virtual-time schedule.
 func NewRecorder(n, ringCap int, now func() uint64) *Recorder {
 	if ringCap <= 0 {
-		ringCap = DefaultRingCap
+		ringCap = defaultRingCap
 	}
-	r := &Recorder{now: now, byRecord: make(map[uint64]TaskID)}
-	r.logs = make([]*WorkerLog, n)
-	for i := range r.logs {
-		r.logs[i] = &WorkerLog{rec: r, rank: int32(i), ring: make([]Event, 0, ringCap)}
-	}
-	return r
+	return newRecorder(ClockVirtual, heapLogs(n, RingCap(ringCap), now), now)
 }
 
-// Now returns the recorder's current virtual time (0 on nil).
-func (r *Recorder) Now() uint64 {
-	if r == nil {
-		return 0
-	}
-	return r.now()
+// NewWallRecorder builds a heap-backed wall-clock recorder for n rt
+// workers with the given per-worker ring capacity (normalised by
+// RingCap). The clock is monotonic ns since the recorder was created.
+func NewWallRecorder(n, ringCap int) *Recorder {
+	epoch := time.Now()
+	now := func() uint64 { return uint64(time.Since(epoch)) }
+	return newRecorder(ClockWallNS, heapLogs(n, RingCap(ringCap), now), now)
+}
+
+// NewRecorderOver wraps existing wall-clock logs (dist's segment attach
+// views, in rank order) for export only.
+func NewRecorderOver(logs []*Log) *Recorder {
+	return newRecorder(ClockWallNS, logs, nil)
 }
 
 // Worker returns rank's log (nil on a nil recorder, so the result can
 // be stored unconditionally).
-func (r *Recorder) Worker(rank int) *WorkerLog {
+func (r *Recorder) Worker(rank int) *Log {
 	if r == nil {
 		return nil
 	}
 	return r.logs[rank]
 }
 
-// Logs returns all worker logs in rank order (nil on nil).
-func (r *Recorder) Logs() []*WorkerLog {
+// State records that worker rank entered scheduler state s at the
+// current time. Consecutive duplicates are dropped.
+func (r *Recorder) State(rank int, s State) {
 	if r == nil {
-		return nil
+		return
 	}
-	return r.logs
+	st := r.states[rank]
+	if n := len(st); n > 0 && st[n-1].State == s {
+		return
+	}
+	r.states[rank] = append(st, StateChange{Time: r.now(), State: s})
 }
 
 // NewTask assigns the next task ID, recording the spawn site. record is
@@ -340,136 +333,4 @@ func (r *Recorder) TaskJoined(record uint64, worker int) TaskID {
 	delete(r.byRecord, record)
 	r.tasks[id-1].Joiner = int32(worker)
 	return id
-}
-
-// Task returns id's lineage (nil if unknown or on a nil recorder).
-func (r *Recorder) Task(id TaskID) *Lineage {
-	if r == nil || id == 0 || int(id) > len(r.tasks) {
-		return nil
-	}
-	return r.tasks[id-1]
-}
-
-// Tasks returns all lineages in spawn order (nil on nil).
-func (r *Recorder) Tasks() []*Lineage {
-	if r == nil {
-		return nil
-	}
-	return r.tasks
-}
-
-// --- WorkerLog recording --------------------------------------------
-
-// State records a scheduler-state transition at the current virtual
-// time. Consecutive duplicates are dropped, mirroring the Gantt
-// recorder the state stream feeds.
-func (l *WorkerLog) State(s uint8) {
-	if l == nil {
-		return
-	}
-	if l.haveState && l.lastState == s {
-		return
-	}
-	l.haveState = true
-	l.lastState = s
-	l.states = append(l.states, StateChange{Time: l.rec.now(), State: s})
-}
-
-// StateChanges returns the recorded transitions in time order.
-func (l *WorkerLog) StateChanges() []StateChange {
-	if l == nil {
-		return nil
-	}
-	return l.states
-}
-
-// push appends e to the bounded ring, overwriting the oldest event when
-// full.
-func (l *WorkerLog) push(e Event) {
-	l.total++
-	if len(l.ring) < cap(l.ring) {
-		l.ring = append(l.ring, e)
-		return
-	}
-	l.ring[l.head] = e
-	l.head = (l.head + 1) % len(l.ring)
-	l.dropped++
-}
-
-// Emit records an interval event: [time, time+dur) of kind k.
-func (l *WorkerLog) Emit(k Kind, time, dur, arg uint64, task TaskID, peer int) {
-	if l == nil {
-		return
-	}
-	l.push(Event{Time: time, Dur: dur, Arg: arg, Task: task, Peer: int32(peer), Kind: k})
-}
-
-// EmitFlags is Emit with explicit flags (e.g. FFailed).
-func (l *WorkerLog) EmitFlags(k Kind, time, dur, arg uint64, task TaskID, peer int, flags uint8) {
-	if l == nil {
-		return
-	}
-	l.push(Event{Time: time, Dur: dur, Arg: arg, Task: task, Peer: int32(peer), Kind: k, Flags: flags})
-}
-
-// Instant records a zero-duration event at the current virtual time.
-func (l *WorkerLog) Instant(k Kind, arg uint64, task TaskID, peer int) {
-	if l == nil {
-		return
-	}
-	l.push(Event{Time: l.rec.now(), Arg: arg, Task: task, Peer: int32(peer), Kind: k})
-}
-
-// Depth samples the owner-observed deque depth.
-func (l *WorkerLog) Depth(n uint64) {
-	if l == nil {
-		return
-	}
-	l.push(Event{Time: l.rec.now(), Arg: n, Peer: -1, Kind: KDepth})
-}
-
-// Recorder returns the owning recorder (nil on nil).
-func (l *WorkerLog) Recorder() *Recorder {
-	if l == nil {
-		return nil
-	}
-	return l.rec
-}
-
-// Rank returns the worker rank the log belongs to (-1 on nil).
-func (l *WorkerLog) Rank() int {
-	if l == nil {
-		return -1
-	}
-	return int(l.rank)
-}
-
-// Events returns the ring contents in chronological (append) order.
-func (l *WorkerLog) Events() []Event {
-	if l == nil {
-		return nil
-	}
-	if l.dropped == 0 {
-		return l.ring
-	}
-	out := make([]Event, 0, len(l.ring))
-	out = append(out, l.ring[l.head:]...)
-	out = append(out, l.ring[:l.head]...)
-	return out
-}
-
-// Dropped returns how many events the bounded ring discarded.
-func (l *WorkerLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.dropped
-}
-
-// Total returns how many events were ever recorded (kept + dropped).
-func (l *WorkerLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	return l.total
 }

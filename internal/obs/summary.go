@@ -6,21 +6,12 @@ import (
 	"sort"
 )
 
-// WriteSummary renders the virtual-time recorder's compact text
-// post-mortem. fname resolves task FuncIDs to names (nil allowed).
-func WriteSummary(w io.Writer, r *Recorder, fname func(uint32) string) {
-	if r == nil {
-		fmt.Fprintln(w, "obs: disabled")
-		return
-	}
-	WriteSummaryExport(w, r.Export(), fname)
-}
-
-// WriteSummaryExport renders any export — virtual-time or wall-clock —
-// as a compact text post-mortem: per-kind event counts, per-worker
+// WriteSummary renders an export — virtual-time or wall-clock — as a
+// compact text post-mortem: per-kind event counts, per-worker
 // ring-overflow accounting, the latency histograms with tail
 // percentiles, and (when lineage was tracked) the task lineage digest.
-func WriteSummaryExport(w io.Writer, ex *Export, fname func(uint32) string) {
+// fname resolves task FuncIDs to names (nil allowed).
+func WriteSummary(w io.Writer, ex *Export, fname func(uint32) string) {
 	if ex == nil {
 		fmt.Fprintln(w, "obs: disabled")
 		return
@@ -32,7 +23,7 @@ func WriteSummaryExport(w io.Writer, ex *Export, fname func(uint32) string) {
 		}
 	}
 	total, dropped := ex.Events(), ex.Dropped()
-	fmt.Fprintf(w, "obs: %d events recorded on %d workers (%s)", total, len(ex.Logs), ex.ClockUnit())
+	fmt.Fprintf(w, "obs: %d events recorded on %d workers (%s)", total, len(ex.Logs), ex.clockUnit())
 	if dropped > 0 {
 		fmt.Fprintf(w, " (%d dropped by full rings — oldest first)", dropped)
 	}
@@ -63,7 +54,7 @@ func WriteSummaryExport(w io.Writer, ex *Export, fname func(uint32) string) {
 	fmt.Fprintln(w)
 
 	if len(ex.Hists) > 0 {
-		fmt.Fprintf(w, "  latency histograms (%s):\n", ex.ClockUnit())
+		fmt.Fprintf(w, "  latency histograms (%s):\n", ex.clockUnit())
 		fmt.Fprintf(w, "    %-18s %9s %12s %10s %10s %10s %10s\n",
 			"quantity", "count", "mean", "p50", "p95", "p99", "max")
 		for _, nh := range ex.Hists {

@@ -56,7 +56,7 @@ func TestEndpointOpLogging(t *testing.T) {
 	if _, err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	evs := rec.Worker(0).Events()
+	evs := rec.Export().Logs[0].Events
 	if len(evs) != 2 {
 		t.Fatalf("logged %d events, want 2", len(evs))
 	}

@@ -179,7 +179,7 @@ type Endpoint struct {
 	space  *mem.AddressSpace
 	server *Server // the node-local comm server handling software FAA
 	stats  Stats
-	log    *obs.WorkerLog // nil unless observability is on (nil-safe)
+	log    *obs.Log // nil unless observability is on (nil-safe)
 }
 
 // SetNode assigns the endpoint to a node for intra-node latency
@@ -236,7 +236,7 @@ func (ep *Endpoint) StatsAtQuiescence() Stats {
 // SetLog attaches an observability log; every subsequent remote op the
 // endpoint initiates is recorded into it (issue time, latency, bytes,
 // target, injected-failure flag). A nil log disables recording.
-func (ep *Endpoint) SetLog(l *obs.WorkerLog) { ep.log = l }
+func (ep *Endpoint) SetLog(l *obs.Log) { ep.log = l }
 
 // logOp records one fabric op into the attached log, marking injected
 // failures.
@@ -481,10 +481,10 @@ func (ep *Endpoint) TryFetchAdd(p *sim.Proc, target int, raddr mem.VA, delta uin
 		ep.stats.FAATimeouts++
 	}
 	ep.logOp(obs.KFAA, start, rtt, 8, target, err != nil)
-	if err == nil && ep.log != nil {
+	if err == nil {
 		// The software round trip (notice + server handling + reply) is
 		// the paper's measured 9.8K-cycle quantity — histogram it.
-		ep.log.Recorder().FAARoundTrip.Record(rtt)
+		ep.log.Observe(obs.HSoftFAA, rtt)
 	}
 	return old, err
 }

@@ -84,12 +84,12 @@ type Config struct {
 	// others.
 	Fault fault.Config
 	// Obs attaches a wall-clock recorder: one lock-free event ring per
-	// worker plus steal/park/copy latency histograms (obs.WallRecorder).
+	// worker plus steal/park/copy latency histograms (obs.NewWallRecorder).
 	// Off by default — the disabled path costs one pointer compare per
 	// instrumentation site and allocates nothing.
 	Obs bool
 	// ObsRingCap is the per-worker event-ring capacity (<= 0 selects
-	// obs.DefaultWallRingCap; rounded up to a power of two).
+	// 2^16 events; rounded up to a power of two by obs.RingCap).
 	ObsRingCap int
 	// MaxJobs bounds how many jobs may occupy job slots at once (queued
 	// jobs beyond it wait in the admission queue). New sets it to 1.
@@ -174,7 +174,7 @@ type Runtime struct {
 
 	// rec is the wall-clock observability recorder (nil when Config.Obs
 	// is off — every instrumented site is nil-safe).
-	rec *obs.WallRecorder
+	rec *obs.Recorder
 
 	// --- job multiplexing (see service.go for the lifecycle) ---
 
@@ -354,7 +354,7 @@ func (r *Runtime) Elapsed() time.Duration { return r.elapsed }
 // Obs returns the wall-clock recorder (nil when observability is off).
 // Export it only after the workers stopped — the rings are read at
 // quiescence.
-func (r *Runtime) Obs() *obs.WallRecorder { return r.rec }
+func (r *Runtime) Obs() *obs.Recorder { return r.rec }
 
 // ParkedWorkers returns how many workers are currently blocked in the
 // parking lot. Unlike most introspection here it is safe to call

@@ -327,7 +327,7 @@ func (r *Runtime) shutdown() error {
 
 // Obs returns the pool's wall-clock recorder (nil when off). Export it
 // only after Close — the rings are read at quiescence.
-func (p *Pool) Obs() *obs.WallRecorder { return p.r.Obs() }
+func (p *Pool) Obs() *obs.Recorder { return p.r.Obs() }
 
 // TotalStats is the sum of all workers' counters at Close.
 func (p *Pool) TotalStats() Stats { return p.r.total }

@@ -4,7 +4,7 @@ import (
 	"testing"
 
 	"uniaddr/internal/core"
-	tracepkg "uniaddr/internal/trace"
+	"uniaddr/internal/obs"
 )
 
 func runSpec(t *testing.T, s Spec, workers int, scheme core.SchemeKind, seed uint64) (*core.Machine, uint64) {
@@ -209,25 +209,37 @@ func TestQuiescenceAfterRuns(t *testing.T) {
 func TestTraceRecordsTimeline(t *testing.T) {
 	s := BTC(10, 1, 200)
 	cfg := core.DefaultConfig(6)
-	cfg.Trace = true
+	cfg.Obs = true
 	cfg.Seed = 3
 	m, res, err := s.Run(cfg)
 	if err != nil || res != s.Expected {
 		t.Fatalf("run: res=%d err=%v", res, err)
 	}
-	tr := m.Tracer()
-	if tr == nil {
-		t.Fatal("tracer missing")
+	ex := m.Obs().Export()
+	if ex == nil {
+		t.Fatal("recorder missing")
 	}
-	u := tr.Utilization()
-	if u.Total == 0 || u.Fraction(tracepkg.Work) <= 0 {
-		t.Fatalf("no work recorded: %+v", u)
+	if ex.End != m.ElapsedCycles() {
+		t.Fatalf("export ends at %d, run at %d", ex.End, m.ElapsedCycles())
 	}
-	// Every worker lane must cover the full run.
-	for i := range m.Workers() {
-		wu := tr.WorkerUtilization(i)
-		if wu.Total != tr.End() {
-			t.Fatalf("worker %d lane covers %d of %d cycles", i, wu.Total, tr.End())
+	if u := ex.Utilization(); u[obs.Work] <= 0 {
+		t.Fatalf("no work recorded: %v", u)
+	}
+	// Every worker lane must cover the full run without gaps.
+	lanes := ex.Lanes()
+	if len(lanes) != len(m.Workers()) {
+		t.Fatalf("%d lanes for %d workers", len(lanes), len(m.Workers()))
+	}
+	for i, segs := range lanes {
+		at := uint64(0)
+		for _, g := range segs {
+			if g.Start != at {
+				t.Fatalf("worker %d lane has a gap at %d", i, at)
+			}
+			at = g.End
+		}
+		if at != ex.End {
+			t.Fatalf("worker %d lane covers %d of %d cycles", i, at, ex.End)
 		}
 	}
 }

@@ -82,11 +82,6 @@ type Report struct {
 	StealRollbacks   uint64 `json:"steal_rollbacks,omitempty"`
 	VictimBlacklists uint64 `json:"victim_blacklists,omitempty"`
 
-	// ObsEvents counts events the observability recorder captured
-	// (WithObs(true), any backend). Kept for seed-era tooling; Obs has
-	// the full breakdown.
-	ObsEvents uint64 `json:"obs_events,omitempty"`
-
 	// Obs is the observability digest when WithObs/WithTrace was set:
 	// clock domain, event and ring-overflow accounting, and the latency
 	// histograms. Nil when observability was off.
@@ -119,10 +114,10 @@ type ObsHist struct {
 	Max   uint64  `json:"max"`
 }
 
-// finishObs folds an export into the report (digest + legacy ObsEvents)
-// and writes the Chrome trace when requested. Nil ex is a no-op (obs
-// was off); a non-nil trace writer with nil ex is an error — the caller
-// asked for a trace the backend never recorded.
+// finishObs folds an export into the report's digest and writes the
+// Chrome trace when requested. Nil ex is a no-op (obs was off); a
+// non-nil trace writer with nil ex is an error — the caller asked for a
+// trace the backend never recorded.
 func finishObs(rep *Report, ex *obs.Export, trace io.Writer) error {
 	if ex == nil {
 		if trace != nil {
@@ -145,10 +140,9 @@ func finishObs(rep *Report, ex *obs.Export, trace io.Writer) error {
 		})
 	}
 	rep.Obs = o
-	rep.ObsEvents = o.Events
 	if trace != nil {
 		opts := &obs.ChromeOpts{FuncName: func(id uint32) string { return core.FuncName(core.FuncID(id)) }}
-		if err := obs.WriteChromeTraceExport(trace, ex, opts); err != nil {
+		if err := obs.WriteChromeTrace(trace, ex, opts); err != nil {
 			return fmt.Errorf("uniaddr: writing trace: %w", err)
 		}
 	}
@@ -295,7 +289,7 @@ func runDist(o *options, fid FuncID, localsLen uint32, init func(*Env)) (Report,
 		// rank's last events are not lost with the error.
 		if o.trace != nil && res.Obs != nil {
 			opts := &obs.ChromeOpts{FuncName: func(id uint32) string { return core.FuncName(core.FuncID(id)) }}
-			_ = obs.WriteChromeTraceExport(o.trace, res.Obs, opts)
+			_ = obs.WriteChromeTrace(o.trace, res.Obs, opts)
 		}
 		return Report{}, err
 	}
