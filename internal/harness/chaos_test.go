@@ -206,7 +206,7 @@ func TestChaosJSONReportCounters(t *testing.T) {
 	if res != spec.Expected {
 		t.Fatalf("result %d != %d", res, spec.Expected)
 	}
-	r := BuildRunReport(m, spec.Items(res))
+	r := BuildRunReport(m, m.Obs().Export(), spec.Items(res))
 	if r.InjectedFaults == 0 {
 		t.Error("report shows no injected faults at rate 0.05")
 	}

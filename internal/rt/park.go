@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"uniaddr/internal/obs"
 )
 
 // Idle parking: a two-rung ladder — spin hot, then PARK on a wakeable
@@ -194,7 +196,7 @@ func (w *Worker) park() {
 	w.Stats.Parks++
 	ps := w.Wlog.Clock()
 	<-w.wakeCh
-	w.Wlog.Park(ps)
+	w.Wlog.Span(obs.KPark, ps, 0, 0, -1, obs.HParkDur)
 	w.Stats.Wakes++
 }
 
