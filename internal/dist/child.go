@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -17,9 +18,10 @@ import (
 // MaybeChild is the worker-process entrypoint hook. Any binary that can
 // act as a dist parent (cmd/uniaddr-bench, test binaries) must call it
 // FIRST in main/TestMain: the parent re-execs its own executable with
-// the child spec in the environment, and MaybeChild detects that, runs
-// the worker to completion and exits the process. In an ordinary
-// invocation (no spec in the environment) it returns immediately.
+// the child spec in the environment, and MaybeChild detects that, serves
+// runs until the coordinator closes its control connection, and exits
+// the process. In an ordinary invocation (no spec in the environment)
+// it returns immediately.
 //
 // Re-execing the same binary is also what keeps the function registry
 // aligned: every process runs the same package init chain, so the same
@@ -69,14 +71,13 @@ func dialCtl(spec childSpec, plan *fault.Plan) (*ctlConn, error) {
 // attempt replays the whole exchange — the coordinator's state machine
 // is idempotent, so replays are always safe. setupErrText, when
 // non-empty, travels in the hello and the returned start will be an
-// abort.
-func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand, wlog *obs.Log) (*ctlConn, startMsg, error) {
+// abort. redials counts the failed attempts before the one returned.
+func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand) (*ctlConn, startMsg, int, error) {
 	count, digest := core.RegistryFingerprint()
 	hello := helloMsg{Rank: spec.Rank, PID: os.Getpid(), Count: count, Digest: digest, Err: setupErrText}
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
 		if attempt > 0 {
-			wlog.Instant(obs.KCtlRetry, uint64(attempt), 0, -1)
 			ctlBackoff(rng, attempt)
 		}
 		c, err := dialCtl(spec, plan)
@@ -97,17 +98,18 @@ func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *ra
 			continue
 		}
 		c.conn.SetReadDeadline(time.Time{})
-		return c, start, nil
+		return c, start, attempt, nil
 	}
-	return nil, startMsg{}, fmt.Errorf("dist child %d: handshake failed after %d attempts: %w", spec.Rank, ctlMaxAttempts, lastErr)
+	return nil, startMsg{}, 0, fmt.Errorf("dist child %d: handshake failed after %d attempts: %w", spec.Rank, ctlMaxAttempts, lastErr)
 }
 
-// sendBye delivers the final report and waits for the coordinator's
+// sendBye delivers the run's report and waits for the coordinator's
 // ack. A lost bye or ack is retried on a FRESH handshake: the child
-// redials, replays hello (the coordinator re-sends start immediately,
-// the barrier being long open) and resends the bye. Without the ack a
-// dropped final report would be indistinguishable from success.
-func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand.Rand, wlog *obs.Log) error {
+// redials, replays hello (the coordinator re-sends the run's start
+// immediately) and resends the bye. Without the ack a dropped report
+// would be indistinguishable from success. It returns the connection
+// the ack arrived on — the one the next start will come down.
+func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand.Rand, wlog *obs.Log) (*ctlConn, error) {
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -138,7 +140,7 @@ func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand
 			if !start.OK {
 				// The run is aborting; the coordinator no longer wants
 				// the bye. Not an error worth retrying.
-				return nil
+				return c, nil
 			}
 		}
 		if c.conn == nil {
@@ -156,16 +158,16 @@ func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand
 		}
 		c.conn.SetReadDeadline(time.Time{})
 		if ack.OK {
-			return nil
+			return c, nil
 		}
 	}
-	return fmt.Errorf("dist child %d: bye not acknowledged after %d attempts: %w", spec.Rank, ctlMaxAttempts, lastErr)
+	return c, fmt.Errorf("dist child %d: bye not acknowledged after %d attempts: %w", spec.Rank, ctlMaxAttempts, lastErr)
 }
 
 // childMain is a worker process's whole life: map the segment at the
-// agreed address, say hello, wait for start, run the scheduler loop
-// (stamping heartbeats), say bye and wait for the ack. All scheduling
-// in between is one-sided shared memory.
+// agreed address, say hello, then serve runs — each opened by a start
+// and closed by a bye/ack — until the coordinator closes the control
+// connection. All scheduling within a run is one-sided shared memory.
 func childMain(spec childSpec) int {
 	lay := spec.layout()
 	var seg *segment
@@ -175,52 +177,72 @@ func childMain(spec childSpec) int {
 	} else if f, err := os.OpenFile(spec.ShmPath, os.O_RDWR, 0); err != nil {
 		setupErr = fmt.Errorf("dist: opening segment file: %w", err)
 	} else {
-		defer f.Close()
 		// The child maps at EXACTLY the parent's address — no fallback.
 		// If something already occupies that range in this process, the
 		// uni-address contract is unsatisfiable and the error travels
 		// back in the hello.
 		b, err := mapSegmentAt(f, lay.total, uintptr(spec.SegBase))
+		f.Close() // the mapping keeps the pages
 		if err != nil {
 			setupErr = err
 		} else {
 			seg, setupErr = attachSegment(b, lay)
-			if setupErr == nil {
-				// Attach this process's views of the segment-hosted event
-				// rings (writes nothing; the parent zeroed the file).
-				setupErr = seg.attachObs(wallClockSince(spec.ObsEpoch))
-			}
 		}
-	}
-	var wlog *obs.Log
-	if seg != nil && setupErr == nil {
-		wlog = seg.obsLog(spec.Rank)
 	}
 	plan, planErr := fault.NewPlan(spec.Fault, spec.Workers)
 	if setupErr == nil && planErr != nil {
 		setupErr = planErr
 	}
 
-	rng := rand.New(rand.NewSource(int64(spec.Seed*0x9e3779b97f4a7c15 + uint64(spec.Rank)*0xd6e8feb86659fd93 + 7)))
+	// Backoff jitter only; a set that can lose control messages has a
+	// fault schedule, whose seed is the run's.
+	rng := rand.New(rand.NewSource(int64(spec.Fault.Seed*0x9e3779b97f4a7c15 + uint64(spec.Rank)*0xd6e8feb86659fd93 + 7)))
 	setupErrText := ""
 	if setupErr != nil {
 		setupErrText = setupErr.Error()
 	}
-	hs := wlog.Clock()
-	c, start, err := ctlHandshake(spec, plan, setupErrText, rng, wlog)
+	waitFrom := time.Now().UnixNano()
+	c, start, redials, err := ctlHandshake(spec, plan, setupErrText, rng)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dist child %d: %v\n", spec.Rank, err)
 		return 2
 	}
-	defer c.close()
+	// Every return below ends the process, which closes c.
 	if setupErr != nil {
 		return 3
 	}
-	if !start.OK {
-		fmt.Fprintf(os.Stderr, "dist child %d: aborted by coordinator: %s\n", spec.Rank, start.Err)
-		return 4
+	for {
+		if !start.OK {
+			fmt.Fprintf(os.Stderr, "dist child %d: aborted by coordinator: %s\n", spec.Rank, start.Err)
+			return 4
+		}
+		var code int
+		if c, code = childRun(spec, seg, plan, c, start, waitFrom, redials, rng); code != 0 {
+			return code
+		}
+		// Between runs: block until the next start. EOF means the set
+		// was discarded or the coordinator died — either way, done.
+		waitFrom, redials, start = time.Now().UnixNano(), 0, startMsg{}
+		if err := c.dec.Decode(&start); err != nil {
+			return 0
+		}
 	}
-	wlog.Emit(obs.KCtlHello, hs, wlog.Clock()-hs, 0, 0, -1)
+}
+
+// childRun is one run on this child: reset what the rank alone writes,
+// run the scheduler loop (stamping heartbeats), say bye and wait for the
+// ack. It returns the connection the ack came on and a non-zero exit
+// code if the child must end.
+func childRun(spec childSpec, seg *segment, plan *fault.Plan, c *ctlConn, start startMsg, waitFrom int64, redials int, rng *rand.Rand) (*ctlConn, int) {
+	if err := seg.resetOwn(spec.Rank, start.ObsEpoch); err != nil {
+		fmt.Fprintf(os.Stderr, "dist child %d: %v\n", spec.Rank, err)
+		return c, 3
+	}
+	wlog := seg.obsLog(spec.Rank)
+	// The start span: from this rank's hello (or its last bye) to the
+	// run's start, clipped to the run's epoch.
+	from := max(waitFrom, start.ObsEpoch)
+	wlog.Emit(obs.KCtlHello, uint64(from-start.ObsEpoch), uint64(time.Now().UnixNano()-from), uint64(redials), 0, -1)
 
 	// Injected hang: after the delay the whole process falls silent —
 	// the worker wedges at its next task entry AND the heartbeat stops,
@@ -230,20 +252,14 @@ func childMain(spec childSpec) int {
 	if spec.HangRank == spec.Rank && spec.HangRank > 0 {
 		time.AfterFunc(spec.HangAfter, func() { hung.Store(true) })
 	}
-	if spec.HeartbeatInterval > 0 {
-		go func() {
-			for !hung.Load() {
-				seg.hbStamp(spec.Rank, uint64(time.Now().UnixNano()))
-				// Second producer on the rank's ring — the FAA slot
-				// reservation makes this safe beside the worker goroutine.
-				wlog.Instant(obs.KHeartbeat, 0, 0, -1)
-				time.Sleep(spec.HeartbeatInterval)
-			}
-		}()
-	}
+	stopHB := heartbeat(seg, spec.Rank, start.HeartbeatInterval, &hung, wlog)
+	unwatch := watchCoordinator(c)
 
-	w := newWorker(seg, spec.Rank, spec.Seed, spec.Grain, spec.StealBatch, spec.TierGroup, plan, &hung)
+	w := newWorker(seg, spec.Rank, start, plan, &hung)
 	runErr := w.run()
+	bs := wlog.Clock()
+	unwatch()
+	stopHB()
 	bye := byeMsg{Rank: spec.Rank, Stats: w.FinalStats()}
 	if runErr != nil {
 		// Publish failure through the segment FIRST so sibling spins
@@ -251,15 +267,71 @@ func childMain(spec childSpec) int {
 		seg.failStore(uint64(spec.Rank) + 1)
 		bye.Err = runErr.Error()
 	}
-	bs := wlog.Clock()
-	if err := sendBye(spec, plan, c, bye, rng, wlog); err != nil {
-		fmt.Fprintf(os.Stderr, "%v\n", err)
-		return 2
-	}
+	// The farewell span ends at the send: the coordinator harvests the
+	// rings as soon as it holds every bye, so the ack comes too late to
+	// be recorded in this run.
 	wlog.Emit(obs.KCtlBye, bs, wlog.Clock()-bs, 0, 0, -1)
+	c, err := sendBye(spec, plan, c, bye, rng, wlog)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "%v\n", err)
+		return c, 2
+	}
 	if runErr != nil {
 		fmt.Fprintf(os.Stderr, "dist child %d: %v\n", spec.Rank, runErr)
-		return 5
+		return c, 5
 	}
-	return 0
+	return c, 0
+}
+
+// heartbeat stamps rank's liveness slot every interval (and records it
+// in the rank's ring) until the returned stop is called or the injected
+// hang sets hung. stop returns once the stamping has ended, so no stamp
+// of this run lands after its bye.
+func heartbeat(seg *segment, rank int, interval time.Duration, hung *atomic.Bool, wlog *obs.Log) (stop func()) {
+	if interval <= 0 {
+		return func() {}
+	}
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for !hung.Load() {
+			seg.hbStamp(rank, uint64(time.Now().UnixNano()))
+			// Second producer on the rank's ring — the FAA slot
+			// reservation makes this safe beside the worker goroutine.
+			wlog.Instant(obs.KHeartbeat, 0, 0, -1)
+			select {
+			case <-quit:
+				return
+			case <-time.After(interval):
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
+}
+
+// watchCoordinator ends the process if the coordinator goes away
+// mid-run. The coordinator writes nothing on a child's connection
+// between start and ack, so a read that returns anything but the
+// deadline stop() sets means EOF: the coordinator exited (or was
+// killed) and its end of the socket closed. That, not Pdeathsig, is
+// the death signal: Pdeathsig fires when the forking THREAD exits,
+// which a Go runtime does while its process lives on.
+func watchCoordinator(c *ctlConn) (stop func()) {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		var b [1]byte
+		if _, err := c.conn.Read(b[:]); errors.Is(err, os.ErrDeadlineExceeded) {
+			return
+		}
+		os.Exit(6)
+	}()
+	return func() {
+		c.conn.SetReadDeadline(time.Unix(1, 0))
+		<-done
+		c.conn.SetReadDeadline(time.Time{})
+	}
 }

@@ -11,20 +11,23 @@ import (
 )
 
 // Control-plane wire format: JSON values over per-child Unix-domain
-// stream sockets. The control plane runs exactly four exchanges per
-// child — hello (registration + function-table check), start (barrier
+// stream sockets. A child says hello once, when it is launched
+// (registration + function-table check); after that every run is the
+// same three exchanges — start (the run's parameters and the barrier
 // release), bye (stats + quiescence report) and ack (bye receipt) —
-// everything between is one-sided shared memory.
+// with everything between them one-sided shared memory. Between runs
+// the child blocks reading its connection; EOF there (the set was
+// discarded, or the coordinator died) ends it.
 //
 // Resilience: every exchange is bounded by a deadline, and a child that
 // loses any exchange (dropped, delayed past the deadline, or truncated
 // message — all injectable via fault.Config's Ctl knobs) closes the
-// connection and REDIALS, replaying the whole hello→start(→bye→ack)
-// sequence with jittered exponential backoff. The coordinator's control
-// server is therefore a pure state machine over per-rank LATEST state:
-// a re-hello supersedes the rank's previous connection, a re-bye
-// overwrites the previous bye, and start is re-sent to any conn that
-// hellos after the barrier released. Idempotence, not reliability, is
+// connection and REDIALS, replaying hello→start(→bye→ack) with
+// jittered exponential backoff. The coordinator's control server is
+// therefore a pure state machine over per-rank LATEST state: a re-hello
+// supersedes the rank's previous connection, a replayed bye is
+// acknowledged again, and the current run's start is re-sent to any
+// conn that hellos after it opened. Idempotence, not reliability, is
 // what makes the lossy channel safe.
 
 // childEnvVar carries the childSpec to a re-exec'd worker process. Its
@@ -32,27 +35,20 @@ import (
 // entrypoint.
 const childEnvVar = "UNIADDR_DIST_CHILD"
 
-// childSpec is everything a child needs to join the run: its identity,
+// childSpec is everything a child needs to join its set: its identity,
 // the segment geometry (which must reproduce the parent's layout
-// bit-for-bit) and the rendezvous paths.
+// bit-for-bit), the rendezvous paths, and what a set launched for one
+// run only carries (its fault schedule and injected hang). What a run
+// may vary on a set that stays launched travels in startMsg instead.
 type childSpec struct {
 	Rank      int
 	Workers   int
-	Seed      uint64
 	ArenaSize uint64
 	DequeCap  uint64
 	RecordCap uint64
 	ShmPath   string
 	SegBase   uint64
 	SockPath  string
-
-	// Scheduler tuning (see Config): granularity cutoff, per-steal
-	// batch bound and victim-tier group width. Every process must agree
-	// on these — StealBatch in particular sizes the claim bound thieves
-	// assume against each other's deques.
-	Grain      uint64
-	StealBatch int
-	TierGroup  int
 
 	// Fault is the run's deterministic fault schedule; every process
 	// rebuilds the same Plan from it (pure function of config), so
@@ -61,8 +57,6 @@ type childSpec struct {
 	// HangRank/HangAfter wedge this child mid-run (see Config).
 	HangRank  int
 	HangAfter time.Duration
-	// HeartbeatInterval is the stamping period (<= 0 disables).
-	HeartbeatInterval time.Duration
 
 	// Obs/ObsRingCap select the segment-hosted event rings. They are
 	// layout inputs: a child that failed to thread them would compute
@@ -70,10 +64,6 @@ type childSpec struct {
 	// the only place a Config is rebuilt from a spec.
 	Obs        bool
 	ObsRingCap int
-	// ObsEpoch is the parent-chosen wall epoch (unix nanos); every
-	// process stamps events as UnixNano()-ObsEpoch so one merged
-	// timeline holds all ranks.
-	ObsEpoch int64
 }
 
 func (s childSpec) encode() (string, error) {
@@ -123,11 +113,25 @@ type helloMsg struct {
 	Err    string `json:",omitempty"`
 }
 
-// startMsg releases the barrier — or aborts the child when OK is false
-// (fingerprint mismatch, a sibling crashed during handshake, ...).
+// startMsg opens one run — or aborts the child when OK is false
+// (fingerprint mismatch, a sibling crashed during handshake, ...). The
+// rest is the run's parameters. Every process must agree on the
+// scheduler knobs: StealBatch in particular sizes the claim bound
+// thieves assume against each other's deques.
 type startMsg struct {
 	OK  bool
 	Err string `json:",omitempty"`
+
+	Seed       uint64
+	Grain      uint64
+	StealBatch int
+	TierGroup  int
+	// HeartbeatInterval is the stamping period (<= 0 disables).
+	HeartbeatInterval time.Duration
+	// ObsEpoch is the run's wall epoch (unix nanos): every process
+	// stamps events as UnixNano()-ObsEpoch so one merged timeline holds
+	// all ranks.
+	ObsEpoch int64
 }
 
 // byeMsg is the child's final report after its scheduler loop exited.
@@ -146,9 +150,7 @@ type ackMsg struct {
 }
 
 // handshakeTimeout bounds how long the parent waits for children to
-// map the segment and say hello, and how long it waits for byes after
-// the run completes; a child that blows either deadline is treated as
-// crashed.
+// map the segment and say hello; a child that blows it fails the launch.
 const handshakeTimeout = 30 * time.Second
 
 // Per-exchange deadlines and the child's redial budget. One attempt's

@@ -12,39 +12,63 @@ import (
 	"uniaddr/internal/fault"
 )
 
-// ctlServer is the coordinator's control-plane endpoint: a persistent
-// accept loop whose per-connection handlers run the hello→start→bye→ack
-// conversation and fold the results into per-rank LATEST state. Losing
-// a connection at any point is recoverable — the child redials and
-// replays — so the server never needs reliable delivery, only
-// idempotent registration: a re-hello supersedes the rank's previous
-// connection, a re-bye overwrites, start is re-sent on demand.
+// ctlServer is the coordinator's control-plane endpoint for one
+// launched set: a persistent accept loop whose per-connection handlers
+// run hello once, then start→bye→ack for every run the set serves, and
+// fold the results into per-rank LATEST state. Losing a connection at
+// any point is recoverable — the child redials and replays — so the
+// server never needs reliable delivery, only idempotent registration:
+// a re-hello supersedes the rank's previous connection, a replayed bye
+// is acknowledged again, the current start is re-sent on demand.
+// Handlers wait on cond, never poll: between runs a set costs no CPU.
 type ctlServer struct {
 	ln      *net.UnixListener
 	workers int
 	plan    *fault.Plan
-	// byeWait bounds the handler's bye read: the run's MaxWall plus
-	// control slack (the child cannot report before its loop exits).
-	byeWait time.Duration
 
 	mu       sync.Mutex
+	cond     sync.Cond // on mu; broadcast at every change below
 	conns    map[int]net.Conn
 	pids     map[int]int
-	byes     map[int]*byeMsg
-	started  bool
+	round    *ctlRound // the run in flight or last run; nil before the first
 	abortMsg string
+	closed   bool
+	expired  bool // awaitHellos's deadline passed
 	setupErr error
 	pCount   int
 	pDigest  uint64
 }
 
-func newCtlServer(ln *net.UnixListener, workers int, plan *fault.Plan, byeWait time.Duration) *ctlServer {
+// ctlRound is one run's start and the byes it collected. byes[r] is
+// written once, before got[r] closes, and read only after (bye).
+type ctlRound struct {
+	start startMsg
+	// byeWait bounds a handler's bye read: the run's MaxWall plus
+	// control slack (the child cannot report before its loop exits).
+	byeWait time.Duration
+	byes    []*byeMsg
+	got     []chan struct{}
+}
+
+// bye returns rank's bye for this run, or nil if none has arrived.
+func (r *ctlRound) bye(rank int) *byeMsg {
+	select {
+	case <-r.got[rank]:
+		return r.byes[rank]
+	default:
+		return nil
+	}
+}
+
+func newCtlServer(ln *net.UnixListener, workers int, plan *fault.Plan) *ctlServer {
 	pCount, pDigest := core.RegistryFingerprint()
-	return &ctlServer{
-		ln: ln, workers: workers, plan: plan, byeWait: byeWait,
-		conns: make(map[int]net.Conn), pids: make(map[int]int), byes: make(map[int]*byeMsg),
+	s := &ctlServer{
+		ln: ln, workers: workers, plan: plan,
+		conns: make(map[int]net.Conn), pids: make(map[int]int),
 		pCount: pCount, pDigest: pDigest,
 	}
+	s.cond.L = &s.mu
+	return s
 }
 
 // serve accepts connections until the listener closes. Run in its own
@@ -94,17 +118,18 @@ func (s *ctlServer) handle(conn net.Conn) {
 			}
 		}
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	// Barrier: wait for release or abort. Polling (2ms) keeps the state
-	// machine trivial; the control plane is latency-insensitive at this
-	// scale.
-	deadline := time.Now().Add(handshakeTimeout)
+	var served *ctlRound
 	for {
 		s.mu.Lock()
-		abortMsg, started, superseded := s.abortMsg, s.started, s.conns[rank] != conn
+		for s.conns[rank] == conn && !s.closed && s.abortMsg == "" && s.round == served {
+			s.cond.Wait()
+		}
+		live, abortMsg, round := s.conns[rank] == conn && !s.closed, s.abortMsg, s.round
 		s.mu.Unlock()
-		if superseded {
+		if !live {
 			conn.Close()
 			return
 		}
@@ -113,44 +138,50 @@ func (s *ctlServer) handle(conn net.Conn) {
 			conn.Close()
 			return
 		}
-		if started {
-			break
-		}
-		if time.Now().After(deadline) {
+		// The start send goes through the fault wrapper: a dropped start
+		// is exactly a lost barrier release, which the child's redial
+		// recovers.
+		if err := json.NewEncoder(wrapCtl(conn, s.plan, rank)).Encode(round.start); err != nil {
 			conn.Close()
 			return
 		}
-		time.Sleep(2 * time.Millisecond)
+		conn.SetReadDeadline(time.Now().Add(round.byeWait))
+		var bye byeMsg
+		if err := dec.Decode(&bye); err != nil {
+			conn.Close()
+			return
+		}
+		conn.SetReadDeadline(time.Time{})
+		s.mu.Lock()
+		if s.conns[rank] == conn && s.round == round && round.byes[rank] == nil {
+			round.byes[rank] = &bye
+			close(round.got[rank])
+		}
+		s.mu.Unlock()
+		if err := json.NewEncoder(wrapCtl(conn, s.plan, rank)).Encode(ackMsg{OK: true}); err != nil {
+			conn.Close()
+			return
+		}
+		served = round
 	}
-	// The start send goes through the fault wrapper: a dropped start is
-	// exactly a lost barrier release, which the child's redial recovers.
-	if err := json.NewEncoder(wrapCtl(conn, s.plan, rank)).Encode(startMsg{OK: true}); err != nil {
-		conn.Close()
-		return
-	}
-
-	conn.SetReadDeadline(time.Now().Add(s.byeWait))
-	var bye byeMsg
-	if err := dec.Decode(&bye); err != nil {
-		conn.Close()
-		return
-	}
-	s.mu.Lock()
-	if s.conns[rank] == conn {
-		s.byes[rank] = &bye
-	}
-	s.mu.Unlock()
-	json.NewEncoder(wrapCtl(conn, s.plan, rank)).Encode(ackMsg{OK: true})
-	conn.Close()
 }
 
 // awaitHellos blocks until every child rank has registered, a child
 // reported a setup failure, or the deadline passes.
 func (s *ctlServer) awaitHellos(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
+	t := time.AfterFunc(timeout, func() {
 		s.mu.Lock()
-		setupErr := s.setupErr
+		s.expired = true
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	})
+	defer t.Stop()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		if s.setupErr != nil {
+			return s.setupErr
+		}
 		missing := -1
 		for r := 1; r < s.workers; r++ {
 			if _, ok := s.pids[r]; !ok {
@@ -158,64 +189,50 @@ func (s *ctlServer) awaitHellos(timeout time.Duration) error {
 				break
 			}
 		}
-		s.mu.Unlock()
-		if setupErr != nil {
-			return setupErr
-		}
 		if missing < 0 {
 			return nil
 		}
-		if time.Now().After(deadline) {
+		if s.expired {
 			return &ControlTimeoutError{Phase: "hello", Rank: missing, Timeout: timeout}
 		}
-		time.Sleep(2 * time.Millisecond)
+		s.cond.Wait()
 	}
 }
 
-// release opens the start barrier; handlers (present and future) send
-// start{OK:true} to their child.
-func (s *ctlServer) release() {
+// startRun opens a run: every handler (present, and any that hellos
+// later) sends msg to its child and then collects the child's bye into
+// the returned round.
+func (s *ctlServer) startRun(msg startMsg, byeWait time.Duration) *ctlRound {
+	r := &ctlRound{start: msg, byeWait: byeWait, byes: make([]*byeMsg, s.workers), got: make([]chan struct{}, s.workers)}
+	for i := range r.got {
+		r.got[i] = make(chan struct{})
+	}
 	s.mu.Lock()
-	s.started = true
+	s.round = r
+	s.cond.Broadcast()
 	s.mu.Unlock()
+	return r
 }
 
 // abort makes every handler reply start{OK:false, Err:msg} instead.
 func (s *ctlServer) abort(msg string) {
 	s.mu.Lock()
 	s.abortMsg = msg
+	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// bye returns rank's latest bye, or nil.
-func (s *ctlServer) bye(rank int) *byeMsg {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.byes[rank]
-}
-
-// waitBye polls for rank's bye for at most wait.
-func (s *ctlServer) waitBye(rank int, wait time.Duration) *byeMsg {
-	deadline := time.Now().Add(wait)
-	for {
-		if b := s.bye(rank); b != nil {
-			return b
-		}
-		if time.Now().After(deadline) {
-			return nil
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
 // close shuts the listener (ending serve) and every registered conn
-// (ending any blocked handler read).
+// (ending any blocked handler read, and — at the child's end — its wait
+// for the next start).
 func (s *ctlServer) close() {
 	s.ln.Close()
 	s.mu.Lock()
+	s.closed = true
 	for _, c := range s.conns {
 		c.Close()
 	}
+	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 

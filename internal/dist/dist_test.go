@@ -12,9 +12,13 @@ import (
 
 // TestMain routes re-exec'd worker processes into the child entrypoint:
 // when the parent (another run of this same test binary) spawns a
-// worker, MaybeChild takes over the process before any test runs.
+// worker, MaybeChild takes over the process before any test runs. A
+// re-exec with coordinatorEnv set is a one-run coordinator instead.
 func TestMain(m *testing.M) {
 	dist.MaybeChild()
+	if os.Getenv(coordinatorEnv) != "" {
+		os.Exit(coordinateOnce())
+	}
 	os.Exit(m.Run())
 }
 

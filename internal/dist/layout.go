@@ -17,14 +17,15 @@
 //     are all one-sided loads/stores/RMWs on the segment, exactly as in
 //     the paper.
 //   - Control plane: registration handshake (including the function-
-//     table fingerprint check), start barrier, stats collection and
-//     shutdown run over Unix-domain sockets; crash detection rides on
-//     process exit (see dist.go).
+//     table fingerprint check), each run's start and stats collection,
+//     and shutdown run over Unix-domain sockets; crash detection rides
+//     on process exit (see dist.go).
 //
 // The parent process is both the coordinator and worker rank 0 — the
 // root task's init closure cannot cross a process boundary, so the
 // root must run where Run was called. Ranks 1..n-1 are children
-// re-exec'd from the same binary (os.Executable), which also guarantees
+// re-exec'd from the same binary (os.Executable) — launched once and
+// kept for later runs of the same layout (see Run) — which also guarantees
 // every process registered the same task functions; the fingerprint
 // handshake turns any residual divergence (e.g. conditional Register
 // calls) into a descriptive error instead of a silent wrong answer.

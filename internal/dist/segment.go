@@ -102,8 +102,7 @@ func attachSegment(b []byte, lay layout) (*segment, error) {
 // attachObs builds per-rank wall-log views over the segment's obs
 // blocks. Like attachSegment it writes nothing — zeroed segment memory
 // IS an empty ring — so the coordinator and every child can attach
-// independently. now is the process-local clock (nil for a
-// harvest-only view).
+// independently. now is the process-local clock.
 func (s *segment) attachObs(now func() uint64) error {
 	if s.lay.obsCap == 0 {
 		return nil
@@ -117,6 +116,47 @@ func (s *segment) attachObs(now func() uint64) error {
 		s.obs[r] = l
 	}
 	return nil
+}
+
+// A set's segment serves run after run (DESIGN.md §11), and every word
+// a run leaves behind is reset before the next one by exactly one
+// process: resetShared's by the coordinator, resetOwn's by the rank
+// that owns them.
+
+// resetShared readies the words that more than one rank touches: the
+// control page, the heartbeat slots and every rank's deque header
+// (thieves lock and claim on it). Coordinator only, and only while no
+// process is in its scheduler loop — before a set's first run, or after
+// every bye of its last — since a thief in flight on a header being
+// reset would claim against a top it read before the reset.
+func (s *segment) resetShared() {
+	s.ctl.done.Store(0)
+	s.ctl.fail.Store(0)
+	s.ctl.result.Store(0)
+	for r := range s.hb {
+		s.hb[r].stamp.Store(0)
+	}
+	for _, p := range s.peers {
+		p.Deque.Reset()
+	}
+}
+
+// resetOwn readies what only rank writes during a run — its record
+// table and arena, whose free lists live in the owner's process, and
+// its event ring — and attaches this process's ring views to the run's
+// wall epoch. Called by rank's own process on receiving start (the
+// coordinator for rank 0); no other rank reaches these before the
+// owner's first spawn of the run publishes a frame or record.
+func (s *segment) resetOwn(rank int, obsEpoch int64) error {
+	p := s.peers[rank]
+	p.Records.Reset()
+	p.Arena.Reset()
+	if s.lay.obsCap == 0 {
+		return nil
+	}
+	off := s.lay.obsOff[rank]
+	clear(s.bytes[off : off+obs.LogBytes(s.lay.obsCap)])
+	return s.attachObs(wallClockSince(obsEpoch))
 }
 
 // obsLog returns rank's wall log (nil when observability is off —

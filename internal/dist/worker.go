@@ -56,19 +56,19 @@ type worker struct {
 	rootInit   func(*core.Env)
 }
 
-// newWorker builds rank's worker over seg. seed, grain, stealBatch and
-// tierGroup are the scheduler knobs every process must agree on: the
-// parent takes them from Config, children from the childSpec.
-func newWorker(seg *segment, rank int, seed, grain uint64, stealBatch, tierGroup int, plan *fault.Plan, hung *atomic.Bool) *worker {
+// newWorker builds rank's worker over seg for one run. Its scheduler
+// knobs, which every process must agree on, come from the run's start
+// message: rank 0 builds it, the children receive it.
+func newWorker(seg *segment, rank int, start startMsg, plan *fault.Plan, hung *atomic.Bool) *worker {
 	w := &worker{seg: seg, sleep: idleSleepMin, hung: hung}
-	w.Engine = sched.Engine{X: w, Rank: rank, Peers: seg.peers, Grain: grain, Wlog: seg.obsLog(rank), StopFn: seg.stopped}
+	w.Engine = sched.Engine{X: w, Rank: rank, Peers: seg.peers, Grain: start.Grain, Wlog: seg.obsLog(rank), StopFn: seg.stopped}
 	// The interface value must be nil (not a typed nil *Plan) for the
 	// resilience fast path to collapse.
 	var inj sched.StealInjector
 	if plan != nil {
 		inj = plan
 	}
-	w.Init(seed, stealBatch, tierGroup, inj)
+	w.Init(start.Seed, start.StealBatch, start.TierGroup, inj)
 	return w
 }
 

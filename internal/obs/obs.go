@@ -120,9 +120,11 @@ const (
 	// KHeartbeat is one heartbeat stamp written to the shared segment
 	// by a dist worker process.
 	KHeartbeat
-	// KCtlHello / KCtlBye are dist control-plane round trips: the
-	// hello/start handshake and the bye/ack farewell (Dur = ns for the
-	// full round trip, including any redials).
+	// KCtlHello / KCtlBye are a dist worker's control-plane edges of a
+	// run: the hello (or, on a resident set, the wait since the run's
+	// epoch) up to the run's start, including any redials (Arg = the
+	// redials), and the farewell from the scheduler loop's exit to the
+	// bye's send.
 	KCtlHello
 	KCtlBye
 	// KCtlRetry is a control-plane redial after a connection fault

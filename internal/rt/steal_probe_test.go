@@ -46,8 +46,12 @@ func TestStealProbeAccounting(t *testing.T) {
 // TestHintedStealsFindWork sanity-checks the selector on a workload
 // with real migration: at 4+ workers a fib tree forces steals, and the
 // hint/cache paths — not just blind luck — must be carrying traffic.
+// The tree is heavy enough (~57K tasks, tens of ms) that the other
+// workers get a CPU while the root's is still busy even when another
+// test binary saturates the host; Fib(18, 20) finished first on one
+// worker in most full-suite runs on a 2-vCPU box.
 func TestHintedStealsFindWork(t *testing.T) {
-	spec := workloads.Fib(18, 20)
+	spec := workloads.Fib(22, 500)
 	cfg := DefaultConfig(4)
 	r := New(cfg)
 	if _, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil {
