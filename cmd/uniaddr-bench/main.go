@@ -161,7 +161,7 @@ func init() {
 		{"chaos", []string{sim}, "fabric-fault sweep (-chaos-rates): oracle result, quiescence and bit-identical replay at every point", false, simChaos},
 
 		{"diff", []string{rt}, "sim-vs-rt differential matrix (root results must agree)", false, func(c *ctx) error {
-			return diff(c, harness.RTDiffBackend(), []int{1, 2, 4, 8})
+			return diff(c, harness.RTChaosBackend(), []int{1, 2, 4, 8})
 		}},
 		{"chaos", []string{rt}, "steal-fault matrix: injected claim/copy failures + delays under real threads", false, func(c *ctx) error {
 			return chaosMatrix(c, harness.RTChaosBackend(), harness.RTChaosSchedules(), c.chaosWorkers)
@@ -169,7 +169,7 @@ func init() {
 		{"scalefloor", []string{rt}, "seconds-scale workloads at 1 vs 8 workers; fails under a 4x speedup floor (skips on <8 CPUs)", false, scaleFloor},
 
 		{"diff", []string{distB}, "sim-vs-dist differential matrix + SIGKILL crash probe", false, func(c *ctx) error {
-			if err := diff(c, harness.DistDiffBackend(), []int{2, 4}); err != nil {
+			if err := diff(c, harness.DistChaosBackend(), []int{2, 4}); err != nil {
 				return err
 			}
 			fmt.Fprintln(c.out, "crash probe: SIGKILL a worker process mid-run...")
@@ -491,7 +491,7 @@ func (c *ctx) writeChaosJSON(v any, what string) error {
 
 // diff runs the sim-vs-b differential matrix over three seeds and
 // errors on any mismatch.
-func diff(c *ctx, b harness.DiffBackend, defWorkers []int) error {
+func diff(c *ctx, b harness.ChaosBackend, defWorkers []int) error {
 	workers, err := parseWorkers(c.workers, defWorkers)
 	if err != nil {
 		return err
@@ -682,7 +682,7 @@ func printList(out io.Writer) {
 	}
 	fmt.Fprintln(out, "\nworkloads (-exp run; the differential catalog, *-deep are sized to show stealing under -trace):")
 	for _, wl := range runCatalog() {
-		if reason := harness.RTSkipReason(wl.Spec); reason != "" {
+		if reason := harness.SkipReason("rt", wl.Spec); reason != "" {
 			fmt.Fprintf(out, "  %-14s sim-only: %s\n", wl.Name, reason)
 		} else {
 			fmt.Fprintf(out, "  %-14s sim + rt + dist\n", wl.Name)

@@ -190,7 +190,7 @@ func TestIsoReservesGlobalRange(t *testing.T) {
 	if isoExtra <= uniExtra {
 		t.Fatalf("iso reserved %d <= uni %d", isoExtra, uniExtra)
 	}
-	slab := cfgI.IsoSlabSize
+	slab := core.IsoSlabSize
 	if isoExtra-uniExtra < 7*slab/2 {
 		t.Fatalf("iso reservation %d not scaling with worker count", isoExtra-uniExtra)
 	}

@@ -427,9 +427,6 @@ func (e *Env) gasWorker() *Worker {
 	if w == nil {
 		panic("core: global heap (gas) operations are supported on the simulator backend only; run this workload there")
 	}
-	if w.gas == nil {
-		panic("core: global heap disabled (Config.GasSize = 0)")
-	}
 	return w
 }
 

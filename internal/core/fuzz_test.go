@@ -10,9 +10,10 @@ import (
 )
 
 // Fuzz targets: byte-string-driven interleavings of the THE deque and
-// the region's stack discipline. `go test` runs the seed corpus as unit
-// tests; `go test -fuzz=FuzzDequeInterleavings ./internal/core` explores
-// further. Every finding reduces to a deterministic byte string.
+// fault-injection configurations of a chaos run (the region's stack
+// discipline is fuzzed in internal/mem). `go test` runs the seed corpus
+// as unit tests; `go test -fuzz=FuzzDequeInterleavings ./internal/core`
+// explores further. Every finding reduces to a deterministic byte string.
 
 // FuzzDequeInterleavings drives an owner and a thief with delays and
 // operation choices taken from the fuzz input, and checks exactly-once
@@ -83,57 +84,6 @@ func FuzzDequeInterleavings(f *testing.F) {
 		for i := uint64(1); i <= total; i++ {
 			if taken[i] != 1 {
 				t.Fatalf("entry %d taken %d times (input %v)", i, taken[i], data)
-			}
-		}
-	})
-}
-
-// FuzzRegionStackDiscipline drives alloc/free/install sequences from
-// the fuzz input and checks the invariant after every operation.
-func FuzzRegionStackDiscipline(f *testing.F) {
-	f.Add([]byte{1, 2, 3})
-	f.Add([]byte{200, 100, 50, 25})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		if len(data) > 512 {
-			t.Skip()
-		}
-		space := mem.NewAddressSpace("t")
-		r, err := NewRegion(space, DefaultUniBase, 1<<14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		type stk struct {
-			base mem.VA
-			size uint64
-		}
-		var live []stk
-		for _, b := range data {
-			switch b % 3 {
-			case 0, 1:
-				size := uint64(b)*8 + 16
-				base, err := r.AllocBelow(size)
-				if err != nil {
-					continue
-				}
-				live = append(live, stk{base, size})
-			case 2:
-				if len(live) > 0 {
-					s := live[len(live)-1]
-					if err := r.FreeLowest(s.base, s.size); err != nil {
-						t.Fatal(err)
-					}
-					live = live[:len(live)-1]
-				} else if r.Empty() {
-					// Install anywhere in an empty region.
-					at := r.Base() + mem.VA(uint64(b)*16%(1<<13))
-					if err := r.Install(at, 64); err != nil {
-						t.Fatal(err)
-					}
-					live = append(live, stk{at, 64})
-				}
-			}
-			if err := r.CheckInvariant(); err != nil {
-				t.Fatalf("%v (input %v)", err, data)
 			}
 		}
 	})

@@ -237,7 +237,7 @@ func (w *Worker) tryStealHelpFirst() bool {
 		}
 		w.stats.StealFaults++
 		w.noteStealFault(victim)
-		if attempt >= w.m.cfg.StealMaxRetries || w.victimBanned(victim) {
+		if attempt >= stealMaxRetries || w.victimBanned(victim) {
 			w.stats.StealAbortsFault++
 			w.stats.StealAbortCycles += ph.Total()
 			return false

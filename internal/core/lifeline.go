@@ -22,7 +22,8 @@ import (
 // mailbox. Running it as an ablation against the paper's pure one-sided
 // random stealing measures exactly the trade the two designs make.
 //
-// Per-process pinned layout at LifelineBase (z = LifelineZ axes):
+// Per-process pinned layout at DefaultLifelineBase (z = lifelineZ(P)
+// axes):
 //
 //	+0                 reqFlags[z]   u64: requesterRank+1, written by
 //	                                 the inbound neighbour of axis j
@@ -30,23 +31,32 @@ import (
 //	    +0   flag      u64 (1 = delivery present)
 //	    +8   frameBase u64 (the thread's uni-address VA)
 //	    +16  frameSize u64
-//	    +24  bytes     [LifelineMaxPush]byte (the stack image)
+//	    +24  bytes     [lifelineMaxPush]byte (the stack image)
 const (
 	// DefaultLifelineBase is the base VA of the lifeline region.
 	DefaultLifelineBase mem.VA = 0x6c00_0000_0000
-	llSlotHdr                  = 24
+	// lifelineMaxPush is the mailbox payload capacity per axis.
+	lifelineMaxPush uint64 = 16 << 10
+	llSlotHdr              = 24
+	llSlotBytes            = llSlotHdr + lifelineMaxPush
 )
 
-func llSlotBytes(maxPush uint64) uint64 { return llSlotHdr + maxPush }
-
-func llRegionBytes(z int, maxPush uint64) uint64 {
-	return uint64(z)*8 + uint64(z)*llSlotBytes(maxPush)
+// lifelineZ is the hypercube dimension of a machine of workers
+// processes: the smallest z >= 1 with 2^z >= workers.
+func lifelineZ(workers int) int {
+	z := 1
+	for 1<<z < workers {
+		z++
+	}
+	return z
 }
 
-func llReqVA(base mem.VA, j int) mem.VA { return base + mem.VA(j*8) }
+func llRegionBytes(z int) uint64 { return uint64(z)*8 + uint64(z)*llSlotBytes }
 
-func llSlotVA(base mem.VA, z, j int, maxPush uint64) mem.VA {
-	return base + mem.VA(uint64(z)*8+uint64(j)*llSlotBytes(maxPush))
+func llReqVA(j int) mem.VA { return DefaultLifelineBase + mem.VA(j*8) }
+
+func llSlotVA(z, j int) mem.VA {
+	return DefaultLifelineBase + mem.VA(uint64(z)*8+uint64(j)*llSlotBytes)
 }
 
 // lifelineNeighbors returns the hypercube out-links of rank: rank XOR
@@ -76,7 +86,7 @@ func (w *Worker) llRegister() {
 		if n < 0 {
 			continue
 		}
-		if err := w.ep.TryWriteU64(w.proc, n, llReqVA(w.m.cfg.LifelineBase, j), uint64(w.rank)+1); err != nil {
+		if err := w.ep.TryWriteU64(w.proc, n, llReqVA(j), uint64(w.rank)+1); err != nil {
 			w.stats.LifelineFaults++
 			ok = false
 		}
@@ -88,11 +98,9 @@ func (w *Worker) llRegister() {
 // lifeline request is pending and the deque holds surplus, push the
 // oldest thread to the requester. Returns whether a push happened.
 func (w *Worker) llServe() bool {
-	cfg := &w.m.cfg
-	base := cfg.LifelineBase
 	served := false
 	for j := range w.llOut {
-		req := w.space.MustReadU64(llReqVA(base, j))
+		req := w.space.MustReadU64(llReqVA(j))
 		if req == 0 {
 			continue
 		}
@@ -105,21 +113,21 @@ func (w *Worker) llServe() bool {
 		if !ok {
 			return served
 		}
-		if ent.FrameSize > cfg.LifelineMaxPush {
+		if ent.FrameSize > lifelineMaxPush {
 			// Too big for the mailbox: treat it like a normal local
 			// steal target — run it ourselves later is not possible
 			// (it is an ancestor's continuation), so push it back is
 			// also impossible. In practice frames are far smaller than
 			// the slot; guard anyway by delivering a truncation panic.
-			panic(fmt.Sprintf("core: lifeline push of %d bytes exceeds LifelineMaxPush %d",
-				ent.FrameSize, cfg.LifelineMaxPush))
+			panic(fmt.Sprintf("core: lifeline push of %d bytes exceeds the %d-byte mailbox",
+				ent.FrameSize, lifelineMaxPush))
 		}
 		// Clear the request before delivering so the requester can
 		// re-register after consuming.
-		w.space.MustWriteU64(llReqVA(base, j), 0)
+		w.space.MustWriteU64(llReqVA(j), 0)
 		// Serialise header+stack into the requester's mailbox slot j'
 		// where j' is the shared axis (same j by symmetry of XOR).
-		slot := llSlotVA(base, len(w.llOut), j, cfg.LifelineMaxPush)
+		slot := llSlotVA(len(w.llOut), j)
 		var hdr [llSlotHdr]byte
 		binary.LittleEndian.PutUint64(hdr[0:], 1)
 		binary.LittleEndian.PutUint64(hdr[8:], uint64(ent.FrameBase))
@@ -145,7 +153,7 @@ func (w *Worker) llServe() bool {
 			// flag (the requester is still waiting) and put the thread
 			// back — the take held the deque lock throughout, so the
 			// abort is race-free.
-			w.space.MustWriteU64(llReqVA(base, j), req)
+			w.space.MustWriteU64(llReqVA(j), req)
 			take.Abort()
 			w.stats.LifelineFaults++
 			continue
@@ -169,10 +177,9 @@ func (w *Worker) llServe() bool {
 // pushed, it is installed at its own uni-address and run. Returns
 // whether anything ran.
 func (w *Worker) llConsume() bool {
-	cfg := &w.m.cfg
 	ran := false
 	for j := range w.llOut {
-		slot := llSlotVA(cfg.LifelineBase, len(w.llOut), j, cfg.LifelineMaxPush)
+		slot := llSlotVA(len(w.llOut), j)
 		if w.space.MustReadU64(slot) == 0 {
 			continue
 		}

@@ -31,21 +31,16 @@ type Config struct {
 	// give bit-identical runs.
 	Seed uint64
 
-	UniBase   mem.VA
-	UniSize   uint64
-	RDMABase  mem.VA
-	RDMASize  uint64
-	DequeBase mem.VA
-	DequeCap  uint64
-	// IsoBase/IsoSlabSize lay out the iso-address global stack area:
-	// rank r's stacks live in [IsoBase+r*IsoSlabSize, +IsoSlabSize).
-	IsoBase     mem.VA
-	IsoSlabSize uint64
+	// UniSize sizes each worker's uni-address region at DefaultUniBase;
+	// DequeCap is the deque's entry capacity. The rest of the virtual
+	// layout is fixed (layout.go).
+	UniSize  uint64
+	DequeCap uint64
 
 	// SlotsPerProcess models the paper's §5.1 alternative of hosting
 	// several workers (and uni-address regions) in one address space to
 	// reduce the process count: worker rank r owns region slot r mod
-	// SlotsPerProcess at UniBase + slot·UniSize. A task allocated in
+	// SlotsPerProcess at DefaultUniBase + slot·UniSize. A task allocated in
 	// slot s can only ever run in slot s of some process, so thieves
 	// must abort steals whose stolen address belongs to another slot —
 	// the utilization loss the paper predicts. 1 (the default) is the
@@ -88,10 +83,7 @@ type Config struct {
 	// Saraswat et al. PPoPP'11) as the idle protocol: failed thieves
 	// register on hypercube neighbours and receive pushed work instead
 	// of probing randomly. Uni-address work-first only.
-	Lifelines       bool
-	LifelineBase    mem.VA
-	LifelineZ       int    // hypercube dimension (0 = ceil(log2 P))
-	LifelineMaxPush uint64 // mailbox payload capacity per axis
+	Lifelines bool
 
 	// HelpFirst switches the scheduler to the "tied tasks" strategy of
 	// §2 (Satin/HotSLAW-style): spawns queue a descriptor and the
@@ -100,34 +92,11 @@ type Config struct {
 	// paper's child-first (work-first) scheme.
 	HelpFirst bool
 
-	// GasBase/GasSize lay out the per-process global-heap segment
-	// (internal/gas) used for cross-thread data (§5.1's global
-	// references). GasSize 0 disables the heap.
-	GasBase mem.VA
-	GasSize uint64
-
 	// Fault configures deterministic fabric fault injection
 	// (internal/fault). The zero value disables it entirely: no injector
 	// is attached and the fabric's fast path is byte-identical to a
 	// fault-free build.
 	Fault fault.Config
-
-	// StealMaxRetries bounds how often a thief retries a steal against
-	// the same victim after an injected fabric fault before giving up
-	// (0 = default 3; negative = no retries).
-	StealMaxRetries int
-	// StealBackoffBase/StealBackoffCap shape the capped exponential
-	// virtual-time backoff between steal retries: the n-th retry waits
-	// min(StealBackoffBase<<n, StealBackoffCap) cycles (0 = defaults
-	// 2000 and 1<<17).
-	StealBackoffBase uint64
-	StealBackoffCap  uint64
-	// VictimBlacklistAfter consecutive steal faults against one victim
-	// blacklist it for VictimBlacklistCycles of virtual time; pickVictim
-	// redraws around blacklisted ranks (0 = defaults 3 and 2_000_000;
-	// VictimBlacklistAfter < 0 disables blacklisting).
-	VictimBlacklistAfter  int
-	VictimBlacklistCycles uint64
 }
 
 // FaultClasses are the fault knob classes the simulator honours: the
@@ -166,31 +135,15 @@ func (v VictimPolicy) String() string {
 // node.
 func DefaultConfig(workers int) Config {
 	return Config{
-		Workers:         workers,
-		WorkersPerNode:  15,
-		Costs:           SPARCCosts(),
-		Net:             rdma.DefaultParams(),
-		Scheme:          SchemeUni,
-		Seed:            1,
-		UniBase:         DefaultUniBase,
-		UniSize:         DefaultUniSize,
-		RDMABase:        DefaultRDMABase,
-		RDMASize:        DefaultRDMASize,
-		DequeBase:       DefaultDequeBase,
-		DequeCap:        DefaultDequeCap,
-		IsoBase:         DefaultIsoBase,
-		IsoSlabSize:     1 << 20,
-		GasBase:         gas.DefaultBase,
-		GasSize:         1 << 20,
-		LifelineBase:    DefaultLifelineBase,
-		LifelineMaxPush: 16 << 10,
-		MaxCycles:       1 << 42,
-
-		StealMaxRetries:       3,
-		StealBackoffBase:      2000,
-		StealBackoffCap:       1 << 17,
-		VictimBlacklistAfter:  3,
-		VictimBlacklistCycles: 2_000_000,
+		Workers:        workers,
+		WorkersPerNode: 15,
+		Costs:          SPARCCosts(),
+		Net:            rdma.DefaultParams(),
+		Scheme:         SchemeUni,
+		Seed:           1,
+		UniSize:        DefaultUniSize,
+		DequeCap:       DefaultDequeCap,
+		MaxCycles:      1 << 42,
 	}
 }
 
@@ -235,30 +188,6 @@ func NewMachine(cfg Config) (*Machine, error) {
 		if cfg.Scheme == SchemeIso || cfg.HelpFirst || cfg.SlotsPerProcess > 1 {
 			return nil, fmt.Errorf("core: Lifelines requires the uni-address, work-first, single-slot configuration")
 		}
-		if cfg.LifelineZ <= 0 {
-			cfg.LifelineZ = 1
-			for 1<<cfg.LifelineZ < cfg.Workers {
-				cfg.LifelineZ++
-			}
-		}
-		if cfg.LifelineMaxPush == 0 {
-			cfg.LifelineMaxPush = 16 << 10
-		}
-	}
-	if cfg.StealMaxRetries == 0 {
-		cfg.StealMaxRetries = 3
-	}
-	if cfg.StealBackoffBase == 0 {
-		cfg.StealBackoffBase = 2000
-	}
-	if cfg.StealBackoffCap == 0 {
-		cfg.StealBackoffCap = 1 << 17
-	}
-	if cfg.VictimBlacklistAfter == 0 {
-		cfg.VictimBlacklistAfter = 3
-	}
-	if cfg.VictimBlacklistCycles == 0 {
-		cfg.VictimBlacklistCycles = 2_000_000
 	}
 	var inj *fault.Injector
 	if cfg.Fault.Enabled() {
@@ -311,26 +240,24 @@ func NewMachine(cfg Config) (*Machine, error) {
 		w.ep = m.fab.AddEndpoint(space)
 		w.ep.SetNode(w.node)
 		w.ep.SetLog(w.obs)
-		heapReg, err := space.Reserve("rdmaheap", cfg.RDMABase, cfg.RDMASize, true)
+		heapReg, err := space.Reserve("rdmaheap", DefaultRDMABase, DefaultRDMASize, true)
 		if err != nil {
 			return nil, err
 		}
 		w.heap = mem.NewAllocator(heapReg)
-		if w.deque, err = NewDeque(space, cfg.DequeBase, cfg.DequeCap); err != nil {
+		if w.deque, err = NewDeque(space, DefaultDequeBase, cfg.DequeCap); err != nil {
 			return nil, err
 		}
 		w.deque.SetLog(w.obs)
-		if cfg.GasSize > 0 {
-			if w.gas, err = gas.NewHeap(space, w.ep, cfg.GasBase, cfg.GasSize, gas.DefaultCosts()); err != nil {
-				return nil, err
-			}
+		if w.gas, err = gas.NewHeap(space, w.ep, gas.DefaultBase, GasSize, gas.DefaultCosts()); err != nil {
+			return nil, err
 		}
 		if cfg.Lifelines {
-			if _, err := space.Reserve("lifeline", cfg.LifelineBase,
-				llRegionBytes(cfg.LifelineZ, cfg.LifelineMaxPush), true); err != nil {
+			z := lifelineZ(cfg.Workers)
+			if _, err := space.Reserve("lifeline", DefaultLifelineBase, llRegionBytes(z), true); err != nil {
 				return nil, err
 			}
-			w.llOut = lifelineNeighbors(rank, cfg.Workers, cfg.LifelineZ)
+			w.llOut = lifelineNeighbors(rank, cfg.Workers, z)
 		}
 		switch cfg.Scheme {
 		case SchemeIso:
@@ -339,7 +266,7 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// first touch.
 			w.isoSlabs = make(map[int]*mem.Region)
 			own, err := space.Reserve(fmt.Sprintf("isoslab-%d", rank),
-				m.IsoSlabBase(rank), cfg.IsoSlabSize, false)
+				m.IsoSlabBase(rank), IsoSlabSize, false)
 			if err != nil {
 				return nil, err
 			}
@@ -349,13 +276,21 @@ func NewMachine(cfg Config) (*Machine, error) {
 			// reserved range instead of recycling the lowest addresses,
 			// so migrations keep first-touching pages (§4 item 2).
 			w.isoAlloc.SetNextFit(true)
-			space.AdjustPhantom(int64(uint64(cfg.Workers-1) * cfg.IsoSlabSize))
+			space.AdjustPhantom(int64(uint64(cfg.Workers-1) * IsoSlabSize))
 		default:
 			w.slot = rank % cfg.SlotsPerProcess
-			base := cfg.UniBase + mem.VA(uint64(w.slot)*cfg.UniSize)
-			if w.region, err = NewRegion(space, base, cfg.UniSize); err != nil {
+			// The region is pinned because thieves RDMA-READ stacks
+			// directly out of it (§5.3); the arena runs the stack
+			// discipline over its bytes.
+			base := DefaultUniBase + mem.VA(uint64(w.slot)*cfg.UniSize)
+			if _, err := space.Reserve("uniaddr", base, cfg.UniSize, true); err != nil {
 				return nil, err
 			}
+			bytes, err := space.Slice(base, cfg.UniSize)
+			if err != nil {
+				return nil, err
+			}
+			w.region = mem.NewArenaOver(base, bytes)
 		}
 		m.workers = append(m.workers, w)
 	}
@@ -382,16 +317,16 @@ func (m *Machine) Workers() []*Worker { return m.workers }
 
 // IsoSlabBase returns the base VA of rank's iso-address slab.
 func (m *Machine) IsoSlabBase(rank int) mem.VA {
-	return m.cfg.IsoBase + mem.VA(uint64(rank)*m.cfg.IsoSlabSize)
+	return DefaultIsoBase + mem.VA(uint64(rank)*IsoSlabSize)
 }
 
 // IsoRankOfVA returns the rank owning the iso-address slab containing
 // va.
 func (m *Machine) IsoRankOfVA(va mem.VA) int {
-	if va < m.cfg.IsoBase {
+	if va < DefaultIsoBase {
 		panic(fmt.Sprintf("core: %#x below iso area", va))
 	}
-	r := int(uint64(va-m.cfg.IsoBase) / m.cfg.IsoSlabSize)
+	r := int(uint64(va-DefaultIsoBase) / IsoSlabSize)
 	if r >= m.cfg.Workers {
 		panic(fmt.Sprintf("core: %#x beyond iso area", va))
 	}
@@ -512,8 +447,8 @@ func (m *Machine) FaultStats() fault.Stats {
 func (m *Machine) MaxStackUsage() uint64 {
 	var max uint64
 	for _, w := range m.workers {
-		if w.region != nil && w.region.MaxUsed() > max {
-			max = w.region.MaxUsed()
+		if w.region != nil && w.region.Max() > max {
+			max = w.region.Max()
 		}
 	}
 	return max

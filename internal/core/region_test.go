@@ -3,218 +3,46 @@ package core
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
-
-	"uniaddr/internal/mem"
 )
 
-func newTestRegion(t *testing.T, size uint64) *Region {
-	t.Helper()
-	space := mem.NewAddressSpace("t")
-	r, err := NewRegion(space, DefaultUniBase, size)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return r
-}
-
-func TestRegionAllocGrowsDown(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	a, err := r.AllocBelow(256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != r.End()-256 {
-		t.Fatalf("first stack at %#x, want top of region %#x", a, r.End()-256)
-	}
-	b, _ := r.AllocBelow(128)
-	if b != a-128 {
-		t.Fatalf("second stack at %#x, want just below first", b)
-	}
-	if r.Used() != 384 || r.Lowest() != b {
-		t.Fatalf("used=%d lowest=%#x", r.Used(), r.Lowest())
-	}
-	if err := r.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegionFreeOnlyLowest(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	a, _ := r.AllocBelow(256)
-	b, _ := r.AllocBelow(128)
-	if err := r.FreeLowest(a, 256); err == nil {
-		t.Fatal("freed non-lowest stack")
-	}
-	if err := r.FreeLowest(b, 128); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.FreeLowest(a, 256); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Empty() {
-		t.Fatal("region not empty after freeing all")
-	}
-	// Empty region resets to the top.
-	c, _ := r.AllocBelow(64)
-	if c != r.End()-64 {
-		t.Fatalf("after reset alloc at %#x", c)
-	}
-}
-
-func TestRegionExhaustion(t *testing.T) {
-	r := newTestRegion(t, 1024)
-	if _, err := r.AllocBelow(1024); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AllocBelow(1); err == nil {
-		t.Fatal("overcommitted region")
-	}
-}
-
-func TestRegionInstallRequiresEmpty(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	r.AllocBelow(64)
-	if err := r.Install(r.Base()+100, 200); err == nil {
-		t.Fatal("installed into non-empty region")
-	}
-}
-
-func TestRegionInstallAnywhereWhenEmpty(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	base := r.Base() + 512
-	if err := r.Install(base, 256); err != nil {
-		t.Fatal(err)
-	}
-	if r.Lowest() != base || r.Top() != base+256 {
-		t.Fatalf("installed range [%#x,%#x)", r.Lowest(), r.Top())
-	}
-	// Children allocate below the installed thread.
-	c, err := r.AllocBelow(128)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c != base-128 {
-		t.Fatalf("child at %#x, want %#x", c, base-128)
-	}
-	if err := r.Install(r.Base(), 10); err == nil {
-		t.Fatal("double install accepted")
-	}
-	// Out-of-bounds installs rejected.
-	r.Clear()
-	if err := r.Install(r.End()-8, 16); err == nil {
-		t.Fatal("install past region end accepted")
-	}
-}
-
+// TestRegionCopyOutInRoundTrip swaps a stack out of a simulated
+// worker's uni-address region into a pinned RDMA-heap buffer and back
+// (Figs. 7–8), through the same code suspend and resume run.
 func TestRegionCopyOutInRoundTrip(t *testing.T) {
-	space := mem.NewAddressSpace("t")
-	r, err := NewRegion(space, DefaultUniBase, 4096)
+	m, err := NewMachine(DefaultConfig(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	space.MustReserve("buf", 0x1000, 4096, true)
-	base, _ := r.AllocBelow(200)
+	w := m.workers[0]
+	base, err := w.region.AllocBelow(200)
+	if err != nil {
+		t.Fatal(err)
+	}
 	payload := make([]byte, 200)
 	for i := range payload {
 		payload[i] = byte(i*7 + 3)
 	}
-	if _, err := space.Write(base, payload); err != nil {
+	if _, err := w.space.Write(base, payload); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.CopyOut(base, 200, 0x1000); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Empty() {
+	buf := w.heap.MustAlloc(200)
+	w.copyOut(base, 200, buf)
+	if !w.region.Empty() {
 		t.Fatal("region not empty after copy-out")
 	}
 	// Scribble over the old location, then restore.
-	junk := make([]byte, 200)
-	space.Write(base, junk)
-	if err := r.CopyIn(base, 200, 0x1000); err != nil {
+	if _, err := w.space.Write(base, make([]byte, 200)); err != nil {
 		t.Fatal(err)
+	}
+	w.copyIn(base, 200, buf)
+	if w.region.Used() != 200 {
+		t.Fatalf("copy-in occupies %d bytes, want 200", w.region.Used())
 	}
 	got := make([]byte, 200)
-	space.Read(base, got)
+	if _, err := w.space.Read(base, got); err != nil {
+		t.Fatal(err)
+	}
 	if !bytes.Equal(got, payload) {
 		t.Fatal("copy-in did not restore the exact bytes")
-	}
-}
-
-func TestRegionMaxUsedHighWater(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	a, _ := r.AllocBelow(100)
-	b, _ := r.AllocBelow(300)
-	r.FreeLowest(b, 300)
-	r.FreeLowest(a, 100)
-	r.AllocBelow(50)
-	if r.MaxUsed() != 400 {
-		t.Fatalf("high water = %d, want 400", r.MaxUsed())
-	}
-}
-
-// Property: any sequence of stack-discipline alloc/free operations
-// keeps the invariant and never produces overlapping live stacks.
-func TestRegionInvariantProperty(t *testing.T) {
-	f := func(ops []uint16, seed uint64) bool {
-		r := newTestRegion(t, 1<<16)
-		type stk struct {
-			base mem.VA
-			size uint64
-		}
-		var live []stk
-		for _, op := range ops {
-			if op%3 != 0 && len(live) < 100 {
-				size := uint64(op%500) + 16
-				base, err := r.AllocBelow(size)
-				if err != nil {
-					continue
-				}
-				for _, s := range live {
-					if base < s.base+mem.VA(s.size) && s.base < base+mem.VA(size) {
-						return false // overlap
-					}
-				}
-				live = append(live, stk{base, size})
-			} else if len(live) > 0 {
-				s := live[len(live)-1]
-				if err := r.FreeLowest(s.base, s.size); err != nil {
-					return false
-				}
-				live = live[:len(live)-1]
-			}
-			if err := r.CheckInvariant(); err != nil {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRegionClearReclaimsDeadBytes(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	r.AllocBelow(1000)
-	r.Clear()
-	if !r.Empty() {
-		t.Fatal("clear did not empty region")
-	}
-	if err := r.CheckInvariant(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.AllocBelow(4096); err != nil {
-		t.Fatalf("full region not reusable after clear: %v", err)
-	}
-}
-
-func TestRegionContains(t *testing.T) {
-	r := newTestRegion(t, 4096)
-	if !r.Contains(r.Base()) || !r.Contains(r.End()-1) {
-		t.Fatal("contains misses own range")
-	}
-	if r.Contains(r.End()) || r.Contains(r.Base()-1) {
-		t.Fatal("contains accepts outside addresses")
 	}
 }

@@ -26,10 +26,6 @@ func (k SchemeKind) String() string {
 	return "uni-address"
 }
 
-// DefaultIsoBase is the base of the global iso-address stack area; the
-// slab of rank r starts at DefaultIsoBase + r*IsoSlabSize.
-const DefaultIsoBase mem.VA = 0x0200_0000_0000
-
 // saved is a parked (suspended) thread. For uni-address, buf is the
 // pinned RDMA-heap buffer holding the swapped-out stack; for
 // iso-address the stack never moves and buf is unused.
@@ -105,9 +101,7 @@ func (uniScheme) suspend(w *Worker, base mem.VA, size uint64) saved {
 	}
 	w.adv(w.costs.SuspendCPU + w.costs.copyCycles(size))
 	buf := w.heap.MustAlloc(size)
-	if err := w.region.CopyOut(base, size, buf); err != nil {
-		panic(err)
-	}
+	w.copyOut(base, size, buf)
 	w.stats.Suspends++
 	w.stats.SuspendCycles += w.proc.Now() - start
 	w.obs.Span(obs.KSuspend, start, size, tid, -1, obs.HSuspendSwap)
@@ -117,11 +111,35 @@ func (uniScheme) suspend(w *Worker, base mem.VA, size uint64) saved {
 func (uniScheme) resumeSaved(w *Worker, sc saved) {
 	start := w.proc.Now()
 	w.adv(w.costs.ResumeCPU + w.costs.copyCycles(sc.size))
-	if err := w.region.CopyIn(sc.base, sc.size, sc.buf); err != nil {
-		panic(err)
-	}
+	w.copyIn(sc.base, sc.size, sc.buf)
 	w.heap.Free(sc.buf)
 	w.stats.ResumeCycles += w.proc.Now() - start
+}
+
+// copyOut swaps the lowest stack [base, base+size) out to dst, a pinned
+// buffer in the RDMA region (Fig. 8), and frees its range.
+func (w *Worker) copyOut(base mem.VA, size uint64, dst mem.VA) {
+	buf, err := w.space.Slice(dst, size)
+	if err != nil {
+		panic(err)
+	}
+	copy(buf, w.region.MustSlice(base, size))
+	if err := w.region.FreeLowest(base, size); err != nil {
+		panic(err)
+	}
+}
+
+// copyIn restores a stack saved at src to its original address base in
+// the empty region (resume_saved_context, Fig. 7).
+func (w *Worker) copyIn(base mem.VA, size uint64, src mem.VA) {
+	if err := w.region.Install(base, size); err != nil {
+		panic(err)
+	}
+	buf, err := w.space.Slice(src, size)
+	if err != nil {
+		panic(err)
+	}
+	copy(w.region.MustSlice(base, size), buf)
 }
 
 func (uniScheme) transferStolen(w *Worker, victim int, ent Entry, ph *StealPhases) error {
@@ -174,8 +192,8 @@ func (w *Worker) isoSlabRegion(rank int) *mem.Region {
 		return r
 	}
 	base := w.m.IsoSlabBase(rank)
-	w.space.AdjustPhantom(-int64(w.m.cfg.IsoSlabSize))
-	r := w.space.MustReserve(fmt.Sprintf("isoslab-%d", rank), base, w.m.cfg.IsoSlabSize, false)
+	w.space.AdjustPhantom(-int64(IsoSlabSize))
+	r := w.space.MustReserve(fmt.Sprintf("isoslab-%d", rank), base, IsoSlabSize, false)
 	w.isoSlabs[rank] = r
 	return r
 }

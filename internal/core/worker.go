@@ -69,7 +69,7 @@ type Worker struct {
 	sch   scheme
 
 	// uni-address state
-	region *Region
+	region *mem.Arena
 	// iso-address state
 	isoAlloc *mem.Allocator
 	isoSlabs map[int]*mem.Region
@@ -158,9 +158,6 @@ func (w *Worker) StatsAtQuiescence() WorkerStats {
 
 // Space returns the worker's address space (for memory accounting).
 func (w *Worker) Space() *mem.AddressSpace { return w.space }
-
-// Region returns the uni-address region (nil under iso-address).
-func (w *Worker) Region() *Region { return w.region }
 
 // Deque returns the worker's task queue.
 func (w *Worker) Deque() *Deque { return w.deque }
@@ -458,9 +455,23 @@ func (w *Worker) victimBanned(v int) bool {
 	return true
 }
 
+// The steal fault budget. A thief retries a steal against the same
+// victim at most stealMaxRetries times after an injected fabric fault;
+// the n-th retry waits min(stealBackoffBase<<n, stealBackoffCap)
+// cycles of virtual time. victimBlacklistAfter consecutive faults
+// against one victim blacklist it for victimBlacklistCycles, and
+// pickVictim redraws around blacklisted ranks.
+const (
+	stealMaxRetries       = 3
+	stealBackoffBase      = 2000
+	stealBackoffCap       = 1 << 17
+	victimBlacklistAfter  = 3
+	victimBlacklistCycles = 2_000_000
+)
+
 // noteStealFault records a fabric failure against victim v; after
-// VictimBlacklistAfter consecutive failures v is skipped for
-// VictimBlacklistCycles of virtual time (graceful degradation: stop
+// victimBlacklistAfter consecutive failures v is skipped for
+// victimBlacklistCycles of virtual time (graceful degradation: stop
 // hammering a browned-out endpoint).
 func (w *Worker) noteStealFault(v int) {
 	w.lastVictim = -1
@@ -469,9 +480,9 @@ func (w *Worker) noteStealFault(v int) {
 		w.victimBannedUntil = make(map[int]uint64)
 	}
 	w.victimFails[v]++
-	if w.victimFails[v] >= w.m.cfg.VictimBlacklistAfter {
+	if w.victimFails[v] >= victimBlacklistAfter {
 		delete(w.victimFails, v)
-		w.victimBannedUntil[v] = w.proc.Now() + w.m.cfg.VictimBlacklistCycles
+		w.victimBannedUntil[v] = w.proc.Now() + victimBlacklistCycles
 		w.stats.VictimBlacklists++
 	}
 }
@@ -479,10 +490,10 @@ func (w *Worker) noteStealFault(v int) {
 // stealBackoff parks the worker for the attempt-th capped exponential
 // backoff delay (virtual time, deterministic) after a faulted steal.
 func (w *Worker) stealBackoff(attempt int) {
-	d := w.m.cfg.StealBackoffCap
+	d := uint64(stealBackoffCap)
 	if attempt < 63 {
-		if d = w.m.cfg.StealBackoffBase << uint(attempt); d > w.m.cfg.StealBackoffCap {
-			d = w.m.cfg.StealBackoffCap
+		if d = stealBackoffBase << uint(attempt); d > stealBackoffCap {
+			d = stealBackoffCap
 		}
 	}
 	w.stats.BackoffCycles += d
@@ -553,7 +564,7 @@ func (w *Worker) pickVictimOnce(n int) int {
 // at its original virtual address and executed.
 //
 // Fabric faults are retried against the same victim up to
-// Config.StealMaxRetries times with capped exponential virtual-time
+// stealMaxRetries times with capped exponential virtual-time
 // backoff (transient faults heal; persistent ones trip the victim
 // blacklist via noteStealFault, steering future attempts elsewhere). A
 // fault after the entry was claimed rolls the victim's deque back over
@@ -595,7 +606,7 @@ func (w *Worker) trySteal() bool {
 			w.obs.Instant(obs.KStealFault, uint64(attempt), 0, victim)
 		}
 		w.noteStealFault(victim)
-		if attempt >= w.m.cfg.StealMaxRetries || w.victimBanned(victim) {
+		if attempt >= stealMaxRetries || w.victimBanned(victim) {
 			w.stats.StealAbortsFault++
 			w.stats.StealAbortCycles += ph.Total()
 			if w.obs != nil {

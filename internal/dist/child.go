@@ -55,49 +55,48 @@ func (c *ctlConn) close() {
 	}
 }
 
-// dialCtl dials the coordinator, with the child's sends routed through
-// the fault wrapper.
-func dialCtl(spec childSpec, plan *fault.Plan) (*ctlConn, error) {
+// dialHello is one handshake attempt: dial the coordinator (the
+// child's sends routed through the fault wrapper), send hello and wait,
+// bounded by ctlStartTimeout, for the run's start. errText, when
+// non-empty, travels in the hello and the start will be an abort. A
+// failed attempt closes its connection.
+func dialHello(spec childSpec, plan *fault.Plan, errText string) (*ctlConn, startMsg, error) {
 	raw, err := net.Dial("unix", spec.SockPath)
 	if err != nil {
-		return nil, err
+		return nil, startMsg{}, err
 	}
 	conn := wrapCtl(raw, plan, spec.Rank)
-	return &ctlConn{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}, nil
+	c := &ctlConn{conn: conn, enc: json.NewEncoder(conn), dec: json.NewDecoder(conn)}
+	count, digest := core.RegistryFingerprint()
+	if err := c.enc.Encode(helloMsg{Rank: spec.Rank, PID: os.Getpid(), Count: count, Digest: digest, Err: errText}); err != nil {
+		c.close()
+		return nil, startMsg{}, err
+	}
+	c.conn.SetReadDeadline(time.Now().Add(ctlStartTimeout))
+	var start startMsg
+	if err := c.dec.Decode(&start); err != nil {
+		c.close()
+		return nil, startMsg{}, err
+	}
+	c.conn.SetReadDeadline(time.Time{})
+	return c, start, nil
 }
 
-// ctlHandshake runs hello→start with bounded per-exchange deadlines,
-// redialing with jittered exponential backoff on any failure. Every
-// attempt replays the whole exchange — the coordinator's state machine
-// is idempotent, so replays are always safe. setupErrText, when
-// non-empty, travels in the hello and the returned start will be an
-// abort. redials counts the failed attempts before the one returned.
+// ctlHandshake runs hello→start, redialing with jittered exponential
+// backoff on any failure. Every attempt replays the whole exchange —
+// the coordinator's state machine is idempotent, so replays are always
+// safe. redials counts the failed attempts before the one returned.
 func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand) (*ctlConn, startMsg, int, error) {
-	count, digest := core.RegistryFingerprint()
-	hello := helloMsg{Rank: spec.Rank, PID: os.Getpid(), Count: count, Digest: digest, Err: setupErrText}
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
 		if attempt > 0 {
 			ctlBackoff(rng, attempt)
 		}
-		c, err := dialCtl(spec, plan)
+		c, start, err := dialHello(spec, plan, setupErrText)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		if err := c.enc.Encode(hello); err != nil {
-			lastErr = err
-			c.close()
-			continue
-		}
-		c.conn.SetReadDeadline(time.Now().Add(ctlStartTimeout))
-		var start startMsg
-		if err := c.dec.Decode(&start); err != nil {
-			lastErr = err
-			c.close()
-			continue
-		}
-		c.conn.SetReadDeadline(time.Time{})
 		return c, start, attempt, nil
 	}
 	return nil, startMsg{}, 0, fmt.Errorf("dist child %d: handshake failed after %d attempts: %w", spec.Rank, ctlMaxAttempts, lastErr)
@@ -116,35 +115,20 @@ func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand
 			wlog.Instant(obs.KCtlRetry, uint64(attempt), 0, -1)
 			ctlBackoff(rng, attempt)
 			c.close()
-			var start startMsg
-			var err error
-			// One re-handshake try per bye attempt keeps the total
+			// One handshake attempt per bye attempt keeps the whole
 			// conversation bounded by ctlMaxAttempts dials, not a
 			// nested product.
-			if c, err = dialCtl(spec, plan); err != nil {
-				lastErr = err
-				c = &ctlConn{}
-				continue
-			}
-			count, digest := core.RegistryFingerprint()
-			if err := c.enc.Encode(helloMsg{Rank: spec.Rank, PID: os.Getpid(), Count: count, Digest: digest}); err != nil {
+			var start startMsg
+			var err error
+			if c, start, err = dialHello(spec, plan, ""); err != nil {
 				lastErr = err
 				continue
 			}
-			c.conn.SetReadDeadline(time.Now().Add(ctlStartTimeout))
-			if err := c.dec.Decode(&start); err != nil {
-				lastErr = err
-				continue
-			}
-			c.conn.SetReadDeadline(time.Time{})
 			if !start.OK {
 				// The run is aborting; the coordinator no longer wants
 				// the bye. Not an error worth retrying.
 				return c, nil
 			}
-		}
-		if c.conn == nil {
-			continue
 		}
 		if err := c.enc.Encode(bye); err != nil {
 			lastErr = err

@@ -111,7 +111,7 @@ func Run(cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (R
 	// UnixNano-epoch, so the harvested rings share one timeline.
 	epoch := time.Now().UnixNano()
 
-	fresh := plan != nil || cfg.KillRank > 0 || len(cfg.KillRanks) > 0 || cfg.HangRank > 0
+	fresh := plan != nil || len(cfg.KillRanks) > 0 || cfg.HangRank > 0
 	var set *workerSet
 	if !fresh {
 		set = takeSet(keyOf(lay))
@@ -355,7 +355,7 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 
 	// --- run ----------------------------------------------------------
 	errs := &errCollector{}
-	var reaping atomicFlag
+	var reaping atomic.Bool
 	var wg sync.WaitGroup
 	for _, c := range s.children {
 		c := c
@@ -378,7 +378,7 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 				}
 			}
 			bye := round.bye(c.rank)
-			if bye == nil && !reaping.get() {
+			if bye == nil && !reaping.Load() {
 				seg.failStore(failCoordinator)
 				detail := "exited before reporting"
 				if c.waitErr != nil {
@@ -465,11 +465,7 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 	// Fault injection: SIGKILL child ranks mid-run, on request. These
 	// are the crashes the resilience gate requires to surface as
 	// structured WorkerCrashErrors rather than hangs.
-	killVictims := cfg.KillRanks
-	if cfg.KillRank > 0 {
-		killVictims = append(append([]int{}, killVictims...), cfg.KillRank)
-	}
-	for _, kr := range killVictims {
+	for _, kr := range cfg.KillRanks {
 		if kr > 0 && kr < cfg.Workers {
 			victim := s.children[kr-1]
 			killTimer := time.AfterFunc(cfg.KillAfter, func() {
@@ -494,7 +490,7 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 	// stragglers; `reaping` keeps those late kills from masquerading as
 	// mid-run crashes (the set is discarded after a failed run anyway).
 	grace := time.AfterFunc(10*time.Second, func() {
-		reaping.set()
+		reaping.Store(true)
 		s.kill()
 	})
 	wg.Wait()
@@ -557,22 +553,4 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 // one timeline, skewed only by host clock-sync error between calls.
 func wallClockSince(epochNano int64) func() uint64 {
 	return func() uint64 { return uint64(time.Now().UnixNano() - epochNano) }
-}
-
-// atomicFlag is a tiny set-once boolean safe across goroutines.
-type atomicFlag struct {
-	mu  sync.Mutex
-	val bool
-}
-
-func (f *atomicFlag) set() {
-	f.mu.Lock()
-	f.val = true
-	f.mu.Unlock()
-}
-
-func (f *atomicFlag) get() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.val
 }

@@ -114,7 +114,7 @@ func TestDistWorkerCrashReported(t *testing.T) {
 		t.Skip("multi-process crash test skipped in -short mode")
 	}
 	cfg := dist.DefaultConfig(3)
-	cfg.KillRank = 1
+	cfg.KillRanks = []int{1}
 	cfg.KillAfter = 100 * time.Millisecond
 	// Big enough that the run cannot finish before the kill fires.
 	spec := workloads.Fib(30, 2000)

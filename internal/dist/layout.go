@@ -11,7 +11,7 @@
 // Split of responsibilities:
 //
 //   - Data plane: everything inside the segment, accessed only through
-//     sched.Deque / sched.Table / sched.Arena views and the control
+//     sched.Deque / sched.Table / mem.Arena views and the control
 //     page's atomics. After the start barrier, NO scheduling decision
 //     involves a message — steals, joins, completions and termination
 //     are all one-sided loads/stores/RMWs on the segment, exactly as in
@@ -70,16 +70,13 @@ type Config struct {
 	// TierGroup is the rank-block width for distance-tiered victim
 	// selection (<= 0 selects sched.DefaultTierGroup).
 	TierGroup int
-	// KillRank, when > 0, SIGKILLs that child rank KillAfter into the
-	// run — deterministic crash injection for the resilience tests and
-	// the harness's crash probe. (Rank 0 is the parent and cannot be
-	// the target.)
-	KillRank  int
-	KillAfter time.Duration
-	// KillRanks SIGKILLs several child ranks concurrently, KillAfter
-	// into the run (the double-kill regression: exactly one structured
-	// error must win). Combines with KillRank.
+	// KillRanks SIGKILLs each listed child rank KillAfter into the run
+	// — deterministic crash injection for the resilience tests and the
+	// harness's crash probe. Several ranks die concurrently (the
+	// double-kill regression: exactly one structured error must win).
+	// Rank 0 is the parent and cannot be a target.
 	KillRanks []int
+	KillAfter time.Duration
 	// HangRank, when > 0, wedges that child rank HangAfter into the run
 	// — alive but silent, heartbeats stopped — so the coordinator's
 	// heartbeat monitor (not the crash monitor) must detect it.

@@ -115,7 +115,7 @@ func TestDistObsCrashHarvest(t *testing.T) {
 	}
 	cfg := dist.DefaultConfig(3)
 	cfg.Obs = true
-	cfg.KillRank = 1
+	cfg.KillRanks = []int{1}
 	cfg.KillAfter = 200 * time.Millisecond
 	spec := workloads.Fib(30, 2000)
 	res, err := dist.Run(cfg, spec.Fid, spec.Locals, spec.Init)

@@ -238,7 +238,7 @@ func TestDistResidentKilledSetNotShelved(t *testing.T) {
 	}
 	dist.DropResident()
 	cfg := dist.DefaultConfig(3)
-	cfg.KillRank = 1
+	cfg.KillRanks = []int{1}
 	cfg.KillAfter = 100 * time.Millisecond
 	spec := workloads.Fib(30, 2000)
 	_, err := dist.Run(cfg, spec.Fid, spec.Locals, spec.Init)
@@ -485,7 +485,7 @@ func TestDistResidentSegmentUnlinked(t *testing.T) {
 	// The crash probe: collect every segment path this process maps
 	// while the run proceeds; none may exist once it returns.
 	cfg := dist.DefaultConfig(3)
-	cfg.KillRank = 1
+	cfg.KillRanks = []int{1}
 	cfg.KillAfter = 100 * time.Millisecond
 	spec := workloads.Fib(30, 2000)
 	paths := map[string]bool{}

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"uniaddr/internal/mem"
 	"uniaddr/internal/obs"
 	"uniaddr/internal/sched"
 )
@@ -93,7 +94,7 @@ func attachSegment(b []byte, lay layout) (*segment, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dist: rank %d table: %w", r, err)
 		}
-		a := sched.NewArenaOver(lay.arenaBase, b[lay.arenaOff[r]:lay.arenaOff[r]+lay.arenaSize])
+		a := mem.NewArenaOver(lay.arenaBase, b[lay.arenaOff[r]:lay.arenaOff[r]+lay.arenaSize])
 		s.peers = append(s.peers, sched.Views{Arena: a, Deque: d, Records: t})
 	}
 	return s, nil

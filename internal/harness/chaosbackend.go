@@ -59,8 +59,9 @@ type ChaosBackend struct {
 	// Supports returns "" when the backend can run the schedule, or the
 	// reason it cannot (sim-only knobs on rt, kill injection on sim, …).
 	Supports func(ChaosSchedule) string
-	// SkipSpec is the usual workload gate (gas-staged specs are
-	// sim-only).
+	// SkipSpec is the usual workload gate: "" when the backend can run
+	// the spec, else the reason (gas-staged specs are sim-only; see
+	// SkipReason).
 	SkipSpec func(workloads.Spec) string
 	// Typed reports whether err is one of the backend's structured
 	// error types — the difference between graceful degradation and an
@@ -128,14 +129,12 @@ func RunChaosMatrix(b ChaosBackend, workers int, seeds []uint64, schedules []Cha
 			specs = specs[:1]
 		}
 		for _, spec := range specs {
-			if b.SkipSpec != nil {
-				if reason := b.SkipSpec(spec); reason != "" {
-					cells = append(cells, ChaosCell{
-						Backend: b.Name, Schedule: sch.Name, Workload: spec.Name,
-						Outcome: "skipped", Err: reason, Pass: true,
-					})
-					continue
-				}
+			if reason := b.SkipSpec(spec); reason != "" {
+				cells = append(cells, ChaosCell{
+					Backend: b.Name, Schedule: sch.Name, Workload: spec.Name,
+					Outcome: "skipped", Err: reason, Pass: true,
+				})
+				continue
 			}
 			for _, seed := range seeds {
 				cell := runChaosCell(b, spec, workers, seed, sch)
@@ -348,7 +347,7 @@ func RTChaosBackend() ChaosBackend {
 			}
 			return ""
 		},
-		SkipSpec: RTSkipReason,
+		SkipSpec: func(s workloads.Spec) string { return SkipReason("rt", s) },
 		Typed: func(err error) bool {
 			var to *rt.TimeoutError
 			return errors.As(err, &to)
@@ -377,7 +376,7 @@ func DistChaosBackend() ChaosBackend {
 			}
 			return ""
 		},
-		SkipSpec: DistSkipReason,
+		SkipSpec: func(s workloads.Spec) string { return SkipReason("dist", s) },
 		Typed:    distTypedError,
 		Check:    distChaosCheck,
 		Run: func(spec workloads.Spec, workers int, seed uint64, sch ChaosSchedule) (uint64, error) {

@@ -41,22 +41,13 @@ func DiffWorkloads() []DiffWorkload {
 	}
 }
 
-// RTSkipReason explains why a Spec cannot run on the rt backend, or ""
-// if it can. Centralised so the differential and chaos matrices report
-// identical reasons.
-func RTSkipReason(s workloads.Spec) string {
+// SkipReason explains why a Spec cannot run on the real backend named
+// backend ("rt" or "dist"), or "" if it can: gas-staged workloads need a
+// machine-global heap neither real backend has yet. Centralised so the
+// differential and chaos matrices report identical reasons.
+func SkipReason(backend string, s workloads.Spec) string {
 	if s.Setup != nil {
-		return "requires machine Setup (global-heap staging); sim-only until rt grows a shared heap"
-	}
-	return ""
-}
-
-// DistSkipReason is RTSkipReason for the dist backend: the same
-// constraint, gas-staged workloads need a machine-global heap neither
-// real backend has yet.
-func DistSkipReason(s workloads.Spec) string {
-	if s.Setup != nil {
-		return "requires machine Setup (global-heap staging); sim-only until dist grows a shared heap"
+		return "requires machine Setup (global-heap staging); sim-only until " + backend + " grows a shared heap"
 	}
 	return ""
 }
@@ -85,49 +76,20 @@ type DiffReport struct {
 	Skipped    int       `json:"skipped"`
 }
 
-// DiffBackend abstracts the backend under differential test. The sim is
-// always the oracle side; this is the other side. Skip explains why a
-// workload cannot run on this backend ("" = it can); Run executes the
-// workload and returns the root result, erroring only on infrastructure
-// failure (a wrong ANSWER is the harness's job to detect, not Run's).
-type DiffBackend struct {
-	Name string
-	Skip func(workloads.Spec) string
-	Run  func(spec workloads.Spec, workers int, seed uint64) (uint64, error)
-}
-
-// diffBackend makes a chaos backend a differential target: its run
-// under the empty schedule.
-func diffBackend(b ChaosBackend) DiffBackend {
-	return DiffBackend{
-		Name: b.Name,
-		Skip: b.SkipSpec,
-		Run: func(spec workloads.Spec, workers int, seed uint64) (uint64, error) {
-			return b.Run(spec, workers, seed, ChaosSchedule{})
-		},
-	}
-}
-
-// RTDiffBackend is the in-process real-parallelism backend as a
-// differential target.
-func RTDiffBackend() DiffBackend { return diffBackend(RTChaosBackend()) }
-
-// DistDiffBackend is the multi-process backend as a differential
-// target: workers = OS processes. Any binary that runs it re-execs
-// itself for the worker processes, so its main / TestMain must call
-// dist.MaybeChild() before anything else.
-func DistDiffBackend() DiffBackend { return diffBackend(DistChaosBackend()) }
-
 // RunDifferentialBackend runs every workload on the sim oracle and on b
-// for every (workers, seed) combination and compares root results.
-// Workloads b cannot execute produce one skipped row each (with the
-// reason) instead of disappearing. The returned error is non-nil only
-// for infrastructure failures; result mismatches are reported in the
-// rows so the caller can print all of them, not just the first.
-func RunDifferentialBackend(b DiffBackend, wls []DiffWorkload, workerCounts []int, seeds []uint64) (DiffReport, error) {
+// — the backend under test, run under the empty chaos schedule — for
+// every (workers, seed) combination and compares root results.
+// Workloads b cannot execute (b.SkipSpec) produce one skipped row each
+// (with the reason) instead of disappearing. The returned error is
+// non-nil only for infrastructure failures; result mismatches are
+// reported in the rows so the caller can print all of them, not just
+// the first. Running the dist backend re-execs the calling binary for
+// its worker processes, so its main / TestMain must call
+// dist.MaybeChild() before anything else.
+func RunDifferentialBackend(b ChaosBackend, wls []DiffWorkload, workerCounts []int, seeds []uint64) (DiffReport, error) {
 	rep := DiffReport{Backend: b.Name}
 	for _, wl := range wls {
-		if reason := b.Skip(wl.Spec); reason != "" {
+		if reason := b.SkipSpec(wl.Spec); reason != "" {
 			rep.Rows = append(rep.Rows, DiffRow{Workload: wl.Name, Skipped: true, SkipReason: reason})
 			rep.Skipped++
 			continue
@@ -144,7 +106,7 @@ func RunDifferentialBackend(b DiffBackend, wls []DiffWorkload, workerCounts []in
 				}
 				row.SimResult = simRes
 
-				got, err := b.Run(wl.Spec, workers, seed)
+				got, err := b.Run(wl.Spec, workers, seed, ChaosSchedule{})
 				if err != nil {
 					return rep, fmt.Errorf("%s %s workers=%d seed=%d: %w", b.Name, wl.Name, workers, seed, err)
 				}

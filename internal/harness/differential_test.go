@@ -26,7 +26,7 @@ func TestDifferentialSimVsRT(t *testing.T) {
 		workerCounts = []int{1, 4}
 		seeds = []uint64{1, 2, 3}
 	}
-	rep, err := RunDifferentialBackend(RTDiffBackend(), DiffWorkloads(), workerCounts, seeds)
+	rep, err := RunDifferentialBackend(RTChaosBackend(), DiffWorkloads(), workerCounts, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestDifferentialSimVsDist(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-process differential matrix skipped in -short mode")
 	}
-	rep, err := RunDifferentialBackend(DistDiffBackend(), DiffWorkloads(), []int{2, 4}, []uint64{1, 2, 3})
+	rep, err := RunDifferentialBackend(DistChaosBackend(), DiffWorkloads(), []int{2, 4}, []uint64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,9 @@
 // also keeps per-space accounting of reserved and committed bytes so the
 // iso-address vs uni-address address-space comparison (paper §4/§5) can
 // be measured rather than asserted.
+//
+// Arena (arena.go) is the uni-address region's stack discipline (§5.2)
+// over any byte slice; the simulator and both real backends run on it.
 package mem
 
 import (

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"uniaddr/internal/core"
+	"uniaddr/internal/mem"
 	"uniaddr/internal/sched"
 	"uniaddr/internal/workloads"
 )
@@ -34,7 +35,7 @@ func BenchmarkNewFrame(b *testing.B) {
 }
 
 func BenchmarkArenaReadU64(b *testing.B) {
-	a := sched.NewArena(0x1000, 4096)
+	a := mem.NewArena(0x1000, 4096)
 	a.WriteU64(0x1100, 7)
 	var sink uint64
 	for i := 0; i < b.N; i++ {
@@ -44,7 +45,7 @@ func BenchmarkArenaReadU64(b *testing.B) {
 }
 
 func BenchmarkArenaWriteU64(b *testing.B) {
-	a := sched.NewArena(0x1000, 4096)
+	a := mem.NewArena(0x1000, 4096)
 	for i := 0; i < b.N; i++ {
 		a.WriteU64(0x1100, uint64(i))
 	}

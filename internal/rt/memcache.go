@@ -3,6 +3,7 @@ package rt
 import (
 	"sync"
 
+	"uniaddr/internal/core"
 	"uniaddr/internal/mem"
 	"uniaddr/internal/sched"
 )
@@ -16,7 +17,6 @@ import (
 
 // memKey is the layout a bundle was built for and may be reused by.
 type memKey struct {
-	arenaBase                      mem.VA
 	arenaSize, dequeCap, recordCap uint64
 }
 
@@ -51,7 +51,7 @@ func takeWorkerMem(k memKey) workerMem {
 	}
 	c.mu.Unlock()
 	return workerMem{k, sched.Views{
-		Arena:   sched.NewArena(k.arenaBase, k.arenaSize),
+		Arena:   mem.NewArena(core.DefaultUniBase, k.arenaSize),
 		Deque:   sched.NewDeque(k.dequeCap),
 		Records: sched.NewTable(k.recordCap),
 	}}

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"uniaddr/internal/sched"
+	"uniaddr/internal/mem"
 	"uniaddr/internal/workloads"
 )
 
@@ -26,8 +26,8 @@ func memCacheLen() int {
 }
 
 // poolArenas is the identity of the memory a runtime's workers run on.
-func poolArenas(r *Runtime) map[*sched.Arena]bool {
-	m := map[*sched.Arena]bool{}
+func poolArenas(r *Runtime) map[*mem.Arena]bool {
+	m := map[*mem.Arena]bool{}
 	for _, w := range r.workers {
 		m[w.Arena] = true
 	}
@@ -61,7 +61,7 @@ func TestPoolsRecycleWorkerMemory(t *testing.T) {
 	// A child long enough (~100 µs) that the woken thief has taken the
 	// parent and reached its join well before the child completes.
 	spec := workloads.PingPong(64, 200_000, 0)
-	var first map[*sched.Arena]bool
+	var first map[*mem.Arena]bool
 	for i, in := range []struct {
 		workers int
 		run     bool // rt.New(cfg).Run rather than a pool of three jobs
@@ -200,7 +200,7 @@ func TestPoolTotalStatsSurviveReuse(t *testing.T) {
 func TestMemCacheBoundedAndKeyed(t *testing.T) {
 	emptyMemCache()
 	defer emptyMemCache()
-	ka := memKey{arenaBase: 0x10000, arenaSize: 4096, dequeCap: 16, recordCap: 16}
+	ka := memKey{arenaSize: 4096, dequeCap: 16, recordCap: 16}
 	kb := ka
 	kb.arenaSize = 8192
 	oldest := takeWorkerMem(ka)

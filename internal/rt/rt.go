@@ -30,7 +30,6 @@ import (
 
 	"uniaddr/internal/core"
 	"uniaddr/internal/fault"
-	"uniaddr/internal/mem"
 	"uniaddr/internal/obs"
 	"uniaddr/internal/sched"
 )
@@ -54,10 +53,9 @@ type Config struct {
 	Workers int
 	// Seed drives victim selection; each worker derives its own stream.
 	Seed uint64
-	// ArenaBase / ArenaSize lay out the per-worker uni-address region;
-	// identical across workers by construction, which is the whole
-	// point.
-	ArenaBase mem.VA
+	// ArenaSize sizes the per-worker uni-address region, which every
+	// worker maps at core.DefaultUniBase — identical across workers
+	// and backends by construction, which is the whole point.
 	ArenaSize uint64
 	// DequeCap is the per-worker deque capacity (power of two).
 	DequeCap uint64
@@ -108,7 +106,6 @@ func DefaultConfig(n int) Config {
 	return Config{
 		Workers:   n,
 		Seed:      1,
-		ArenaBase: core.DefaultUniBase,
 		ArenaSize: core.DefaultUniSize,
 		DequeCap:  core.DefaultDequeCap,
 		RecordCap: 1 << 16,
@@ -123,9 +120,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.Seed == 0 {
 		c.Seed = d.Seed
-	}
-	if c.ArenaBase == 0 {
-		c.ArenaBase = d.ArenaBase
 	}
 	if c.ArenaSize == 0 {
 		c.ArenaSize = d.ArenaSize
@@ -281,7 +275,7 @@ func newRuntime(cfg Config) *Runtime {
 
 // memKey is the layout of the worker memory c asks for.
 func (c Config) memKey() memKey {
-	return memKey{c.ArenaBase, c.ArenaSize, c.DequeCap, c.RecordCap}
+	return memKey{c.ArenaSize, c.DequeCap, c.RecordCap}
 }
 
 // start launches the workers and the watchdog: from here on the runtime

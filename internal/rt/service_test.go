@@ -461,7 +461,9 @@ func TestPoolWeightedAdmission(t *testing.T) {
 	tk1 := submitSpec(t, p, heavy, rt.JobParams{})
 	// Wait for tk1 to occupy the slot (queue empties on claim).
 	var first, second *rt.Ticket
+	var firstCalled time.Time
 	for {
+		firstCalled = time.Now()
 		tk, err := p.Submit(small.Fid, small.Locals, small.Init, rt.JobParams{Weight: 1})
 		if err == nil {
 			first = tk
@@ -470,15 +472,23 @@ func TestPoolWeightedAdmission(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	second = submitSpec(t, p, small, rt.JobParams{Weight: 100})
+	secondReturned := time.Now()
 	waitSpec(t, tk1, heavy)
 	r1 := waitSpec(t, first, small)
 	r2 := waitSpec(t, second, small)
-	// Dispatch order is observable through queue latency endpoints:
-	// the weighted job left the queue first.
-	d1 := r1.QueueNS
-	d2 := r2.QueueNS
-	if d1 <= 0 || d2 <= 0 {
-		t.Fatalf("queue latencies not recorded: %d, %d", d1, d2)
+	if r1.QueueNS <= 0 || r2.QueueNS <= 0 {
+		t.Fatalf("queue latencies not recorded: %d, %d", r1.QueueNS, r2.QueueNS)
+	}
+	// A job's dispatch instant is its submit instant plus QueueNS. The
+	// two submit instants lie inside [firstCalled, secondReturned], so
+	// second's dispatch minus first's is at most that bracket plus
+	// second's QueueNS minus first's. Below zero, the weight-100 job
+	// left the queue before the weight-1 job that was queued first.
+	bracket := secondReturned.Sub(firstCalled).Nanoseconds()
+	if late := bracket + r2.QueueNS - r1.QueueNS; late >= 0 {
+		t.Fatalf("weight-100 job was not dispatched before the earlier weight-1 job: "+
+			"queue %d ns vs %d ns, submits %d ns apart at most (dispatch gap bound %d ns)",
+			r2.QueueNS, r1.QueueNS, bracket, late)
 	}
 	if got := p.JobsCompleted(); got != 3 {
 		t.Errorf("JobsCompleted = %d, want 3", got)

@@ -8,7 +8,7 @@ import (
 )
 
 func TestArenaSliceBounds(t *testing.T) {
-	a := NewArena(0x1000, 256)
+	a := mem.NewArena(0x1000, 256)
 	if _, err := a.Slice(0x1000, 256); err != nil {
 		t.Fatalf("full-arena slice rejected: %v", err)
 	}
@@ -35,7 +35,7 @@ func TestArenaSliceBounds(t *testing.T) {
 }
 
 func TestArenaU64FastAndSlowPaths(t *testing.T) {
-	a := NewArena(0x1000, 64)
+	a := mem.NewArena(0x1000, 64)
 	a.WriteU64(0x1000, 0xdeadbeefcafef00d)
 	if got := a.ReadU64(0x1000); got != 0xdeadbeefcafef00d {
 		t.Fatalf("ReadU64 = %#x", got)
@@ -65,7 +65,7 @@ func TestArenaU64FastAndSlowPaths(t *testing.T) {
 // whose base+size wraps past 2^64 used to pass the `base+size > end`
 // check and admit a region lying far outside the arena.
 func TestArenaInstallOverflowGuard(t *testing.T) {
-	a := NewArena(0x1000, 256)
+	a := mem.NewArena(0x1000, 256)
 
 	if err := a.Install(0x1040, 64); err != nil {
 		t.Fatalf("legal install rejected: %v", err)
@@ -107,8 +107,8 @@ func TestArenaInstallOverflowGuard(t *testing.T) {
 // dist same-VA trick in miniature) observe each other's bytes.
 func TestArenaOverSharedBacking(t *testing.T) {
 	backing := heapRegion(128)
-	a := NewArenaOver(0x2000, backing)
-	b := NewArenaOver(0x2000, backing)
+	a := mem.NewArenaOver(0x2000, backing)
+	b := mem.NewArenaOver(0x2000, backing)
 	a.WriteU64(0x2040, 0xfeed)
 	if got := b.ReadU64(0x2040); got != 0xfeed {
 		t.Fatalf("second view read %#x, want 0xfeed", got)

@@ -88,7 +88,7 @@ type Engine struct {
 // Views is one rank's scheduler memory: attach-to-any-memory views, so
 // the same three serve a Go-heap allocation and a shared segment.
 type Views struct {
-	Arena   *Arena
+	Arena   *mem.Arena
 	Deque   *Deque
 	Records *Table
 }

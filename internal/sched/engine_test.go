@@ -35,8 +35,8 @@ func (s *stubExec) ExecSpawnRun(e, child *core.Env) bool {
 }
 
 const (
-	testArenaBase = mem.VA(0x10000)
-	testLocals    = 3 * 8
+	testArenaVA = mem.VA(0x10000)
+	testLocals  = 3 * 8
 )
 
 func never() bool { return false }
@@ -50,7 +50,7 @@ func newEngines(n int) []*stubExec { return newEnginesOn(n, nil) }
 func newEnginesOn(n int, jobs *JobTable) []*stubExec {
 	peers := make([]Views, n)
 	for i := range peers {
-		peers[i] = Views{NewArena(testArenaBase, 1<<14), NewDeque(64), NewTable(64)}
+		peers[i] = Views{mem.NewArena(testArenaVA, 1<<14), NewDeque(64), NewTable(64)}
 	}
 	ws := make([]*stubExec, n)
 	for i := range ws {

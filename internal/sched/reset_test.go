@@ -28,13 +28,13 @@ func sameTranscript(t *testing.T, seed int64, fresh, reset []string) {
 }
 
 const (
-	resetArenaBase mem.VA = 0x4000
+	resetArenaVA   mem.VA = 0x4000
 	resetArenaSize uint64 = 4096
 )
 
 // driveArena runs steps random stack operations, legal and illegal, and
 // a write/read-back through every frame it allocates.
-func driveArena(a *Arena, seed int64, steps int) []string {
+func driveArena(a *mem.Arena, seed int64, steps int) []string {
 	rng := rand.New(rand.NewSource(seed))
 	type frame struct {
 		base mem.VA
@@ -72,7 +72,7 @@ func driveArena(a *Arena, seed int64, steps int) []string {
 		case op < 9:
 			// Install anywhere in (and sometimes past) the region; legal
 			// only while it is empty.
-			base := resetArenaBase + mem.VA(8*rng.Intn(int(resetArenaSize/8)))
+			base := resetArenaVA + mem.VA(8*rng.Intn(int(resetArenaSize/8)))
 			size := uint64(8 * (1 + rng.Intn(96)))
 			err := a.Install(base, size)
 			if err == nil {
@@ -90,9 +90,9 @@ func driveArena(a *Arena, seed int64, steps int) []string {
 
 func TestArenaResetMatchesFresh(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
-		fresh := driveArena(NewArena(resetArenaBase, resetArenaSize), seed, 400)
+		fresh := driveArena(mem.NewArena(resetArenaVA, resetArenaSize), seed, 400)
 
-		used := NewArena(resetArenaBase, resetArenaSize)
+		used := mem.NewArena(resetArenaVA, resetArenaSize)
 		// Dirty it with a different sequence, and leave a deep stack and
 		// a high-water mark behind.
 		driveArena(used, seed+1000, 300)

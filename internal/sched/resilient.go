@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"uniaddr/internal/core"
+	"uniaddr/internal/mem"
 	"uniaddr/internal/obs"
 )
 
@@ -196,7 +197,7 @@ func (r *Resilience) backoff(attempt int) time.Duration {
 // (buf[0] oldest / highest VA, buf[n-1] newest / lowest VA) and the
 // frames are installed in dst. With a nil injector this is exactly
 // one StealBeginBatch, one copy, one mint, one StealCommit.
-func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf []Entry) (int, StealOutcome) {
+func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *mem.Arena, buf []Entry) (int, StealOutcome) {
 	for attempt := 0; ; attempt++ {
 		if r.inj != nil {
 			stall, fail := r.inj.StealClaim(r.rank, victim)
@@ -278,7 +279,7 @@ func (r *Resilience) StealBatchFrom(victim int, vd *Deque, src, dst *Arena, buf 
 }
 
 // StealFrom is StealBatchFrom for a single entry.
-func (r *Resilience) StealFrom(victim int, vd *Deque, src, dst *Arena) (Entry, StealOutcome) {
+func (r *Resilience) StealFrom(victim int, vd *Deque, src, dst *mem.Arena) (Entry, StealOutcome) {
 	var buf [1]Entry
 	_, outcome := r.StealBatchFrom(victim, vd, src, dst, buf[:])
 	return buf[0], outcome

@@ -41,7 +41,7 @@ func (s *scriptInjector) StealCopy(thief, victim int) (time.Duration, bool) {
 // there and one that rolls back mints none.
 type testRig struct {
 	vd       *Deque
-	src, dst *Arena
+	src, dst *mem.Arena
 	ent      Entry
 	jobs     *JobTable
 }
@@ -67,8 +67,8 @@ func fillFrame(b []byte, pattern func(j int) byte) {
 func newTestRig(t *testing.T) *testRig {
 	t.Helper()
 	const base, size = mem.VA(0x1000), uint64(1 << 16)
-	src := NewArena(base, size)
-	dst := NewArena(base, size)
+	src := mem.NewArena(base, size)
+	dst := mem.NewArena(base, size)
 	fb, err := src.AllocBelow(256)
 	if err != nil {
 		t.Fatal(err)
@@ -128,7 +128,7 @@ func TestStealMintsInsideVictimLock(t *testing.T) {
 	if unsafe.Pointer(&jobs.Get(0).Live) != unsafe.Pointer(&vd.hdr.lock) {
 		t.Fatal("slot 0's Live word is not the deque's lock word; the overlay is mis-built")
 	}
-	src, dst := NewArena(base, size), NewArena(base, size)
+	src, dst := mem.NewArena(base, size), mem.NewArena(base, size)
 	fb, err := src.AllocBelow(256)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +251,7 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 		entries = 64
 	)
 	base, size := mem.VA(0x1000), uint64(1<<20)
-	src := NewArena(base, size)
+	src := mem.NewArena(base, size)
 	vd := NewDeque(128)
 	for i := 0; i < entries; i++ {
 		fb, err := src.AllocBelow(128)
@@ -274,7 +274,7 @@ func TestResilienceConcurrentThievesRace(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			dst := NewArena(base, size)
+			dst := mem.NewArena(base, size)
 			// Every 5th copy consultation fails → rollbacks interleave
 			// with commits across racing thieves.
 			inj := &everyNthCopy{n: 5}
@@ -337,8 +337,8 @@ func (e *everyNthCopy) StealCopy(thief, victim int) (time.Duration, bool) {
 func newBatchRig(t *testing.T) *testRig {
 	t.Helper()
 	const base, size = mem.VA(0x1000), uint64(1 << 16)
-	src := NewArena(base, size)
-	dst := NewArena(base, size)
+	src := mem.NewArena(base, size)
+	dst := mem.NewArena(base, size)
 	vd := NewDeque(8) // MaxClaim 2
 	for i := 0; i < 4; i++ {
 		fb, err := src.AllocBelow(256)

@@ -1,7 +1,8 @@
 // Package sched holds what every real-concurrency backend shares: the
-// scheduler data structures — the uni-address stack Arena, the
-// THE-protocol work-stealing Deque and the task-record Table — and the
-// Engine, the scheduling mechanism that runs over them (engine.go).
+// scheduler data structures — the THE-protocol work-stealing Deque and
+// the task-record Table, beside the uni-address stack arena (mem.Arena,
+// which the simulator runs too) — and the Engine, the scheduling
+// mechanism that runs over them (engine.go).
 //
 // The package exists because the same three structures must live in two
 // very different kinds of memory:

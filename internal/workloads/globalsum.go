@@ -153,8 +153,8 @@ func GlobalSum(elems, chunk uint64, workers int) Spec {
 			if m.Config().Workers != workers {
 				return fmt.Errorf("globalsum: spec built for %d workers, machine has %d", workers, m.Config().Workers)
 			}
-			if per*8 > m.Config().GasSize {
-				return fmt.Errorf("globalsum: %d elems/rank exceed the %s-byte gas segment", per, "configured")
+			if per*8 > core.GasSize {
+				return fmt.Errorf("globalsum: %d elems/rank exceed the %d-byte gas segment", per, core.GasSize)
 			}
 			buf := make([]byte, 8)
 			for i := uint64(0); i < elems; i++ {

@@ -278,7 +278,7 @@ func MergeSort(elems, chunk uint64, workers int) Spec {
 			if m.Config().Workers != workers {
 				return fmt.Errorf("mergesort: spec built for %d workers", workers)
 			}
-			if 2*per*8 > m.Config().GasSize {
+			if 2*per*8 > core.GasSize {
 				return fmt.Errorf("mergesort: need %d B/rank gas segment", 2*per*8)
 			}
 			buf := make([]byte, 8)
