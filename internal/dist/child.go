@@ -8,11 +8,13 @@ import (
 	"net"
 	"os"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"uniaddr/internal/core"
 	"uniaddr/internal/fault"
 	"uniaddr/internal/obs"
+	"uniaddr/internal/sched"
 )
 
 // MaybeChild is the worker-process entrypoint hook. Any binary that can
@@ -82,10 +84,16 @@ func dialHello(spec childSpec, plan *fault.Plan, errText string) (*ctlConn, star
 	return c, start, nil
 }
 
+// coordinatorGone reports whether a dial was refused: nothing listens
+// on the set's abstract socket, so the coordinator has exited and no
+// redial can reach it. Lost, cut and late messages are redialed.
+func coordinatorGone(err error) bool { return errors.Is(err, syscall.ECONNREFUSED) }
+
 // ctlHandshake runs hello→start, redialing with jittered exponential
-// backoff on any failure. Every attempt replays the whole exchange —
-// the coordinator's state machine is idempotent, so replays are always
-// safe. redials counts the failed attempts before the one returned.
+// backoff on any failure but a refused dial. Every attempt replays the
+// whole exchange — the coordinator's state machine is idempotent, so
+// replays are always safe. redials counts the failed attempts before the
+// one returned.
 func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *rand.Rand) (*ctlConn, startMsg, int, error) {
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
@@ -93,6 +101,9 @@ func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *ra
 			ctlBackoff(rng, attempt)
 		}
 		c, start, err := dialHello(spec, plan, setupErrText)
+		if coordinatorGone(err) {
+			return nil, startMsg{}, 0, fmt.Errorf("dist child %d: handshake: coordinator gone: %w", spec.Rank, err)
+		}
 		if err != nil {
 			lastErr = err
 			continue
@@ -105,9 +116,10 @@ func ctlHandshake(spec childSpec, plan *fault.Plan, setupErrText string, rng *ra
 // sendBye delivers the run's report and waits for the coordinator's
 // ack. A lost bye or ack is retried on a FRESH handshake: the child
 // redials, replays hello (the coordinator re-sends the run's start
-// immediately) and resends the bye. Without the ack a dropped report
-// would be indistinguishable from success. It returns the connection
-// the ack arrived on — the one the next start will come down.
+// immediately) and resends the bye; a refused dial ends the retries.
+// Without the ack a dropped report would be indistinguishable from
+// success. It returns the connection the ack arrived on — the one the
+// next start will come down.
 func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand.Rand, wlog *obs.Log) (*ctlConn, error) {
 	var lastErr error
 	for attempt := 0; attempt < ctlMaxAttempts; attempt++ {
@@ -120,7 +132,9 @@ func sendBye(spec childSpec, plan *fault.Plan, c *ctlConn, bye byeMsg, rng *rand
 			// nested product.
 			var start startMsg
 			var err error
-			if c, start, err = dialHello(spec, plan, ""); err != nil {
+			if c, start, err = dialHello(spec, plan, ""); coordinatorGone(err) {
+				return c, fmt.Errorf("dist child %d: bye: coordinator gone: %w", spec.Rank, err)
+			} else if err != nil {
 				lastErr = err
 				continue
 			}
@@ -186,6 +200,7 @@ func childMain(spec childSpec) int {
 		setupErrText = setupErr.Error()
 	}
 	waitFrom := time.Now().UnixNano()
+	var free sched.FreeLists // the worker's free lists between runs
 	c, start, redials, err := ctlHandshake(spec, plan, setupErrText, rng)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dist child %d: %v\n", spec.Rank, err)
@@ -201,7 +216,7 @@ func childMain(spec childSpec) int {
 			return 4
 		}
 		var code int
-		if c, code = childRun(spec, seg, plan, c, start, waitFrom, redials, rng); code != 0 {
+		if c, code = childRun(spec, seg, plan, c, start, waitFrom, redials, rng, &free); code != 0 {
 			return code
 		}
 		// Between runs: block until the next start. EOF means the set
@@ -215,9 +230,10 @@ func childMain(spec childSpec) int {
 
 // childRun is one run on this child: reset what the rank alone writes,
 // run the scheduler loop (stamping heartbeats), say bye and wait for the
-// ack. It returns the connection the ack came on and a non-zero exit
-// code if the child must end.
-func childRun(spec childSpec, seg *segment, plan *fault.Plan, c *ctlConn, start startMsg, waitFrom int64, redials int, rng *rand.Rand) (*ctlConn, int) {
+// ack. The worker starts from free, the free lists the last run's worker
+// left, and leaves its own there. It returns the connection the ack came
+// on and a non-zero exit code if the child must end.
+func childRun(spec childSpec, seg *segment, plan *fault.Plan, c *ctlConn, start startMsg, waitFrom int64, redials int, rng *rand.Rand, free *sched.FreeLists) (*ctlConn, int) {
 	if err := seg.resetOwn(spec.Rank, start.ObsEpoch); err != nil {
 		fmt.Fprintf(os.Stderr, "dist child %d: %v\n", spec.Rank, err)
 		return c, 3
@@ -240,7 +256,9 @@ func childRun(spec childSpec, seg *segment, plan *fault.Plan, c *ctlConn, start 
 	unwatch := watchCoordinator(c)
 
 	w := newWorker(seg, spec.Rank, start, plan, &hung)
+	w.AdoptFreeLists(*free)
 	runErr := w.run()
+	*free = w.TakeFreeLists()
 	bs := wlog.Clock()
 	unwatch()
 	stopHB()

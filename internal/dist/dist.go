@@ -13,6 +13,7 @@ import (
 	"uniaddr/internal/core"
 	"uniaddr/internal/fault"
 	"uniaddr/internal/obs"
+	"uniaddr/internal/sched"
 )
 
 // Result is a completed dist run's report: the root task's result plus
@@ -149,6 +150,8 @@ type workerSet struct {
 	seg      *segment
 	srv      *ctlServer
 	children []*childProc
+	// free is rank 0's Env and context free lists between runs.
+	free sched.FreeLists
 }
 
 // residentCap bounds the shelf, in sets: two keep a caller alternating
@@ -477,12 +480,14 @@ func (s *workerSet) run(cfg *Config, plan *fault.Plan, epoch int64, fid core.Fun
 
 	t0 := time.Now()
 	w0 := newWorker(seg, 0, start, plan, nil)
+	w0.AdoptFreeLists(s.free)
 	w0.rootFid, w0.rootLocals, w0.rootInit = fid, localsLen, init
 	if runErr := w0.run(); runErr != nil {
 		seg.failStore(1)
 		errs.record(runErr)
 	}
 	elapsed := time.Since(t0)
+	s.free = w0.TakeFreeLists()
 
 	// --- bye barrier ---------------------------------------------------
 	// The loop exits only with done or fail set, so children are

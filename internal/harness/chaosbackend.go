@@ -359,7 +359,7 @@ func RTChaosBackend() ChaosBackend {
 			if sch.Deadline > 0 {
 				cfg.MaxWall = sch.Deadline
 			}
-			// Run checks the pool's quiescence as it closes.
+			// Run checks the pool's quiescence before it shelves the pool.
 			return rt.New(cfg).Run(spec.Fid, spec.Locals, spec.Init)
 		},
 	}

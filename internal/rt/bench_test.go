@@ -15,14 +15,13 @@ import (
 // -benchtime=1x as a smoke test; locally, `go test -bench . -run '^$'
 // ./internal/rt` gives the real numbers, and -cpuprofile/-memprofile
 // work as usual. The e2e benchmarks report ns/task and allocs/task;
-// both include each iteration's fresh Runtime, so they are for reading
-// trends — the regression guard for "the steady-state spawn/join path
-// must not allocate" is TestSpawnPathAllocFree (spawn_test.go), which
-// measures a warm pool.
+// both include each iteration's whole Run (the first one builds its
+// pool), so they are for reading trends — the regression guard for "the
+// steady-state spawn/join path must not allocate" is
+// TestSpawnPathAllocFree (spawn_test.go), which measures a warm pool.
 
 func BenchmarkNewFrame(b *testing.B) {
-	cfg := DefaultConfig(1)
-	w := New(cfg).workers[0]
+	w := parkRig(1).workers[0]
 	const size = 128
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -69,7 +68,7 @@ func BenchmarkDequePushPop(b *testing.B) {
 // claim under the victim's FAA lock, install, cross-arena memcpy,
 // commit — for a 128-byte frame.
 func BenchmarkStealRoundTrip(b *testing.B) {
-	r := New(DefaultConfig(2))
+	r := parkRig(2)
 	victim, thief := r.workers[0], r.workers[1]
 	const size = 128
 	base := victim.NewFrame(1, size-core.FrameHeaderBytes, 0, 0).FrameBase()
@@ -97,7 +96,7 @@ func BenchmarkStealRoundTrip(b *testing.B) {
 }
 
 // benchRun executes spec once per iteration and reports ns/task and
-// allocs/op across the whole runtime lifecycle.
+// allocs/op across whole Runs.
 func benchRun(b *testing.B, spec workloads.Spec, workers int) {
 	b.Helper()
 	b.ReportAllocs()

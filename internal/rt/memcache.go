@@ -12,7 +12,7 @@ import (
 // ~3 MB arena, deque and record table are one GC cycle per NewPool and
 // all of a cold Run. A pool that closes quiescent holds no frame, deque
 // entry, live record or waiter, so its shutdown Resets each bundle onto a
-// small process-wide free list newRuntime draws from. A failed pool's
+// small process-wide free list newPool draws from. A failed pool's
 // memory stays out: something may still reference it.
 
 // memKey is the layout a bundle was built for and may be reused by.

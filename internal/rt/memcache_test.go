@@ -11,9 +11,10 @@ import (
 	"uniaddr/internal/workloads"
 )
 
-// emptyMemCache drops whatever earlier tests shelved, so a test can
-// tell its own pools' memory from theirs.
+// emptyMemCache drops whatever earlier tests shelved, resident pools
+// and free memory, so a test can tell its own pools' memory from theirs.
 func emptyMemCache() {
+	dropShelf()
 	memCache.mu.Lock()
 	memCache.n, memCache.free = 0, [memCacheCap]workerMem{}
 	memCache.mu.Unlock()
@@ -25,10 +26,10 @@ func memCacheLen() int {
 	return memCache.n
 }
 
-// poolArenas is the identity of the memory a runtime's workers run on.
-func poolArenas(r *Runtime) map[*mem.Arena]bool {
+// poolArenas is the identity of the memory a pool's workers run on.
+func poolArenas(p *Pool) map[*mem.Arena]bool {
 	m := map[*mem.Arena]bool{}
-	for _, w := range r.workers {
+	for _, w := range p.workers {
 		m[w.Arena] = true
 	}
 	return m
@@ -50,7 +51,8 @@ func runOnPool(t *testing.T, p *Pool, spec workloads.Spec) JobResult {
 // TestPoolsRecycleWorkerMemory runs a suspend-heavy job on pools of 4,
 // then 2, then 4 workers, then on a 4-worker Run, back to back: the
 // later ones must run on the first pool's memory, and run right, and a
-// Run must hand its memory back as a pool does, with no record live.
+// Run's pool, closed off the shelf, must hand its memory back as a pool
+// does, with no record live.
 // PingPong suspends its main thread every round, so the first pool
 // leaves its tables full of records that named a waiter: a rank a
 // resume forgot to clear would index the 2-worker pool's workers out of
@@ -66,17 +68,32 @@ func TestPoolsRecycleWorkerMemory(t *testing.T) {
 		workers int
 		run     bool // rt.New(cfg).Run rather than a pool of three jobs
 	}{{4, false}, {2, false}, {4, false}, {4, true}} {
-		var r *Runtime
+		var ts Stats
+		var arenas map[*mem.Arena]bool
 		if in.run {
-			r = New(DefaultConfig(in.workers))
+			r := New(DefaultConfig(in.workers))
+			if got, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil || got != spec.Expected {
+				t.Fatalf("Run: result %d err %v, want %d", got, err, spec.Expected)
+			}
+			ts = r.TotalStats()
+			// The Run's pool is resident now; closing it hands its
+			// memory back as a pool's Close does.
+			arenas = poolArenas(shelved()[0])
+			dropShelf()
 		} else {
 			p, err := NewPool(DefaultConfig(in.workers))
 			if err != nil {
 				t.Fatal(err)
 			}
-			r = p.r
+			arenas = poolArenas(p)
+			for j := 0; j < 3; j++ {
+				runOnPool(t, p, spec)
+			}
+			if err := p.Close(); err != nil {
+				t.Fatalf("pool %d (%d workers): %v", i, in.workers, err)
+			}
+			ts = p.TotalStats()
 		}
-		arenas := poolArenas(r)
 		if i == 0 {
 			first = arenas
 		} else {
@@ -86,20 +103,6 @@ func TestPoolsRecycleWorkerMemory(t *testing.T) {
 				}
 			}
 		}
-		if in.run {
-			if got, err := r.Run(spec.Fid, spec.Locals, spec.Init); err != nil || got != spec.Expected {
-				t.Fatalf("Run: result %d err %v, want %d", got, err, spec.Expected)
-			}
-		} else {
-			p := &Pool{r}
-			for j := 0; j < 3; j++ {
-				runOnPool(t, p, spec)
-			}
-			if err := p.Close(); err != nil {
-				t.Fatalf("pool %d (%d workers): %v", i, in.workers, err)
-			}
-		}
-		ts := r.TotalStats()
 		if ts.Suspends == 0 && runtime.GOMAXPROCS(0) > 1 {
 			t.Fatalf("input %d: PingPong never suspended; the test exercises nothing", i)
 		}
@@ -147,7 +150,7 @@ func TestFailedPoolIsNotRecycled(t *testing.T) {
 	runOnPool(t, p, workloads.Fib(10, 0))
 	// The one worker allocated the root from its own table: record 0 is
 	// touched, and free. Nothing runs now, so nobody else writes it.
-	p.r.workers[0].Records.Get(0).Waiter.Store(1)
+	p.workers[0].Records.Get(0).Waiter.Store(1)
 	if err := p.Close(); err == nil || !strings.Contains(err.Error(), "name a waiter") {
 		t.Fatalf("Close over a leftover waiter: got %v, want the quiescence error", err)
 	}
@@ -165,7 +168,7 @@ func TestPoolTotalStatsSurviveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arenas := poolArenas(a.r)
+	arenas := poolArenas(a)
 	runOnPool(t, a, workloads.Fib(8, 0))
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
@@ -178,7 +181,7 @@ func TestPoolTotalStatsSurviveReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for ar := range poolArenas(b.r) {
+	for ar := range poolArenas(b) {
 		if !arenas[ar] {
 			t.Fatal("the second pool did not reuse the first one's memory; the test exercises nothing")
 		}

@@ -128,8 +128,7 @@ func TestRTObsConcurrentStress(t *testing.T) {
 // are bit-identical with and without the recorder attached — the
 // nil-receiver path does not perturb scheduling.
 func TestRTObsDisabledPath(t *testing.T) {
-	cfg := DefaultConfig(2)
-	r := New(cfg)
+	r := parkRig(2)
 	if r.Obs() != nil {
 		t.Fatal("recorder allocated with Obs off")
 	}

@@ -49,9 +49,13 @@ func (s *idleState) reset() { s.spins = 0 }
 // registration episode, so a send can never block and a wake can never
 // be lost.
 type parkingLot struct {
-	count  atomic.Int64
-	mu     sync.Mutex
-	parked []*Worker
+	count atomic.Int64
+	// resting counts the registered workers that are past their recheck
+	// and have no wake token in flight (commit): at the pool's worker
+	// count, nothing runs until a wake (Pool.settle). Changed under mu.
+	resting atomic.Int64
+	mu      sync.Mutex
+	parked  []*Worker
 }
 
 // register adds w to the lot. The count increment is a seq-cst RMW that
@@ -62,6 +66,18 @@ func (l *parkingLot) register(w *Worker) {
 	w.parkSlot = int32(len(l.parked))
 	l.parked = append(l.parked, w)
 	l.count.Add(1)
+	l.mu.Unlock()
+}
+
+// commit marks w resting, once it is past its recheck and has made its
+// last write before it blocks. A w a waker already claimed is not
+// registered any more and stays out of the count: its token is in flight.
+func (l *parkingLot) commit(w *Worker) {
+	l.mu.Lock()
+	if w.parkSlot >= 0 {
+		w.resting = true
+		l.resting.Add(1)
+	}
 	l.mu.Unlock()
 }
 
@@ -91,6 +107,10 @@ func (l *parkingLot) removeLocked(w *Worker) {
 	l.parked = l.parked[:last]
 	w.parkSlot = -1
 	l.count.Add(-1)
+	if w.resting {
+		w.resting = false
+		l.resting.Add(-1)
+	}
 }
 
 // wakeOne releases the most recently parked worker, if any (LIFO: its
@@ -165,10 +185,10 @@ func (w *Worker) hasWorkHint() bool {
 	// enqueues before it wakes, and finalizeSlot publishes the freed
 	// slot before it wakes, so a parker that misses either count here is
 	// claimed by the corresponding wake.
-	if w.rt.queuedCount.Load() > 0 && w.rt.freeSlotCount.Load() > 0 {
+	if w.pool.queuedCount.Load() > 0 && w.pool.freeSlotCount.Load() > 0 {
 		return true
 	}
-	for _, v := range w.rt.workers {
+	for _, v := range w.pool.workers {
 		if v != w && v.Deque.Size() > 0 {
 			return true
 		}
@@ -182,9 +202,9 @@ func (w *Worker) hasWorkHint() bool {
 // that observes count > 0 (or a completer that observes the recorded
 // waiter) and sends a wake.
 func (w *Worker) park() {
-	w.rt.lot.register(w)
-	if w.rt.stopped() || w.hasWorkHint() {
-		if w.rt.lot.cancel(w) {
+	w.pool.lot.register(w)
+	if w.pool.stopped() || w.hasWorkHint() {
+		if w.pool.lot.cancel(w) {
 			return
 		}
 		// A waker claimed us between register and cancel; its token is
@@ -195,8 +215,14 @@ func (w *Worker) park() {
 	}
 	w.Stats.Parks++
 	ps := w.Wlog.Clock()
-	<-w.wakeCh
+	w.pool.lot.commit(w)
+	w.await()
 	w.Wlog.Span(obs.KPark, ps, 0, 0, -1, obs.HParkDur)
+}
+
+// await blocks until the worker's wake token arrives.
+func (w *Worker) await() {
+	<-w.wakeCh
 	w.Stats.Wakes++
 }
 
@@ -212,7 +238,7 @@ func (w *Worker) park() {
 // rechecks and waits whatever the ladder said.
 func (w *Worker) idlePark() {
 	w.idleSpins.Add(1)
-	if w.rt.holdsJob() && w.idle.spin() {
+	if w.pool.holdsJob() && w.idle.spin() {
 		runtime.Gosched()
 		return
 	}
@@ -222,6 +248,6 @@ func (w *Worker) idlePark() {
 
 // holdsJob reports whether a job occupies a slot or waits in the
 // admission queue (two atomic loads, safe from any worker).
-func (r *Runtime) holdsJob() bool {
-	return r.freeSlotCount.Load() < int64(r.cfg.MaxJobs) || r.queuedCount.Load() > 0
+func (p *Pool) holdsJob() bool {
+	return p.freeSlotCount.Load() < int64(p.cfg.MaxJobs) || p.queuedCount.Load() > 0
 }

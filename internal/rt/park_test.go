@@ -51,7 +51,7 @@ func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
 			t.Fatalf("only %d of %d idle workers parked", p.ParkedWorkers(), workers)
 		}
 	}
-	spins := idleSpins(p.r)
+	spins := idleSpins(p)
 	if spins > workers {
 		t.Errorf("%d idle rounds to park %d workers of an empty pool, want one each", spins, workers)
 	}
@@ -61,7 +61,7 @@ func TestIdlePoolParksWithinSpinBudget(t *testing.T) {
 	if got := p.WorkersExited(); got != workers {
 		t.Errorf("%d of %d workers exited at Close", got, workers)
 	}
-	if got := idleSpins(p.r); got != spins {
+	if got := idleSpins(p); got != spins {
 		t.Errorf("parked workers took %d more idle rounds on their way out", got-spins)
 	}
 	f, err := parser.ParseFile(token.NewFileSet(), "park.go", nil, parser.ImportsOnly)
@@ -99,11 +99,11 @@ func TestSubmitHandsOffToParkedWorker(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.r.jobMu.Lock()
+		p.jobMu.Lock()
 		if tk.state != tkQueued {
 			dispatched++
 		}
-		p.r.jobMu.Unlock()
+		p.jobMu.Unlock()
 		if res, err := tk.Wait(); err != nil || res.Result != spec.Expected {
 			t.Fatalf("job %d: result %d, err %v", i, res.Result, err)
 		}
@@ -130,21 +130,19 @@ func TestIdleWorkersSpinWhileAJobHoldsASlot(t *testing.T) {
 	})
 	cfg := DefaultConfig(workers)
 	cfg.MaxWall = 60 * time.Second
-	r := New(cfg)
-	resCh := make(chan error, 1)
-	go func() {
-		_, err := r.Run(fid, 8, nil)
-		resCh <- err
-	}()
-	for deadline := time.Now().Add(30 * time.Second); r.ParkedWorkers() != workers-1; time.Sleep(100 * time.Microsecond) {
+	p, tk := startWithJob(t, cfg, fid, 8, nil)
+	for deadline := time.Now().Add(30 * time.Second); p.ParkedWorkers() != workers-1; time.Sleep(100 * time.Microsecond) {
 		if time.Now().After(deadline) {
 			close(gate)
-			t.Fatalf("only %d of %d idle workers parked", r.ParkedWorkers(), workers-1)
+			t.Fatalf("only %d of %d idle workers parked", p.ParkedWorkers(), workers-1)
 		}
 	}
-	spins := idleSpins(r)
+	spins := idleSpins(p)
 	close(gate)
-	if err := <-resCh; err != nil {
+	if _, err := tk.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if min := uint64((workers - 1) * (idleSpinRounds + 1)); spins < min {
@@ -152,22 +150,43 @@ func TestIdleWorkersSpinWhileAJobHoldsASlot(t *testing.T) {
 	}
 }
 
+// startWithJob starts a pool, submits one job and wakes every worker,
+// so each worker's next idle round finds the job holding a slot.
+func startWithJob(t *testing.T, cfg Config, fid core.FuncID, localsLen uint32, init func(*core.Env)) (*Pool, *Ticket) {
+	t.Helper()
+	p, err := NewPool(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := p.Submit(fid, localsLen, init, JobParams{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.lot.wakeAll()
+	return p, tk
+}
+
 // idleSpins sums every worker's idle-loop round counter (atomic loads,
 // safe mid-run); a fully parked runtime's value stops advancing, which
 // is the whole point of parking.
-func idleSpins(r *Runtime) uint64 {
+func idleSpins(p *Pool) uint64 {
 	var n uint64
-	for _, w := range r.workers {
+	for _, w := range p.workers {
 		n += w.idleSpins.Load()
 	}
 	return n
 }
 
-// parkRig builds an un-run Runtime so lot/worker plumbing can be
-// exercised directly.
-func parkRig(workers int) *Runtime {
+// parkRig builds an unstarted pool, its workers out of the lot they
+// are born in, so lot/worker plumbing can be exercised directly.
+func parkRig(workers int) *Pool {
 	cfg := DefaultConfig(workers)
-	return New(cfg)
+	cfg.fillDefaults()
+	p := newPool(cfg, nil)
+	for _, w := range p.workers {
+		p.lot.cancel(w)
+	}
+	return p
 }
 
 func TestParkingLotWakeOneLIFO(t *testing.T) {
@@ -348,38 +367,26 @@ func TestQuiescenceParkedWorkersStopSpinning(t *testing.T) {
 	// scheduling quantum, so the seven idle workers take over a second
 	// of wall clock to walk their ladders into the lot.
 	spec := workloads.Fib(1, 3_000_000_000)
-	cfg := DefaultConfig(workers)
-	r := New(cfg)
-	resCh := make(chan error, 1)
-	go func() {
-		got, err := r.Run(spec.Fid, spec.Locals, spec.Init)
-		if err == nil && got != spec.Expected {
-			err = &quiesceResultErr{got: got, want: spec.Expected}
-		}
-		resCh <- err
-	}()
+	p, tk := startWithJob(t, DefaultConfig(workers), spec.Fid, spec.Locals, spec.Init)
 	deadline := time.Now().Add(90 * time.Second)
-	for r.ParkedWorkers() != workers-1 {
+	for p.ParkedWorkers() != workers-1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d workers parked", r.ParkedWorkers(), workers-1)
+			t.Fatalf("only %d/%d workers parked", p.ParkedWorkers(), workers-1)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	// All idle workers are in the lot. Their spin counters must freeze.
-	before := idleSpins(r)
+	before := idleSpins(p)
 	time.Sleep(100 * time.Millisecond)
-	if r.ParkedWorkers() == workers-1 {
-		if after := idleSpins(r); after != before {
+	if p.ParkedWorkers() == workers-1 {
+		if after := idleSpins(p); after != before {
 			t.Fatalf("idle spins advanced %d → %d while all idle workers were parked", before, after)
 		}
 	} // else: the run finished during the sample window; nothing to assert.
-	if err := <-resCh; err != nil {
+	if res, err := tk.Wait(); err != nil || res.Result != spec.Expected {
+		t.Fatalf("result %d err %v, want %d", res.Result, err, spec.Expected)
+	}
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-type quiesceResultErr struct{ got, want uint64 }
-
-func (e *quiesceResultErr) Error() string {
-	return "quiescence run: wrong root result"
 }

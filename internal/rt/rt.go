@@ -15,23 +15,24 @@
 // shared with the multi-process dist backend; rt keeps the policy: the
 // parking lot, job multiplexing and the pool.
 //
-// A Runtime has one lifecycle, the pool's (service.go): workers start,
+// Workers have one lifecycle, the pool's (service.go): they start,
 // jobs are submitted, dispatched onto idle workers and finalized by
 // the worker that ends their last chain, and Close stops the workers and
 // checks quiescence. NewPool keeps that pool open for many jobs;
-// New(...).Run is a pool of one job slot that runs one job and closes.
+// New(...).Run submits one job to a pool that outlives it, resident on a
+// process-wide shelf between Runs.
 package rt
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"uniaddr/internal/core"
 	"uniaddr/internal/fault"
 	"uniaddr/internal/obs"
-	"uniaddr/internal/sched"
 )
 
 // TimeoutError reports a run that exceeded its MaxWall budget — the
@@ -90,10 +91,10 @@ type Config struct {
 	// 2^16 events; rounded up to a power of two by obs.RingCap).
 	ObsRingCap int
 	// MaxJobs bounds how many jobs may occupy job slots at once (queued
-	// jobs beyond it wait in the admission queue). New sets it to 1.
+	// jobs beyond it wait in the admission queue). A Run uses 1.
 	MaxJobs int
 	// QueueDepth bounds the admission queue; Submit returns
-	// ErrPoolSaturated beyond it. New sets it to 1.
+	// ErrPoolSaturated beyond it. A Run uses 1.
 	QueueDepth int
 }
 
@@ -144,217 +145,154 @@ func (c *Config) fillDefaults() {
 	}
 }
 
-// Runtime executes task trees across Config.Workers real workers: one
-// set of goroutines, arenas, deques and record tables that multiplexes
-// every admitted job, one job slot each (service.go). It is started by
-// NewPool, or by Run for a single job.
+// Runtime is one Run: its configuration, and once it has run, that
+// run's job time, counters and recorder. The workers it runs on belong to
+// a pool that outlives it: Run takes a parked pool of its layout off a
+// process-wide shelf (or starts one), submits its job, waits for it, and
+// shelves the pool again, so a Run pays a Submit and a Wait, not a
+// world's start and teardown.
 type Runtime struct {
 	cfg     Config
-	workers []*Worker
-
-	// initErr records a construction failure (bad fault config),
-	// returned by NewPool or Run before any goroutine starts.
-	initErr error
-
-	done   atomic.Bool
-	failMu sync.Mutex
-	err    error
-	wg     sync.WaitGroup
-
-	// lot is the idle-parking lot: workers that exhaust their idle
-	// spin block here until a push, a record completion, a Submit or
-	// shutdown wakes them (park.go).
-	lot parkingLot
-
-	// rec is the wall-clock observability recorder (nil when Config.Obs
-	// is off — every instrumented site is nil-safe).
-	rec *obs.Recorder
-
-	// --- job multiplexing (see service.go for the lifecycle) ---
-
-	// jobs is the flat per-slot job state every worker consults on the
-	// invoke path (state, root handle, grain).
-	jobs *sched.JobTable
-	// jobMeta is the Go-side per-slot companion: the ticket to signal
-	// and the cancel cause. Written under jobMu at dispatch/finalize;
-	// the hot-path id read is ordered by the atomics that publish the
-	// job's frames.
-	jobMeta []jobMeta
-	// jobMu guards the admission queue, the slot free list and ticket
-	// state transitions.
-	jobMu       sync.Mutex
-	jobQueue    []*pendingJob
-	freeSlots   []uint32
-	submitSeq   uint64
-	closed      bool
-	activeTk    map[*Ticket]struct{}
-	jobWG       sync.WaitGroup
-	queuedCount atomic.Int64 // mirror of len(jobQueue), read lock-free by idle workers
-	// freeSlotCount mirrors len(freeSlots). A queued job is only
-	// dispatchable when a slot is free, so the park-side work hint gates
-	// on both counters — otherwise idle workers would busy-spin on a
-	// non-empty queue for as long as every slot stays occupied.
-	freeSlotCount atomic.Int64
-	anyCanceled   atomic.Int64 // jobs currently draining; gates enter's drain-at-entry test
-	jobsDone      atomic.Uint64
-	exited        atomic.Uint64 // workers whose goroutine has returned
-	watchdog      *time.Timer
-
-	// sweeps holds, per worker, the canceled tenants whose abandoned
-	// records that worker must reclaim from its own table (postSweep,
-	// Worker.sweep); nil until the pool's first cancel.
-	sweepMu sync.Mutex
-	sweeps  [][]uint64
-
-	elapsed time.Duration // Run's job, dispatch to completion
-	total   Stats         // the workers' counters when they stopped
+	ran     bool
+	elapsed time.Duration
+	total   Stats
+	rec     *obs.Recorder
 }
 
-// jobMeta is the Go-side half of a job slot.
-type jobMeta struct {
-	id        uint64 // global submission sequence; tags obs events
-	t         *Ticket
-	cancelErr error // set before the Running→Draining CAS that publishes it
-}
-
-// New builds a Runtime for one Run: a pool with one job slot and an
-// admission queue of one, not yet started. A zero MaxWall selects
-// DefaultConfig's deadlock guard.
+// New returns a Runtime for one Run. A zero MaxWall selects
+// DefaultConfig's deadlock guard; MaxJobs and QueueDepth do not apply.
+// Small enough to inline, so a caller's Runtime can live on its stack.
 func New(cfg Config) *Runtime {
+	return &Runtime{cfg: cfg}
+}
+
+// errRanTwice is Run's answer on a Runtime that has run.
+var errRanTwice = errors.New("rt: a Runtime runs once")
+
+// Run executes the root task fid(localsLen bytes of locals, initialised
+// by init) as one job and returns its result. A clean run leaves its pool
+// parked, quiescent and reset on the shelf for the next Run of the same
+// layout. A run with a fault plan or a recorder gets a pool of its own
+// and closes it, and a run that fails — watchdog, worker panic,
+// quiescence — discards its pool. A Runtime runs once.
+func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (uint64, error) {
+	if r.ran {
+		return 0, errRanTwice
+	}
+	r.ran = true
+	cfg := r.cfg
 	if cfg.MaxWall == 0 {
 		cfg.MaxWall = DefaultConfig(cfg.Workers).MaxWall
 	}
 	cfg.MaxJobs, cfg.QueueDepth = 1, 1
-	return newRuntime(cfg)
-}
-
-func newRuntime(cfg Config) *Runtime {
 	cfg.fillDefaults()
-	r := &Runtime{cfg: cfg, activeTk: make(map[*Ticket]struct{})}
-	r.jobs = sched.NewJobTable(uint64(cfg.MaxJobs))
-	r.jobMeta = make([]jobMeta, cfg.MaxJobs)
-	r.freeSlots = make([]uint32, 0, cfg.MaxJobs)
-	for i := cfg.MaxJobs - 1; i >= 0; i-- {
-		r.freeSlots = append(r.freeSlots, uint32(i))
+	// A fault plan is built into a pool's workers and a recorder's rings
+	// describe its whole life: either makes the pool the run's own.
+	fresh := cfg.Obs || cfg.Fault != (fault.Config{})
+	var p *Pool
+	if !fresh {
+		p = takePool(cfg.poolKey())
 	}
-	r.freeSlotCount.Store(int64(cfg.MaxJobs))
-	fc := cfg.Fault
-	fc.Seed = cfg.Seed
-	plan, err := fault.NewPlan(fc, cfg.Workers)
-	if err != nil {
-		r.initErr = fmt.Errorf("rt: %w", err)
-		plan = nil
-	}
-	// The interface value must be nil (not a typed nil *Plan) for the
-	// resilience fast path to collapse.
-	var inj sched.StealInjector
-	if plan != nil {
-		inj = plan
-	}
-	if cfg.Obs {
-		r.rec = obs.NewWallRecorder(cfg.Workers, cfg.ObsRingCap)
-	}
-	// One Peers slice for the whole runtime: every worker sees every
-	// worker's memory, its own included.
-	peers := make([]sched.Views, cfg.Workers)
-	for i := range peers {
-		peers[i] = takeWorkerMem(cfg.memKey()).Views
-		w := &Worker{
-			rt:       r,
-			wakeCh:   make(chan struct{}, 1),
-			parkSlot: -1,
+	if p != nil {
+		// Its workers are parked: the wake that hands them the job
+		// orders these writes.
+		for _, w := range p.workers {
+			w.Reseed(cfg.Seed, cfg.StealBatch)
 		}
-		w.Engine = sched.Engine{X: w, Rank: i, Peers: peers, Grain: cfg.Grain, Wlog: r.rec.Worker(i), StopFn: r.stopped, Jobs: r.jobs}
-		w.Init(cfg.Seed, cfg.StealBatch, cfg.TierGroup, inj)
-		w.tally = make([]jobTally, cfg.MaxJobs)
-		w.curJob = ^uint32(0) // force a slot reload on the first invoke
-		r.workers = append(r.workers, w)
+	} else {
+		pc := cfg
+		pc.MaxWall = 0 // the budget is the run's, armed below
+		var err error
+		if p, err = NewPool(pc); err != nil {
+			return 0, err
+		}
 	}
-	return r
-}
-
-// memKey is the layout of the worker memory c asks for.
-func (c Config) memKey() memKey {
-	return memKey{c.ArenaSize, c.DequeCap, c.RecordCap}
-}
-
-// start launches the workers and the watchdog: from here on the runtime
-// serves its admission queue until shutdown.
-func (r *Runtime) start() {
-	if d := r.cfg.MaxWall; d > 0 {
-		r.watchdog = time.AfterFunc(d, func() { r.fail(&TimeoutError{Budget: d}) })
+	r.rec = p.rec
+	p.arm(cfg.MaxWall)
+	var res JobResult
+	tk, err := p.Submit(fid, localsLen, init, JobParams{Grain: cfg.Grain})
+	if err == nil {
+		res, err = tk.Wait()
 	}
-	for _, w := range r.workers {
-		r.wg.Add(1)
-		go w.run()
+	if err == nil {
+		err = p.settle(&r.total)
 	}
-}
-
-// Run executes the root task fid(localsLen bytes of locals, initialised
-// by init) as the runtime's one job and returns its result: it starts
-// the workers, submits the job, waits for it and closes the pool, which
-// checks quiescence and recycles the worker memory. A Runtime runs once.
-func (r *Runtime) Run(fid core.FuncID, localsLen uint32, init func(*core.Env)) (uint64, error) {
-	if r.initErr != nil {
-		return 0, r.initErr
-	}
-	tk, err := (&Pool{r}).Submit(fid, localsLen, init, JobParams{Grain: r.cfg.Grain})
-	if err != nil {
+	switch {
+	case err != nil:
+		p.fail(err)
+		p.shutdown()
 		return 0, err
-	}
-	// The job is queued before any worker starts, and admission closes
-	// behind it, so its finalizer stops the workers (finalizeSlot): a
-	// one-worker run takes no idle round before or after its job.
-	r.closed = true
-	r.start()
-	res, err := tk.Wait()
-	if cerr := r.shutdown(); err == nil {
-		err = cerr
+	case fresh:
+		if err := p.Close(); err != nil {
+			return 0, err
+		}
+	default:
+		shelvePool(p)
 	}
 	r.elapsed = time.Duration(res.ExecNS)
-	if err != nil {
-		return 0, err
-	}
 	return res.Result, nil
 }
-
-// stop releases every worker's idle loop, including workers blocked in
-// the parking lot; they wind down at their next check.
-func (r *Runtime) stop() {
-	r.done.Store(true)
-	r.lot.wakeAll()
-}
-
-// fail aborts the pool; the first error wins. The workers are winding
-// down and will never finalize the outstanding tickets, so they are
-// resolved here with the pool's error.
-func (r *Runtime) fail(err error) {
-	r.failMu.Lock()
-	if r.err == nil {
-		r.err = err
-	}
-	r.failMu.Unlock()
-	r.stop()
-	r.failTickets(err)
-}
-
-// stopped reports whether workers should wind down (pool closed or
-// failed). Used as the abort predicate for lock spins.
-func (r *Runtime) stopped() bool { return r.done.Load() }
 
 // Elapsed returns Run's job time, from dispatch to completion.
 func (r *Runtime) Elapsed() time.Duration { return r.elapsed }
 
-// Obs returns the wall-clock recorder (nil when observability is off).
-// Export it only after the workers stopped — the rings are read at
-// quiescence.
+// Obs returns the run's wall-clock recorder (nil when observability is
+// off). A run with a recorder closes its pool, so the rings are at rest.
 func (r *Runtime) Obs() *obs.Recorder { return r.rec }
 
-// ParkedWorkers returns how many workers are currently blocked in the
-// parking lot. Unlike most introspection here it is safe to call
-// MID-RUN (one atomic load) — the quiescence tests poll it.
-func (r *Runtime) ParkedWorkers() int { return int(r.lot.count.Load()) }
-
-// TotalStats is the sum of all workers' counters, taken when they
-// stopped (Run, Pool.Close): the memory may serve another pool since.
+// TotalStats is the sum of all workers' counters over this run alone,
+// taken once every worker had parked (or stopped) after its job.
 func (r *Runtime) TotalStats() Stats { return r.total }
+
+// --- the shelf of resident pools ---------------------------------------
+
+// poolKey is the layout a pool was built for and may serve Runs of: its
+// worker count and memory, and the victim tiers built over them. Seed and
+// steal batch are per run (sched.Engine.Reseed), grain per job.
+type poolKey struct {
+	memKey
+	workers, tierGroup int
+}
+
+func (c Config) poolKey() poolKey {
+	return poolKey{c.memKey(), c.Workers, c.TierGroup}
+}
+
+// shelfCap bounds the shelf, in pools: two keep a caller alternating
+// one- and two-worker Runs (the benchmark's ledger does) resident.
+const shelfCap = 2
+
+// shelf holds the parked pools between Runs, oldest first.
+var shelf struct {
+	mu    sync.Mutex
+	pools []*Pool
+}
+
+// takePool returns the newest shelved pool of layout k, or nil.
+func takePool(k poolKey) *Pool {
+	shelf.mu.Lock()
+	defer shelf.mu.Unlock()
+	for i := len(shelf.pools) - 1; i >= 0; i-- {
+		if p := shelf.pools[i]; p.cfg.poolKey() == k {
+			shelf.pools = slices.Delete(shelf.pools, i, i+1)
+			return p
+		}
+	}
+	return nil
+}
+
+// shelvePool puts a pool that just settled on the shelf, closing the
+// oldest when it is full: its worker memory goes back to memcache.go.
+func shelvePool(p *Pool) {
+	var evict *Pool
+	shelf.mu.Lock()
+	if len(shelf.pools) == shelfCap {
+		evict = shelf.pools[0]
+		shelf.pools = slices.Delete(shelf.pools, 0, 1)
+	}
+	shelf.pools = append(shelf.pools, p)
+	shelf.mu.Unlock()
+	if evict != nil {
+		evict.Close()
+	}
+}

@@ -99,10 +99,12 @@ func swParentTask(e *core.Env) core.Status {
 // Here init holds the window open until the thief HAS claimed the
 // parent, then reads the (now dead) local copy of the parent's frame.
 func TestStealDuringSpawnInit(t *testing.T) {
-	cfg := DefaultConfig(2)
-	r := New(cfg)
+	p, err := NewPool(DefaultConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	queued := func() (n uint64) {
-		for _, w := range r.workers {
+		for _, w := range p.workers {
 			n += w.Deque.Size()
 		}
 		return n
@@ -117,14 +119,21 @@ func TestStealDuringSpawnInit(t *testing.T) {
 			}
 		}
 	}
-	got, err := r.Run(swParentFID, swLocals, func(e *core.Env) { e.SetU64(swArg, 21) })
+	tk, err := p.Submit(swParentFID, swLocals, func(e *core.Env) { e.SetU64(swArg, 21) }, JobParams{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 43 {
-		t.Errorf("result %d, want 43", got)
+	res, err := tk.Wait()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ts := r.TotalStats(); ts.StealsOK != 1 || ts.ParentStolen != 1 {
+	if res.Result != 43 {
+		t.Errorf("result %d, want 43", res.Result)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ts := p.TotalStats(); ts.StealsOK != 1 || ts.ParentStolen != 1 {
 		t.Errorf("StealsOK %d ParentStolen %d, want 1 and 1", ts.StealsOK, ts.ParentStolen)
 	}
 }

@@ -115,7 +115,7 @@ func TestPoolRetenantsBeforeCanceledJobIsSwept(t *testing.T) {
 	// Both workers are parked, so their tables are quiet: one of them
 	// still holds the leak it was posted.
 	unswept, live := 0, 0
-	for _, w := range p.r.workers {
+	for _, w := range p.workers {
 		if w.sweepPosted.Load() {
 			unswept++
 		}

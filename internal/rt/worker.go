@@ -22,13 +22,13 @@ type Stats = sched.WorkerStats
 // so task functions written against core.Env run on it unchanged.
 type Worker struct {
 	sched.Engine
-	rt *Runtime
+	pool *Pool
 
 	// Idle engine / parking (see park.go).
 	idle     idleState
 	wakeCh   chan struct{} // 1-buffered wake token; see parkingLot
 	parkSlot int32         // index in lot.parked; -1 when not registered
-	// sweepPosted says Runtime.sweeps holds canceled tenants for this
+	// sweepPosted says Pool.sweeps holds canceled tenants for this
 	// worker to sweep (postSweep), without the lock, for the idle loop.
 	// It shares parkSlot's 8-byte word, which keeps Worker in its
 	// allocation size class.
@@ -52,7 +52,11 @@ type Worker struct {
 	// Spawns, completions and nested entries inside a task body all
 	// belong to that frame's job, so they take it from here; Engine.Grain
 	// is reloaded from the slot with them.
-	curJob   uint32
+	curJob uint32
+	// resting: parked past the recheck, no token in flight (guarded by
+	// the lot's mutex; parkingLot.commit). It sits in curJob's padding,
+	// which keeps Worker in its allocation size class.
+	resting  bool
 	curJobID uint64
 	curSlot  *sched.JobSlot
 }
@@ -65,14 +69,15 @@ type jobTally struct{ tasks, spawns uint64 }
 // or steal, else back off into the parking lot (Fig. 7's fallback chain
 // with the blocking tail described in DESIGN.md §10).
 func (w *Worker) run() {
-	defer w.rt.wg.Done()
-	defer w.rt.exited.Add(1)
+	defer w.pool.wg.Done()
+	defer w.pool.exited.Add(1)
 	defer func() {
 		if r := recover(); r != nil {
-			w.rt.fail(fmt.Errorf("rt: worker %d panicked: %v", w.Rank, r))
+			w.pool.fail(fmt.Errorf("rt: worker %d panicked: %v", w.Rank, r))
 		}
 	}()
-	for !w.rt.stopped() {
+	w.await() // born parked (newPool)
+	for !w.pool.stopped() {
 		if ent, ok := w.Deque.Pop(w.StopFn); ok {
 			w.Stats.ResumesLocal++
 			w.invoke(ent.FrameBase, ent.FrameSize)
@@ -91,7 +96,7 @@ func (w *Worker) run() {
 		// posted to us since the last round.
 		w.endChain()
 		w.sweep()
-		if w.rt.stopped() {
+		if w.pool.stopped() {
 			return
 		}
 		// Resume before steal: a ready waiter is guaranteed-productive
@@ -112,7 +117,7 @@ func (w *Worker) run() {
 			// Extra entries just became stealable from us: release a
 			// parked worker so the fan-out actually happens.
 			if n > 1 {
-				w.rt.lot.wakeOne()
+				w.pool.lot.wakeOne()
 			}
 			if ent, ok := w.Deque.Pop(w.StopFn); ok {
 				w.invoke(ent.FrameBase, ent.FrameSize)
@@ -149,24 +154,24 @@ func (w *Worker) endChain() {
 	t.spawns += w.Stats.Spawns - w.tallied.spawns
 	w.tallied = jobTally{w.Stats.TasksExecuted, w.Stats.Spawns}
 	w.Stats.ChainEnds++
-	if w.rt.jobs.Get(slot).Live.Add(-1) == 0 {
-		w.rt.jobQuiesced(slot)
+	if w.pool.jobs.Get(slot).Live.Add(-1) == 0 {
+		w.pool.jobQuiesced(slot)
 	}
 }
 
 // sweep reclaims this worker's records of the canceled tenants posted to
-// it, if any: the owner's half of a drain (Runtime.postSweep). Called
+// it, if any: the owner's half of a drain (Pool.postSweep). Called
 // from the idle loop and by shutdown once the workers have stopped.
 func (w *Worker) sweep() {
 	if !w.sweepPosted.Load() {
 		return
 	}
-	r := w.rt
-	r.sweepMu.Lock()
-	w.Records.SweepTenants(r.sweeps[w.Rank])
-	r.sweeps[w.Rank] = r.sweeps[w.Rank][:0]
+	p := w.pool
+	p.sweepMu.Lock()
+	w.Records.SweepTenants(p.sweeps[w.Rank])
+	p.sweeps[w.Rank] = p.sweeps[w.Rank][:0]
 	w.sweepPosted.Store(false)
-	r.sweepMu.Unlock()
+	p.sweepMu.Unlock()
 }
 
 // invoke runs (or resumes) the thread whose stack starts at base. On
@@ -198,10 +203,10 @@ func (w *Worker) enter(e *core.Env) (core.Status, core.Handle) {
 	// Switch this worker's cached job context if the frame belongs to
 	// another job (steals interleave jobs on one worker). The id recheck
 	// catches a slot recycled to a new job between two frames.
-	if slot := job - 1; slot != w.curJob || w.rt.jobMeta[slot].id != w.curJobID {
+	if slot := job - 1; slot != w.curJob || w.pool.jobMeta[slot].id != w.curJobID {
 		w.curJob = slot
-		w.curJobID = w.rt.jobMeta[slot].id
-		w.curSlot = w.rt.jobs.Get(slot)
+		w.curJobID = w.pool.jobMeta[slot].id
+		w.curSlot = w.pool.jobs.Get(slot)
 		w.Grain = w.curSlot.Grain.Load()
 		w.Wlog.SetJob(w.curJobID)
 	}
@@ -211,8 +216,8 @@ func (w *Worker) enter(e *core.Env) (core.Status, core.Handle) {
 	// dry one by one, and completing the record here is what unblocks
 	// (and in turn drains) any parent suspended on it. Records the frame
 	// held handles to are reclaimed by their owners once the job has
-	// quiesced (Runtime.postSweep).
-	if w.rt.anyCanceled.Load() > 0 && sched.JobPhase(w.curSlot.State.Load()) == sched.JobDraining {
+	// quiesced (Pool.postSweep).
+	if w.pool.anyCanceled.Load() > 0 && sched.JobPhase(w.curSlot.State.Load()) == sched.JobDraining {
 		w.ExecComplete(rec, 0)
 		w.Stats.TasksExecuted++
 		w.Stats.TasksDrained++
@@ -261,7 +266,7 @@ func (w *Worker) publish(rec core.Handle) {
 	r.Job.Store(sched.RecordDone(sched.Tenant(w.curJobID)))
 	w.Stats.SharedPublishes++
 	if wr := r.Waiter.Load(); wr != 0 {
-		w.rt.lot.wakeWorker(w.rt.workers[wr-1])
+		w.pool.lot.wakeWorker(w.pool.workers[wr-1])
 	}
 	if uint64(rec) == js.Root.Load() {
 		// Nobody joins a root: its record is still ours to read.
@@ -308,7 +313,7 @@ func (w *Worker) ExecSpawnBegin(e *core.Env, resumeRP, handleSlot int, fid core.
 		panic(err)
 	}
 	// Work just became stealable: release one parked worker, if any.
-	w.rt.lot.wakeOne()
+	w.pool.lot.wakeOne()
 	return w.NewFrame(fid, localsLen, rec, sched.JobTag(w.curJob))
 }
 

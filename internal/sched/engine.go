@@ -243,17 +243,27 @@ const (
 // for the resilience fast path to collapse.
 func (en *Engine) Init(seed uint64, stealBatch, tierGroup int, inj StealInjector) {
 	en.Views = en.Peers[en.Rank]
-	en.rng = seed*0x9e3779b97f4a7c15 + uint64(en.Rank)*0xbf58476d1ce4e5b9 + 1
-	en.lastVictim = -1
 	en.tiers = BuildTiers(en.Rank, len(en.Peers), tierGroup)
-	n := int(en.Deque.MaxClaim())
-	if stealBatch > 0 && stealBatch < n {
-		n = stealBatch
-	}
-	en.stealBuf = make([]Entry, max(n, 1))
+	en.stealBuf = make([]Entry, max(int(en.Deque.MaxClaim()), 1))
+	en.Reseed(seed, stealBatch)
 	en.Res = NewResilience(en.Rank, DefaultResilienceConfig(), inj)
 	en.Res.Log = en.Wlog
 	en.Res.Jobs = en.Jobs
+}
+
+// Reseed restarts the thief side as Init leaves it: victim selection
+// from seed (this rank's stream, an empty last-victim cache) and the
+// per-steal entry bound from stealBatch. An Engine that has run before
+// then steals as a fresh one would: a schedule stays a function of its
+// seed.
+func (en *Engine) Reseed(seed uint64, stealBatch int) {
+	en.rng = seed*0x9e3779b97f4a7c15 + uint64(en.Rank)*0xbf58476d1ce4e5b9 + 1
+	en.lastVictim = -1
+	n := cap(en.stealBuf)
+	if stealBatch > 0 && stealBatch < n {
+		n = stealBatch
+	}
+	en.stealBuf = en.stealBuf[:n]
 }
 
 // intn draws from [0, n): one splitmix64 step, reduced by
@@ -323,6 +333,30 @@ func (en *Engine) PutEnv(e *core.Env) {
 	if len(en.envFree) < envPoolCap {
 		en.envFree = append(en.envFree, e)
 	}
+}
+
+// FreeLists are an Engine's recycled Envs and saved-context buffers. A
+// backend that builds a new Engine per run on the same rank hands them
+// from one to the next (dist's resident worker sets), so a run does not
+// refill them from empty.
+type FreeLists struct {
+	env []*core.Env
+	ctx [][]byte
+}
+
+// TakeFreeLists returns the Engine's free lists, leaving it none. Call
+// only after its run: the Envs are recycled, so nothing uses them.
+func (en *Engine) TakeFreeLists() FreeLists {
+	f := FreeLists{en.envFree, en.ctxFree}
+	en.envFree, en.ctxFree = nil, nil
+	return f
+}
+
+// AdoptFreeLists gives a fresh Engine the lists an earlier one of its
+// rank left (TakeFreeLists). A recycled Env is rebound to this Engine's
+// worker as GetEnv hands it out.
+func (en *Engine) AdoptFreeLists(f FreeLists) {
+	en.envFree, en.ctxFree = f.env, f.ctx
 }
 
 // getCtxBuf returns an n-byte buffer for a suspended context, reusing

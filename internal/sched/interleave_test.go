@@ -36,7 +36,7 @@ import (
 // point after — what is still posted when everyone is done, Pool.Close
 // sweeps. The step lists below are rt.Worker.ExecComplete, ExecSpawnRun's
 // Pop and its publish (publishLocal / publish), enter's drain test,
-// endChain and sweep, rt.Runtime.jobQuiesced, finalizeSlot, postSweep,
+// endChain and sweep, rt.Pool.jobQuiesced, finalizeSlot, postSweep,
 // cancelRunning and startQueuedJob, sched.Engine.ExecJoin and
 // ResumeReady, Resilience.StealBatchFrom and Deque.Pop/StealBeginBatch,
 // one word access at a time (a failed lock spin and a not-yet-ready resume
@@ -390,12 +390,12 @@ func (p ilProg) endChain(m ilMutant, then, after *int) (quiesced, canceled, end 
 	return quiesced, canceled, p.next()
 }
 
-// postSweep appends rt.Runtime.postSweep of the actor's tenant.
+// postSweep appends rt.Pool.postSweep of the actor's tenant.
 func (p ilProg) postSweep() {
 	p.add(func(w *ilWorld, a *ilActor) int { w.posted = a.tag; return a.pc + 1 })
 }
 
-// finalizeSlot appends rt.Runtime.finalizeSlot and, for a canceled
+// finalizeSlot appends rt.Pool.finalizeSlot and, for a canceled
 // tenant, the postSweep after it; then it goes on to *after.
 func (p ilProg) finalizeSlot(m ilMutant, canceled bool, after *int) {
 	p.add(func(w *ilWorld, a *ilActor) int {
